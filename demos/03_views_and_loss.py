@@ -8,29 +8,30 @@ import math
 import numpy as np
 
 import mmnas.autodiff as ad
-from mmnas.contrastive import ContrastiveConfig, make_view_pair, ntxent_loss
+from mmnas.contrastive import ContrastiveConfig, augment_view, ntxent_loss
 from mmnas.data import SyntheticSpec, generate
 
 ds = generate(SyntheticSpec(num_samples=8, seed=0))
 cfg = ContrastiveConfig()
-sample = ds.samples[0]
+# The dataset is columnar: one n x d matrix per backbone source. Row 0 of
+# each matrix is sample 0.
+image = [ds.features[f"image:{l}"][0] for l in range(len(ds.image_dims))]
+text = [ds.features[f"text:{l}"][0] for l in range(len(ds.text_dims))]
+tokens = ds.tokens[0]
 
 rng = np.random.default_rng(7)
-pair = make_view_pair(sample, cfg, rng)
-print("sample id:", pair.view_i.sample_id)
-orig = sample.image_features[0]
-print("image layer 0, original    :", np.round(orig[:8], 2))
-print("image layer 0, view i      :", np.round(pair.view_i.image_features[0][:8], 2))
-print("image layer 0, view j      :", np.round(pair.view_j.image_features[0][:8], 2))
-masked = int(np.sum(pair.view_i.text_tokens == cfg.mask_token))
-print(f"text view i masks {masked}/{len(sample.text_tokens)} tokens "
+view_i = augment_view(image, tokens, text, cfg, rng)
+view_j = augment_view(image, tokens, text, cfg, rng)
+print("image layer 0, original    :", np.round(image[0][:8], 2))
+print("image layer 0, view i      :", np.round(view_i[0][0][:8], 2))
+print("image layer 0, view j      :", np.round(view_j[0][0][:8], 2))
+masked = int(np.sum(view_i[1] == cfg.mask_token))
+print(f"text view i masks {masked}/{len(tokens)} tokens "
       f"(mask id {cfg.mask_token}, p={cfg.mask_prob})")
 
-# Same seed, same view: augmentation is pure in (sample, rng state).
-again = make_view_pair(sample, cfg, np.random.default_rng(7))
-print("replay identical:", all(
-    (a == b).all() for a, b in zip(pair.view_i.image_features, again.view_i.image_features)
-))
+# Same seed, same view: augmentation is pure in (row, rng state).
+again = augment_view(image, tokens, text, cfg, np.random.default_rng(7))
+print("replay identical:", all((a == b).all() for a, b in zip(view_i[0], again[0])))
 
 # The loss takes 2N projection rows ordered pairwise. With one pair the
 # denominator holds only the positive term, so the loss is exactly zero.

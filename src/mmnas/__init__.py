@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .autodiff import Tape, Tensor
 from .bilevel import SearchConfig, SearchState, run_search
-from .contrastive import ContrastiveConfig, MultimodalSample, ntxent_loss
+from .contrastive import ContrastiveConfig, ntxent_loss
 from .data import Dataset, SyntheticSpec, generate, split
 from .pipeline import PipelineConfig, StageReport, run_pipeline, weighted_f1
 from .searchspace import (
@@ -31,7 +31,6 @@ __all__ = [
     "SearchState",
     "run_search",
     "ContrastiveConfig",
-    "MultimodalSample",
     "ntxent_loss",
     "Dataset",
     "SyntheticSpec",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NonFiniteError, Tape
-from .contrastive import ContrastiveConfig, ProjectionHead, make_view_pair, ntxent_loss
+from .contrastive import ContrastiveConfig, ProjectionHead, augment_view, ntxent_loss
 from .data import Dataset
 from .optim import Adam, MomentumSGD
 from .searchspace import ArchParams, MixedFusionEncoder, SearchSpaceConfig, derive_genotype
@@ -41,7 +41,6 @@ class SearchConfig:
     adam_eps: float = 1e-8
     arch_init_scale: float = 1e-3
     seed: int = 0
-    checkpoint_criterion: str = "valid_loss"
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -51,8 +50,6 @@ class SearchConfig:
         # zero rates are allowed so a run can be frozen into a no-op probe
         if self.lr_weights < 0 or self.lr_arch < 0:
             raise ValueError("learning rates must be >= 0")
-        if self.checkpoint_criterion != "valid_loss":
-            raise ValueError("the only supported checkpoint criterion is 'valid_loss'")
 
     def to_dict(self) -> dict:
         from dataclasses import asdict
@@ -77,25 +74,24 @@ def batch_indices(n: int, batch_size: int, rng: np.random.Generator | None = Non
     return [c for c in chunks if len(c) >= 2]
 
 
-def stack_view_features(samples: list, ccfg: ContrastiveConfig, rng: np.random.Generator) -> list:
-    """Augment every sample twice and stack per-source feature matrices.
+def stack_view_features(ds: Dataset, idx, ccfg: ContrastiveConfig, rng: np.random.Generator) -> list:
+    """Augment rows ``idx`` of ``ds`` twice into per-source ``(2B, d)`` matrices.
 
-    Output rows are interleaved (view_i of sample 0, view_j of sample 0,
-    view_i of sample 1, ...), matching the loss's pairing convention; the
+    Output rows are interleaved (view_i of row idx[0], view_j of row idx[0],
+    view_i of row idx[1], ...), matching the loss's pairing convention; the
     returned list is aligned with the canonical source order (image layers
     then text layers).
     """
-    views = []
-    for s in samples:
-        pair = make_view_pair(s, ccfg, rng)
-        views.append(pair.view_i)
-        views.append(pair.view_j)
-    feats = []
-    for l in range(len(views[0].image_features)):
-        feats.append(np.stack([v.image_features[l] for v in views]))
-    for l in range(len(views[0].text_features)):
-        feats.append(np.stack([v.text_features[l] for v in views]))
-    return feats
+    mats = list(ds.features.values())
+    n_img = len(ds.image_dims)
+    out = [np.empty((2 * len(idx), m.shape[1])) for m in mats]
+    for r, i in enumerate(idx):
+        rows = [m[i] for m in mats]
+        for v in (2 * r, 2 * r + 1):
+            image, _, text = augment_view(rows[:n_img], ds.tokens[i], rows[n_img:], ccfg, rng)
+            for mat, row in zip(out, image + text):
+                mat[v] = row
+    return out
 
 
 def _check_compatible(space: SearchSpaceConfig, ds: Dataset) -> None:
@@ -145,7 +141,7 @@ def search_epoch(
         losses = []
         t0 = time.perf_counter()
         for bi, idx in enumerate(batches):
-            feats = stack_view_features([ds.samples[i] for i in idx], ccfg, rng_aug)
+            feats = stack_view_features(ds, idx, ccfg, rng_aug)
             tape = Tape()
             w_leaves = {k: tape.leaf(v, k) for k, v in state.weights.items()}
             a_leaves = {k: tape.leaf(v, k) for k, v in state.arch.named().items()}
@@ -178,7 +174,7 @@ def search_epoch(
     t0 = time.perf_counter()
     losses = []
     for idx in batch_indices(len(valid), scfg.batch_size):
-        feats = stack_view_features([valid.samples[i] for i in idx], ccfg, rng_aug)
+        feats = stack_view_features(valid, idx, ccfg, rng_aug)
         loss = contrastive_batch_loss(encoder, head, state.weights, state.arch.named(), feats, ccfg.temperature)
         losses.append(float(loss.data))
     eval_loss = float(np.mean(losses))

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,7 @@ def cmd_search(args) -> int:
     space = cfg.space_config(ds.image_dims, ds.text_dims)
     splits = dataio.split(ds, cfg.pipeline.labeled_ratio, cfg.seed)
     reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)
+    t0 = time.perf_counter()
     genotype, state = run_search(
         cfg.search_config(), space, cfg.contrastive, splits.search_train, splits.search_valid, report=reporter
     )
@@ -140,7 +142,7 @@ def cmd_search(args) -> int:
             seed=cfg.seed,
             metrics={"best_valid_loss": state.best_valid_loss, "epochs": state.epoch},
             genotype_hash=genotype.hash(),
-            duration_s=0.0,
+            duration_s=time.perf_counter() - t0,
             config_hash=cfg.hash(),
             build_id=build_id(),
             extra={"config": cfg.to_dict()},
@@ -214,6 +216,7 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)
+    t0 = time.perf_counter()
     if args.predictions:
         doc = json.loads(Path(args.predictions).read_text())
         score = weighted_f1(np.asarray(doc["predictions"]), np.asarray(doc["truth"]))
@@ -236,7 +239,7 @@ def cmd_eval(args) -> int:
             seed=cfg.seed,
             metrics={"weighted_f1": score},
             genotype_hash=None,
-            duration_s=0.0,
+            duration_s=time.perf_counter() - t0,
             config_hash=cfg.hash(),
             build_id=build_id(),
         ).to_dict()

@@ -18,6 +18,7 @@ identifies the run.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import subprocess
 from dataclasses import dataclass, field
@@ -130,8 +131,12 @@ class RunConfig:
         return SearchConfig(**{**self.search.to_dict(), "seed": self.seed})
 
 
+@functools.cache
 def build_id() -> str:
-    """Version plus the working-tree descriptor when git is available."""
+    """Version plus the working-tree descriptor when git is available.
+
+    Computed once per process: every report of one run shares it.
+    """
     base = f"mmnas-{__version__}"
     try:
         desc = subprocess.run(

@@ -89,27 +89,6 @@ class ContrastiveConfig:
         return asdict(self)
 
 
-@dataclass
-class MultimodalSample:
-    """One paired sample: per-layer image features, text tokens + features."""
-
-    sample_id: int
-    image_features: list
-    text_features: list
-    text_tokens: np.ndarray | None = None
-    label: np.ndarray | None = None
-
-
-@dataclass
-class AugmentedViewPair:
-    view_i: MultimodalSample
-    view_j: MultimodalSample
-
-    def __post_init__(self):
-        if self.view_i.sample_id != self.view_j.sample_id:
-            raise ContrastiveError("view pair must come from a single sample")
-
-
 _FLIP_CACHE: dict = {}
 
 
@@ -156,51 +135,23 @@ def _augment_image_layer(x: np.ndarray, cfg: ContrastiveConfig, rng: np.random.G
     return out
 
 
-def _augment_text(
-    tokens: np.ndarray, features: list, cfg: ContrastiveConfig, rng: np.random.Generator
-):
-    if tokens is None or tokens.size == 0:
+def augment_view(image: list, tokens: np.ndarray, text: list, cfg: ContrastiveConfig, rng: np.random.Generator):
+    """One augmented view of one sample row: (image layers, tokens, text layers).
+
+    ``image`` and ``text`` hold one feature vector per layer. Image layers
+    draw from ``rng`` first, in layer order, then the text mask; the view is
+    pure given the rng state and never writes to its inputs.
+    """
+    if tokens.size == 0:
         raise ContrastiveError("text view requires a non-empty token sequence")
-    for f in features:
-        if f.size == 0:
-            raise ContrastiveError("empty feature vector")
+    if any(f.size == 0 for f in text):
+        raise ContrastiveError("empty feature vector")
     if np.any(tokens >= cfg.text_vocab_size) or np.any(tokens < 0):
         raise ContrastiveError("token id out of vocabulary range")
+    image_view = [_augment_image_layer(x, cfg, rng) for x in image]
     mask = rng.random(tokens.shape[0]) < cfg.mask_prob
-    new_tokens = np.where(mask, cfg.mask_token, tokens)
-    new_features = []
-    for f in features:
-        keep = ~mask[np.arange(f.shape[0]) % tokens.shape[0]]
-        new_features.append(np.array(f, dtype=np.float64) * keep)
-    return new_tokens.astype(np.int64), new_features
-
-
-def augment(sample: MultimodalSample, modality: str, cfg: ContrastiveConfig, rng: np.random.Generator):
-    """One augmented view of a single modality; pure given (sample, rng state)."""
-    if modality == "image":
-        return [_augment_image_layer(x, cfg, rng) for x in sample.image_features]
-    if modality == "text":
-        return _augment_text(sample.text_tokens, sample.text_features, cfg, rng)
-    raise ContrastiveError(f"unknown modality {modality!r}")
-
-
-def augment_sample(sample: MultimodalSample, cfg: ContrastiveConfig, rng: np.random.Generator) -> MultimodalSample:
-    image = augment(sample, "image", cfg, rng)
-    tokens, text = augment(sample, "text", cfg, rng)
-    return MultimodalSample(
-        sample_id=sample.sample_id,
-        image_features=image,
-        text_features=text,
-        text_tokens=tokens,
-        label=sample.label,
-    )
-
-
-def make_view_pair(sample: MultimodalSample, cfg: ContrastiveConfig, rng: np.random.Generator) -> AugmentedViewPair:
-    return AugmentedViewPair(
-        view_i=augment_sample(sample, cfg, rng),
-        view_j=augment_sample(sample, cfg, rng),
-    )
+    text_view = [np.array(f, dtype=np.float64) * ~mask[np.arange(f.shape[0]) % tokens.shape[0]] for f in text]
+    return image_view, np.where(mask, cfg.mask_token, tokens).astype(np.int64), text_view
 
 
 class ProjectionHead:

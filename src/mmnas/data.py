@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrastive import MultimodalSample
 from .util import (
     TAG_DATA_LABELS,
     TAG_DATA_LATENT,
@@ -120,53 +119,53 @@ def proxy_tokens(sample_id: int, text_len: int, vocab_size: int) -> np.ndarray:
 
 
 class Dataset:
-    """In-memory paired dataset; feature arrays are read-only float64."""
+    """Read-only columnar paired dataset; row i of every matrix is sample i.
 
-    def __init__(self, samples: list, image_dims: tuple, text_dims: tuple, num_labels: int):
-        self.samples = samples
-        self.image_dims = tuple(image_dims)
-        self.text_dims = tuple(text_dims)
-        self.num_labels = int(num_labels)
+    ``features`` maps each backbone source ("image:0", ..., "text:0", ...),
+    in canonical order, to a C-contiguous ``n x d`` float64 matrix;
+    ``tokens`` is the ``n x text_len`` token matrix; ``labels`` is the
+    ``n x num_labels`` u8 matrix, or None when the data is unlabeled.
+    """
+
+    def __init__(self, features: dict, tokens: np.ndarray, labels: np.ndarray | None = None):
+        self.features = {src: _freeze(x) for src, x in features.items()}
+        self.tokens = _freeze(tokens)
+        self.labels = None if labels is None else _freeze(labels)
+        self.image_dims = tuple(x.shape[1] for src, x in self.features.items() if src.startswith("image:"))
+        self.text_dims = tuple(x.shape[1] for src, x in self.features.items() if src.startswith("text:"))
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.tokens)
 
     @property
     def labeled(self) -> bool:
-        return self.num_labels > 0 and all(s.label is not None for s in self.samples)
+        return self.labels is not None
 
-    def features_per_modality(self) -> tuple:
-        return (self.image_dims, self.text_dims)
+    @property
+    def num_labels(self) -> int:
+        return 0 if self.labels is None else self.labels.shape[1]
 
     def labels_matrix(self) -> np.ndarray:
-        if not self.labeled:
+        if self.labels is None:
             raise DataError("dataset has no labels")
-        return np.stack([s.label for s in self.samples]).astype(np.float64)
+        return self.labels.astype(np.float64)
 
     def subset(self, indices, strip_labels: bool = False) -> "Dataset":
-        picked = []
-        for i in indices:
-            s = self.samples[int(i)]
-            picked.append(
-                MultimodalSample(
-                    sample_id=s.sample_id,
-                    image_features=s.image_features,
-                    text_features=s.text_features,
-                    text_tokens=s.text_tokens,
-                    label=None if strip_labels else s.label,
-                )
-            )
+        idx = np.asarray(indices, dtype=np.intp)
         return Dataset(
-            picked,
-            self.image_dims,
-            self.text_dims,
-            0 if strip_labels else self.num_labels,
+            {src: x[idx] for src, x in self.features.items()},
+            self.tokens[idx],
+            None if strip_labels or self.labels is None else self.labels[idx],
         )
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _token_matrix(n: int, text_len: int, vocab_size: int) -> np.ndarray:
+    return np.array([proxy_tokens(i, text_len, vocab_size) for i in range(n)], dtype=np.int64).reshape(n, text_len)
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
@@ -179,7 +178,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
 
     latent = rng_latent.standard_normal((n, spec.latent_dim))
     snr_by_source = dict(spec.signal_plan)
-    blocks = {}
+    features = {}
     for src in spec.sources():
         modality, layer = src.split(":", 1)
         dims = spec.image_layer_dims if modality == "image" else spec.text_layer_dims
@@ -191,29 +190,13 @@ def generate(spec: SyntheticSpec) -> Dataset:
         else:
             x = rng_noise.standard_normal((n, d))
         # one pass through float32 so the on-disk payload round-trips exactly
-        blocks[src] = x.astype(np.float32).astype(np.float64)
+        features[src] = x.astype(np.float32).astype(np.float64)
 
     w_lab = rng_labels.standard_normal((spec.latent_dim, spec.num_labels))
     w_lab /= np.linalg.norm(w_lab, axis=0, keepdims=True)
     thresholds = np.linspace(-0.5, 1.5, spec.num_labels)
     labels = (latent @ w_lab > thresholds).astype(np.uint8)
-
-    samples = []
-    for i in range(n):
-        samples.append(
-            MultimodalSample(
-                sample_id=i,
-                image_features=[
-                    _freeze(blocks[f"image:{l}"][i].copy()) for l in range(len(spec.image_layer_dims))
-                ],
-                text_features=[
-                    _freeze(blocks[f"text:{l}"][i].copy()) for l in range(len(spec.text_layer_dims))
-                ],
-                text_tokens=_freeze(proxy_tokens(i, spec.text_len, spec.vocab_size)),
-                label=_freeze(labels[i].copy()),
-            )
-        )
-    return Dataset(samples, spec.image_layer_dims, spec.text_layer_dims, spec.num_labels)
+    return Dataset(features, _token_matrix(n, spec.text_len, spec.vocab_size), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +213,15 @@ def save(dataset: Dataset, path, text_len: int = 16, vocab_size: int = 1000) -> 
     for dims in per_modality:
         header += struct.pack("<I", len(dims))
         header += struct.pack(f"<{len(dims)}I", *dims)
-    num_labels = dataset.num_labels if dataset.labeled else 0
+    num_labels = dataset.num_labels
     header += struct.pack("<I", num_labels)
 
     with open(path, "wb") as fh:
         fh.write(bytes(header))
-        for m, dims in enumerate(per_modality):
-            feats = [s.image_features if m == 0 else s.text_features for s in dataset.samples]
-            for l in range(len(dims)):
-                block = np.stack([f[l] for f in feats]).astype("<f4")
-                fh.write(block.tobytes())
+        for x in dataset.features.values():
+            fh.write(x.astype("<f4").tobytes())
         if num_labels:
-            fh.write(np.stack([s.label for s in dataset.samples]).astype(np.uint8).tobytes())
+            fh.write(dataset.labels.tobytes())
 
 
 def load(path, text_len: int = 16, vocab_size: int = 1000, expect_dims: tuple | None = None) -> Dataset:
@@ -291,39 +271,18 @@ def load(path, text_len: int = 16, vocab_size: int = 1000, expect_dims: tuple | 
             f"feature dims {per_modality} do not match the expected configuration {expect_dims}"
         )
 
-    blocks = []
-    for dims in per_modality:
-        layer_blocks = []
-        for d in dims:
-            count = n * d
-            arr = np.frombuffer(raw, dtype="<f4", count=count, offset=off).reshape(n, d)
-            off += 4 * count
-            layer_blocks.append(arr.astype(np.float64))
-        blocks.append(layer_blocks)
+    features = {}
+    for modality, dims in zip(("image", "text"), per_modality):
+        for l, d in enumerate(dims):
+            x = np.frombuffer(raw, dtype="<f4", count=n * d, offset=off).reshape(n, d).astype(np.float64)
+            off += 4 * n * d
+            if not np.all(np.isfinite(x)):
+                raise FormatError("non-finite feature values (corrupt payload)")
+            features[f"{modality}:{l}"] = x
     labels = None
     if num_labels:
-        labels = np.frombuffer(raw, dtype=np.uint8, count=n * num_labels, offset=off).reshape(
-            n, num_labels
-        )
-        off += n * num_labels
-
-    for layer_blocks in blocks:
-        for arr in layer_blocks:
-            if not np.all(np.isfinite(arr)):
-                raise FormatError("non-finite feature values (corrupt payload)")
-
-    samples = []
-    for i in range(n):
-        samples.append(
-            MultimodalSample(
-                sample_id=i,
-                image_features=[_freeze(b[i].copy()) for b in blocks[0]],
-                text_features=[_freeze(b[i].copy()) for b in blocks[1]],
-                text_tokens=_freeze(proxy_tokens(i, text_len, vocab_size)),
-                label=_freeze(labels[i].copy()) if labels is not None else None,
-            )
-        )
-    return Dataset(samples, per_modality[0], per_modality[1], num_labels)
+        labels = np.frombuffer(raw, dtype=np.uint8, count=n * num_labels, offset=off).reshape(n, num_labels).copy()
+    return Dataset(features, _token_matrix(n, text_len, vocab_size), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +345,14 @@ def audit(dataset: Dataset, spec: SyntheticSpec) -> dict:
     the mean absolute coordinate-wise Pearson correlation.
     """
     planted = {src for src, _ in spec.signal_plan}
-    img_blocks = {
-        l: np.stack([s.image_features[l] for s in dataset.samples])
-        for l in range(len(dataset.image_dims))
-    }
-    txt_blocks = {
-        l: np.stack([s.text_features[l] for s in dataset.samples])
-        for l in range(len(dataset.text_dims))
-    }
     pair_stats = {}
     planted_vals, other_vals = [], []
-    for li in img_blocks:
-        for lt in txt_blocks:
-            stat = _mean_abs_crosscorr(img_blocks[li], txt_blocks[lt])
-            key = f"image:{li}|text:{lt}"
-            is_planted = f"image:{li}" in planted and f"text:{lt}" in planted
-            pair_stats[key] = {"mean_abs_corr": stat, "planted": is_planted}
+    for li in range(len(dataset.image_dims)):
+        for lt in range(len(dataset.text_dims)):
+            img, txt = f"image:{li}", f"text:{lt}"
+            stat = _mean_abs_crosscorr(dataset.features[img], dataset.features[txt])
+            is_planted = img in planted and txt in planted
+            pair_stats[f"{img}|{txt}"] = {"mean_abs_corr": stat, "planted": is_planted}
             (planted_vals if is_planted else other_vals).append(stat)
     min_planted = min(planted_vals)
     max_other = max(other_vals) if other_vals else 0.0

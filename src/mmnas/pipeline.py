@@ -141,7 +141,7 @@ def pretrain(
         losses = []
         t0 = time.perf_counter()
         for idx in batch_indices(len(train), batch_size, rng_ep):
-            feats = stack_view_features([train.samples[i] for i in idx], ccfg, rng_ep)
+            feats = stack_view_features(train, idx, ccfg, rng_ep)
             tape = Tape()
             leaves = {k: tape.leaf(v, k) for k, v in weights.items()}
             loss = contrastive_batch_loss(encoder, head, leaves, None, feats, ccfg.temperature)
@@ -195,19 +195,9 @@ def softmax_cross_entropy(logits, targets: np.ndarray):
     return ad.mean(ad.sub(lse, picked))
 
 
-def raw_features(ds: Dataset) -> dict:
-    """Unaugmented stacked features per source (stage 3 consumes data directly)."""
-    out = {}
-    for l in range(len(ds.image_dims)):
-        out[f"image:{l}"] = np.stack([s.image_features[l] for s in ds.samples])
-    for l in range(len(ds.text_dims)):
-        out[f"text:{l}"] = np.stack([s.text_features[l] for s in ds.samples])
-    return out
-
-
 def encode_dataset(encoder, weights: dict, ds: Dataset) -> np.ndarray:
     """Frozen-encoder embedding of every sample, one forward pass."""
-    return encoder.forward(weights, raw_features(ds)).data
+    return encoder.forward(weights, ds.features).data
 
 
 def fit_classifier(
@@ -259,8 +249,7 @@ def fit_classifier(
             else:
                 trainable = model
                 leaves = {k: tape.leaf(v, k) for k, v in trainable.items()}
-                feats = raw_features(labeled.subset(idx))
-                h = encoder.forward(leaves, feats)
+                h = encoder.forward(leaves, {src: x[idx] for src, x in labeled.features.items()})
             logits = ad.add(ad.matmul(h, leaves["clf/W"]), leaves["clf/b"])
             loss = loss_fn(logits, targets[idx])
             grads = tape.backward(loss)

@@ -232,8 +232,8 @@ class Genotype:
         try:
             cells = tuple(
                 CellGene(
-                    inputs=tuple(c["inputs"]),
-                    steps=tuple(StepGene(pair=tuple(s["pair"]), op=str(s["op"])) for s in c["steps"]),
+                    inputs=_names(c["inputs"]),
+                    steps=tuple(StepGene(pair=_names(s["pair"]), op=_names([s["op"]])[0]) for s in c["steps"]),
                 )
                 for c in d["cells"]
             )
@@ -251,6 +251,21 @@ class Genotype:
         return short_hash(self.to_dict())
 
 
+def _names(values) -> tuple:
+    names = tuple(values)
+    if not all(isinstance(v, str) for v in names):
+        raise TypeError(f"sources and ops must be strings, got {list(names)!r}")
+    return names
+
+
+def _ref_index(src: str, where: str) -> int:
+    """k of a "cell:k" / "step:k" reference."""
+    try:
+        return int(src.split(":", 1)[1])
+    except ValueError:
+        raise GenotypeError(f"{where}: malformed reference {src!r}") from None
+
+
 def validate_genotype(genotype: Genotype, config: SearchSpaceConfig) -> None:
     if genotype.config_hash != config.hash():
         raise GenotypeError(
@@ -264,7 +279,7 @@ def validate_genotype(genotype: Genotype, config: SearchSpaceConfig) -> None:
             raise GenotypeError(f"cell {c}: needs two distinct inputs")
         for src in cell.inputs:
             if src.startswith("cell:"):
-                k = int(src.split(":", 1)[1])
+                k = _ref_index(src, f"cell {c}")
                 if not 0 <= k < c:
                     raise GenotypeError(f"cell {c}: input {src} is not an earlier cell")
             elif src not in sources:
@@ -280,7 +295,7 @@ def validate_genotype(genotype: Genotype, config: SearchSpaceConfig) -> None:
                 raise GenotypeError(f"cell {c} step {s}: needs two distinct pair sources")
             for src in step.pair:
                 if src.startswith("step:"):
-                    j = int(src.split(":", 1)[1])
+                    j = _ref_index(src, f"cell {c} step {s}")
                     if not 0 <= j < s:
                         raise GenotypeError(f"cell {c} step {s}: {src} is not an earlier step")
                 elif src not in cell.inputs:
@@ -461,9 +476,11 @@ def derive_genotype(arch: ArchParams) -> Genotype:
 
     Zero is excluded from the primitive argmax unless its softmax weight
     strictly exceeds every other primitive's, in which case the step is
-    pruned. Pairs whose endpoints reference pruned steps are skipped.
-    Ties always resolve to the lowest candidate index. Surviving steps are
-    re-indexed densely in the emitted genotype.
+    pruned, except that a cell never loses its last step: when Zero wins
+    every step of a cell, the step it wins by the smallest margin stays.
+    Pairs whose endpoints reference pruned steps are skipped. Ties always
+    resolve to the lowest candidate index. Surviving steps are re-indexed
+    densely in the emitted genotype.
     """
     arch.validate()
     cfg = arch.config
@@ -475,13 +492,17 @@ def derive_genotype(arch: ArchParams) -> Genotype:
         top1, top2 = order[0], order[1]
         inputs = (names[top1], names[top2])
 
+        gws = [_softmax_np(g) for g in arch.gamma[c]]
+        margins = [gw[zero_idx] - np.delete(gw, zero_idx).max() for gw in gws]
+        pruned = {s for s, m in enumerate(margins) if m > 0}
+        if len(pruned) == cfg.steps_per_cell:
+            pruned.remove(min(pruned, key=lambda s: (margins[s], s)))
         emitted = []          # StepGene list
         emitted_index = {}    # original step idx -> emitted idx
         for s in range(cfg.steps_per_cell):
-            gw = _softmax_np(arch.gamma[c][s])
-            others = np.delete(gw, zero_idx)
-            if gw[zero_idx] > others.max():
-                continue  # pruned
+            if s in pruned:
+                continue
+            gw = gws[s]
             non_zero = [i for i in range(len(PRIMITIVES)) if i != zero_idx]
             op_idx = max(non_zero, key=lambda i: (gw[i], -i))
             # pool: 0 = input A, 1 = input B, 2+k = original step k

@@ -113,7 +113,10 @@ def derive_oracle(arch):
     """Enumerate-and-rank rendering of genotype derivation, written separately.
 
     Builds candidate rankings with explicit sorts and reproduces the pruning
-    and re-indexing rules from first principles.
+    and re-indexing rules from first principles. A step is pruned when Zero
+    strictly outweighs every other primitive, unless that would empty the
+    cell: then the step with the smallest Zero lead (lowest index on ties)
+    survives.
     """
     from mmnas.searchspace import (
         PRIMITIVES,
@@ -131,12 +134,21 @@ def derive_oracle(arch):
         names = cell_candidate_names(cfg, c)
         ranked = sorted(enumerate(arch.alpha[c]), key=lambda kv: (-kv[1], kv[0]))
         inputs = (names[ranked[0][0]], names[ranked[1][0]])
-        kept = []
-        index_map = {}
+        step_weights = []
+        zero_lead = []
         for s in range(cfg.steps_per_cell):
             weights = np.exp(arch.gamma[c][s] - arch.gamma[c][s].max())
             weights = weights / weights.sum()
-            if weights[zero] > max(w for i, w in enumerate(weights) if i != zero):
+            step_weights.append(weights)
+            zero_lead.append(weights[zero] - max(w for i, w in enumerate(weights) if i != zero))
+        rescued = None
+        if all(lead > 0 for lead in zero_lead):
+            rescued = sorted(range(cfg.steps_per_cell), key=lambda s: (zero_lead[s], s))[0]
+        kept = []
+        index_map = {}
+        for s in range(cfg.steps_per_cell):
+            weights = step_weights[s]
+            if zero_lead[s] > 0 and s != rescued:
                 continue
             op_ranked = sorted(
                 (i for i in range(len(PRIMITIVES)) if i != zero),

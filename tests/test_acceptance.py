@@ -348,10 +348,11 @@ def test_criterion_8_format_roundtrips(tmp_path):
     back = load(fpath)
     save(back, tmp_path / "ds2.mmnf")
     assert (tmp_path / "ds2.mmnf").read_bytes() == first
-    for a, b in zip(ds.samples, back.samples):
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.image_features, b.image_features))
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.text_features, b.text_features))
-        assert a.label.tobytes() == b.label.tobytes()
+    assert list(back.features) == list(ds.features)
+    for name, x in ds.features.items():
+        assert back.features[name].shape == x.shape and back.features[name].tobytes() == x.tobytes()
+    assert back.labels.tobytes() == ds.labels.tobytes()
+    assert back.tokens.tobytes() == ds.tokens.tobytes()
 
     rng = np.random.default_rng(108)
     weights = {"a/W": rng.standard_normal((5, 3)), "b": rng.standard_normal(4)}

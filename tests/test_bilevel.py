@@ -10,7 +10,7 @@ from mmnas.bilevel import (
     search_epoch,
     stack_view_features,
 )
-from mmnas.contrastive import ContrastiveConfig, ProjectionHead
+from mmnas.contrastive import ContrastiveConfig, ProjectionHead, augment_view
 from mmnas.data import SyntheticSpec, generate, split
 from mmnas.optim import Adam, MomentumSGD
 from mmnas.searchspace import MixedFusionEncoder, SearchSpaceConfig
@@ -154,9 +154,18 @@ def test_stack_view_features_interleaves_pairs():
             seed=0,
         )
     )
-    feats = stack_view_features(ds.samples, CCFG, np.random.default_rng(0))
-    assert feats[0].shape == (8, 6)
-    assert feats[1].shape == (8, 5)
+    idx = np.array([2, 0, 3])
+    feats = stack_view_features(ds, idx, CCFG, np.random.default_rng(0))
+    assert [f.shape for f in feats] == [(6, 6), (6, 5)]
+    # rows are both views of idx[0], then both of idx[1], ... in draw order
+    rng = np.random.default_rng(0)
+    for r, i in enumerate(idx):
+        for v in (2 * r, 2 * r + 1):
+            image, _, text = augment_view(
+                [ds.features["image:0"][i]], ds.tokens[i], [ds.features["text:0"][i]], CCFG, rng
+            )
+            assert feats[0][v].tobytes() == image[0].tobytes()
+            assert feats[1][v].tobytes() == text[0].tobytes()
 
 
 def test_search_config_validation():
@@ -164,8 +173,6 @@ def test_search_config_validation():
         SearchConfig(batch_size=1)
     with pytest.raises(ValueError, match="max_epochs"):
         SearchConfig(max_epochs=0)
-    with pytest.raises(ValueError, match="criterion"):
-        SearchConfig(checkpoint_criterion="accuracy")
 
 
 def test_planted_layers_recovered_quickly():

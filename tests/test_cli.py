@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mmnas.cli import main
+from mmnas.config import RunConfig
 
 TINY = {
     "seed": 0,
@@ -110,6 +111,9 @@ def test_staged_commands_compose(tmp_path, tiny_config):
     )
     rows = _reports(e)
     assert rows[-1]["metrics"]["weighted_f1"] >= 0.0
+    # stage rows carry their real wall time
+    assert rows[-1]["duration_s"] > 0.0
+    assert [r["duration_s"] > 0.0 for r in _reports(s) if r.get("stage") == "search"] == [True]
 
 
 def test_eval_on_perfect_prediction_fixture(tmp_path, tiny_config, capsys):
@@ -154,6 +158,16 @@ def test_bad_config_key_gives_structured_error(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert "hiden_dim" in err["error"]
     assert err["type"] == "ConfigError"
+
+
+def test_malformed_genotype_gives_structured_error(tmp_path, tiny_config, capsys):
+    space_hash = RunConfig.from_file(tiny_config).space_config((8, 8), (8, 8)).hash()
+    path = tmp_path / "genotype.json"
+    path.write_text(json.dumps({"config_hash": space_hash, "cells": [{"inputs": [1, 2], "steps": []}]}))
+    code = main(["pretrain", "--config", tiny_config, "--genotype", str(path), "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "GenotypeError"
 
 
 def test_failed_run_leaves_incomplete_marker(tmp_path, tiny_config):

@@ -67,3 +67,7 @@ def test_space_config_uses_dataset_dims():
 
 def test_build_id_mentions_version():
     assert "mmnas-0.1.0" in build_id()
+
+
+def test_build_id_is_computed_once_per_process():
+    assert build_id() is build_id()

@@ -8,25 +8,21 @@ from helpers import check_gradients, max_rel_err, naive_ntxent
 import mmnas.autodiff as ad
 from mmnas.autodiff import Tape
 from mmnas.contrastive import (
-    AugmentedViewPair,
     ContrastiveConfig,
     ContrastiveError,
-    MultimodalSample,
     ProjectionHead,
-    augment,
-    augment_sample,
-    make_view_pair,
+    augment_view,
     ntxent_loss,
 )
 
 
-def _sample(seed=0, img_dims=(8, 6), txt_dims=(7,), text_len=10, vocab=50):
+def _row(seed=0, img_dims=(8, 6), txt_dims=(7,), text_len=10, vocab=50):
+    """(image layers, tokens, text layers) of one sample row."""
     rng = np.random.default_rng(seed)
-    return MultimodalSample(
-        sample_id=seed,
-        image_features=[rng.standard_normal(d) for d in img_dims],
-        text_features=[rng.standard_normal(d) for d in txt_dims],
-        text_tokens=rng.integers(0, vocab - 1, size=text_len),
+    return (
+        [rng.standard_normal(d) for d in img_dims],
+        rng.integers(0, vocab - 1, size=text_len),
+        [rng.standard_normal(d) for d in txt_dims],
     )
 
 
@@ -49,48 +45,42 @@ def _identity_cfg(**kw):
 # ---------------------------------------------------------------------------
 
 def test_zero_probability_augmentation_is_identity():
-    sample = _sample()
-    view = augment_sample(sample, _identity_cfg(), np.random.default_rng(0))
-    for orig, new in zip(sample.image_features, view.image_features):
+    image, tokens, text = _row()
+    view = augment_view(image, tokens, text, _identity_cfg(), np.random.default_rng(0))
+    for orig, new in zip(image + text, view[0] + view[2]):
         np.testing.assert_array_equal(orig, new)
-    for orig, new in zip(sample.text_features, view.text_features):
-        np.testing.assert_array_equal(orig, new)
-    np.testing.assert_array_equal(sample.text_tokens, view.text_tokens)
+    np.testing.assert_array_equal(tokens, view[1])
 
 
 def test_near_one_mask_probability_masks_nearly_everything():
     cfg = ContrastiveConfig(mask_prob=0.999999, text_vocab_size=50)
-    sample = _sample(text_len=4000, vocab=50)
-    tokens, feats = augment(sample, "text", cfg, np.random.default_rng(1))
+    _, tokens, feats = augment_view(*_row(text_len=4000, vocab=50), cfg, np.random.default_rng(1))
     assert np.mean(tokens == cfg.mask_token) > 0.999
     assert np.mean(feats[0] == 0.0) > 0.99
 
 
 def test_fixed_seed_views_are_byte_identical():
-    sample = _sample(seed=42)
+    row = _row(seed=42)
     cfg = ContrastiveConfig(text_vocab_size=50)
-    one = augment_sample(sample, cfg, np.random.default_rng(42))
-    two = augment_sample(sample, cfg, np.random.default_rng(42))
-    for a, b in zip(one.image_features, two.image_features):
+    one = augment_view(*row, cfg, np.random.default_rng(42))
+    two = augment_view(*row, cfg, np.random.default_rng(42))
+    for a, b in zip(one[0] + [one[1]] + one[2], two[0] + [two[1]] + two[2]):
         assert a.tobytes() == b.tobytes()
-    for a, b in zip(one.text_features, two.text_features):
-        assert a.tobytes() == b.tobytes()
-    assert one.text_tokens.tobytes() == two.text_tokens.tobytes()
 
 
 def test_augmentation_does_not_touch_the_input():
-    sample = _sample(seed=3)
-    before = [x.copy() for x in sample.image_features]
-    augment_sample(sample, ContrastiveConfig(text_vocab_size=50), np.random.default_rng(7))
-    for orig, kept in zip(sample.image_features, before):
+    image, tokens, text = _row(seed=3)
+    before = [x.copy() for x in image + [tokens] + text]
+    augment_view(image, tokens, text, ContrastiveConfig(text_vocab_size=50), np.random.default_rng(7))
+    for orig, kept in zip(image + [tokens] + text, before):
         np.testing.assert_array_equal(orig, kept)
 
 
 def test_empty_feature_vector_rejected():
-    sample = _sample()
-    sample.image_features[0] = np.zeros(0)
+    image, tokens, text = _row()
+    image[0] = np.zeros(0)
     with pytest.raises(ContrastiveError, match="empty"):
-        augment(sample, "image", ContrastiveConfig(text_vocab_size=50), np.random.default_rng(0))
+        augment_view(image, tokens, text, ContrastiveConfig(text_vocab_size=50), np.random.default_rng(0))
 
 
 def test_mask_prob_one_rejected():
@@ -99,22 +89,9 @@ def test_mask_prob_one_rejected():
 
 
 def test_out_of_vocab_token_rejected():
-    sample = _sample(vocab=50)
-    sample.text_tokens = np.array([999])
+    image, _, text = _row(vocab=50)
     with pytest.raises(ContrastiveError, match="vocabulary"):
-        augment(sample, "text", ContrastiveConfig(text_vocab_size=50), np.random.default_rng(0))
-
-
-def test_view_pair_shares_sample_id():
-    pair = make_view_pair(_sample(seed=9), ContrastiveConfig(text_vocab_size=50), np.random.default_rng(0))
-    assert pair.view_i.sample_id == pair.view_j.sample_id == 9
-    with pytest.raises(ContrastiveError, match="single sample"):
-        AugmentedViewPair(view_i=_sample(seed=1), view_j=_sample(seed=2))
-
-
-def test_unknown_modality_rejected():
-    with pytest.raises(ContrastiveError, match="modality"):
-        augment(_sample(), "audio", ContrastiveConfig(text_vocab_size=50), np.random.default_rng(0))
+        augment_view(image, np.array([999]), text, ContrastiveConfig(text_vocab_size=50), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -23,15 +23,27 @@ SPEC = SyntheticSpec(
 )
 
 
+def _matrices(ds):
+    """Every matrix of a dataset by name, features in source order."""
+    return {**ds.features, "tokens": ds.tokens, "labels": ds.labels}
+
+
+def _assert_same_bytes(a, b):
+    ma, mb = _matrices(a), _matrices(b)
+    assert list(ma) == list(mb)
+    for name in ma:
+        assert ma[name].shape == mb[name].shape, name
+        assert ma[name].tobytes() == mb[name].tobytes(), name
+
+
 def test_generation_is_deterministic():
     a, b = generate(SPEC), generate(SPEC)
-    for sa, sb in zip(a.samples, b.samples):
-        for xa, xb in zip(sa.image_features, sb.image_features):
-            assert xa.tobytes() == xb.tobytes()
-        for xa, xb in zip(sa.text_features, sb.text_features):
-            assert xa.tobytes() == xb.tobytes()
-        assert sa.label.tobytes() == sb.label.tobytes()
-        assert sa.text_tokens.tobytes() == sb.text_tokens.tobytes()
+    _assert_same_bytes(a, b)
+    assert list(a.features) == ["image:0", "image:1", "text:0", "text:1"]
+    assert a.features["text:1"].shape == (120, 11) and a.features["text:1"].flags.c_contiguous
+    assert a.tokens.shape == (120, 16) and a.labels.shape == (120, 5)
+    # tokens depend only on the sample index
+    assert a.tokens[17].tobytes() == proxy_tokens(17, 16, 1000).tobytes()
 
 
 def test_noiseless_limit_features_are_linear_in_latent():
@@ -44,8 +56,8 @@ def test_noiseless_limit_features_are_linear_in_latent():
         seed=1,
     )
     ds = generate(spec)
-    img0 = np.stack([s.image_features[0] for s in ds.samples])
-    txt1 = np.stack([s.text_features[1] for s in ds.samples])
+    img0 = ds.features["image:0"]
+    txt1 = ds.features["text:1"]
     # both planted blocks are (numerically) exact linear images of one
     # 3-dim latent, so their concatenation has rank 3
     stacked = np.concatenate([img0, txt1], axis=1)
@@ -75,7 +87,7 @@ def test_audit_dominance_across_seeds():
 
 def test_labels_are_imbalanced_multilabel():
     ds = generate(SyntheticSpec(num_samples=2000, seed=5))
-    rates = np.stack([s.label for s in ds.samples]).mean(axis=0)
+    rates = ds.labels.mean(axis=0)
     assert rates.max() > 0.5 and rates.min() < 0.15
 
 
@@ -111,13 +123,16 @@ def test_mmnf_roundtrip_bit_exact(tmp_path):
     back = load(path)
     assert len(back) == len(ds)
     assert back.num_labels == ds.num_labels
-    for a, b in zip(ds.samples, back.samples):
-        for xa, xb in zip(a.image_features, b.image_features):
-            assert xa.tobytes() == xb.tobytes()
-        for xa, xb in zip(a.text_features, b.text_features):
-            assert xa.tobytes() == xb.tobytes()
-        assert a.label.tobytes() == b.label.tobytes()
-        assert a.text_tokens.tobytes() == b.text_tokens.tobytes()
+    _assert_same_bytes(ds, back)
+
+
+def test_mmnf_unlabeled_roundtrip(tmp_path):
+    unlabeled = generate(SPEC).subset(range(30), strip_labels=True)
+    path = tmp_path / "u.mmnf"
+    save(unlabeled, path)
+    back = load(path)
+    assert back.labels is None and back.num_labels == 0
+    assert all(back.features[k].tobytes() == x.tobytes() for k, x in unlabeled.features.items())
 
 
 def test_mmnf_double_save_identical_bytes(tmp_path):
@@ -182,7 +197,8 @@ def test_mmnf_dim_mismatch_against_expectation(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _ids(ds):
-    return {s.sample_id for s in ds.samples}
+    # token rows are a function of the sample index alone, so they identify samples
+    return {row.tobytes() for row in ds.tokens}
 
 
 def test_split_sizes_follow_budget_arithmetic():
@@ -201,7 +217,7 @@ def test_split_partition_property():
         s = split(ds, r, seed=11)
         groups = [_ids(s.search_train), _ids(s.search_valid), _ids(s.labeled_train), _ids(s.test)]
         union = set().union(*groups)
-        assert union == set(range(97))
+        assert union == _ids(ds) and len(union) == 97
         total = sum(len(g) for g in groups)
         assert total == 97  # pairwise disjoint given the union size
 
@@ -218,12 +234,20 @@ def test_split_is_deterministic_in_seed():
 def test_unlabeled_splits_expose_no_labels():
     ds = generate(SyntheticSpec(num_samples=50, seed=8))
     s = split(ds, 0.4, seed=0)
-    assert all(x.label is None for x in s.search_train.samples)
-    assert all(x.label is None for x in s.search_valid.samples)
+    assert s.search_train.labels is None and s.search_valid.labels is None
     assert not s.search_train.labeled
     with pytest.raises(DataError, match="labels"):
         s.search_valid.labels_matrix()
-    assert all(x.label is not None for x in s.labeled_train.samples)
+    assert s.labeled_train.labels.shape == (len(s.labeled_train), ds.num_labels)
+
+
+def test_subset_takes_the_same_rows_of_every_matrix():
+    ds = generate(SPEC)
+    idx = [5, 0, 119, 5]
+    sub = ds.subset(idx)
+    for name, x in _matrices(ds).items():
+        assert _matrices(sub)[name].tobytes() == x[idx].tobytes(), name
+    assert (sub.image_dims, sub.text_dims) == (ds.image_dims, ds.text_dims)
 
 
 def test_split_r_one_empties_unlabeled_pool():
@@ -242,5 +266,8 @@ def test_split_rejects_bad_ratio():
 
 def test_feature_arrays_are_read_only():
     ds = generate(SyntheticSpec(num_samples=5, seed=1))
+    for x in _matrices(ds).values():
+        with pytest.raises(ValueError):
+            x[0, 0] = 1
     with pytest.raises(ValueError):
-        ds.samples[0].image_features[0][0] = 1.0
+        ds.subset([1, 2]).features["image:0"][0, 0] = 1.0

@@ -5,7 +5,7 @@ from helpers import check_gradients, weighted_f1_oracle
 
 import mmnas.autodiff as ad
 from mmnas.contrastive import ContrastiveConfig, ProjectionHead
-from mmnas.data import SyntheticSpec, generate, split
+from mmnas.data import Dataset, SyntheticSpec, generate, split
 from mmnas.bilevel import SearchConfig
 from mmnas.pipeline import (
     PipelineConfig,
@@ -124,8 +124,7 @@ def test_fit_overfits_one_sample():
 
 def test_fit_all_zero_labels_drives_sigmoids_down():
     ds = _dataset(n=20, seed=2)
-    for s in ds.samples:
-        s.label = np.zeros(ds.num_labels, dtype=np.uint8)
+    ds = Dataset(ds.features, ds.tokens, np.zeros_like(ds.labels))
     space = _space(ds)
     genotype = _genotype(space)
     encoder = instantiate(genotype, space)
@@ -364,10 +363,8 @@ def test_stage_report_serialization_shape():
 def test_softmax_ce_mode_predicts_one_hot():
     ds = _dataset(n=30, seed=16)
     # collapse labels to a single-label problem
-    for s in ds.samples:
-        one = np.zeros(ds.num_labels, dtype=np.uint8)
-        one[int(s.sample_id) % ds.num_labels] = 1
-        s.label = one
+    one_hot = np.eye(ds.num_labels, dtype=np.uint8)[np.arange(len(ds)) % ds.num_labels]
+    ds = Dataset(ds.features, ds.tokens, one_hot)
     space = _space(ds)
     genotype = _genotype(space)
     encoder = instantiate(genotype, space)
@@ -377,3 +374,37 @@ def test_softmax_ce_mode_predicts_one_hot():
     )
     preds = predict_bits(encoder, model, ds, classifier_loss="softmax_ce")
     assert np.all(preds.sum(axis=1) == 1)
+
+
+# Pinned outputs of a tiny end-to-end run. Any change to an RNG draw or to
+# the order of a float reduction moves them; update them only on purpose.
+GOLDEN_SHARED = [
+    ("train", "3.230151824280901"),
+    ("valid", "2.4473477823168723"),
+    ("eval", "2.2822432765742304"),
+    ("pretrain", "3.458240385924195"),
+]
+GOLDEN = {
+    True: (GOLDEN_SHARED + [("fit", "1.34158583112526"), ("fit", "0.7050413898362897")], "0.7458333333333332"),
+    False: (GOLDEN_SHARED + [("fit", "1.0733438385652465"), ("fit", "0.5685284246295668")], "0.5458333333333334"),
+}
+
+
+@pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "fine-tuned"])
+def test_tiny_run_reproduces_pinned_outputs(freeze):
+    ds = generate(SyntheticSpec(num_samples=200, seed=0))
+    space = SearchSpaceConfig(features_per_modality=(ds.image_dims, ds.text_dims))
+    rows = []
+    _, artifacts = run_pipeline(
+        ds,
+        space,
+        SearchConfig(max_epochs=1),
+        CCFG,
+        PipelineConfig(labeled_ratio=0.5, pretrain_epochs=1, clf_epochs=2, freeze_encoder=freeze),
+        seed=0,
+        report=rows.append,
+    )
+    losses, f1 = GOLDEN[freeze]
+    assert artifacts["genotype"].hash() == "f828e533387ce757"
+    assert [(r["phase"], repr(r["mean_loss"])) for r in rows if "mean_loss" in r] == losses
+    assert repr(artifacts["weighted_f1"]) == f1

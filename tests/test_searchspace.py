@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -288,6 +289,31 @@ def test_derive_zero_tie_is_not_pruned():
     assert len(genotype.cells[0].steps) == 1
 
 
+def test_derive_zero_saturated_cells_keep_one_step():
+    arch = ArchParams.init(CFG, np.random.default_rng(3))
+    for gs in arch.gamma:
+        for g in gs:
+            g[PRIMITIVES.index("Zero")] = 50.0
+    genotype = derive_genotype(arch)
+    assert [len(c.steps) for c in genotype.cells] == [1] * CFG.num_cells
+    validate_genotype(genotype, CFG)
+    # equal margins: the lowest step survives, with the best non-Zero op
+    assert all(c.steps[0].op == "Sum" for c in genotype.cells)
+    assert genotype == derive_oracle(arch)
+
+
+def test_derive_keeps_the_step_zero_wins_by_least():
+    cfg = SearchSpaceConfig(features_per_modality=((2,), (2,)), num_cells=1, steps_per_cell=3, hidden_dim=2)
+    arch = ArchParams.init(cfg, np.random.default_rng(0), scale=0.0)
+    for s, lead in enumerate((5.0, 3.0, 4.0)):
+        arch.gamma[0][s][PRIMITIVES.index("Zero")] = lead
+    arch.gamma[0][1][PRIMITIVES.index("LinearGLU")] = 1.0
+    genotype = derive_genotype(arch)
+    assert [step.op for step in genotype.cells[0].steps] == ["LinearGLU"]
+    validate_genotype(genotype, cfg)
+    assert genotype == derive_oracle(arch)
+
+
 def test_fresh_init_never_derives_empty_cells():
     # gamma starts at exact zero, so init noise alone cannot prune steps
     rng = np.random.default_rng(33)
@@ -325,9 +351,7 @@ def test_derived_genotypes_always_validate():
     rng = np.random.default_rng(13)
     for _ in range(60):
         arch = _random_arch(CFG, rng, scale=2.0)
-        genotype = derive_genotype(arch)
-        if all(cell.steps for cell in genotype.cells):
-            validate_genotype(genotype, CFG)
+        validate_genotype(derive_genotype(arch), CFG)
 
 
 def test_arch_softmaxes_are_distributions():
@@ -449,6 +473,39 @@ def test_validate_rejects_unknown_source_and_cycles():
     )
     with pytest.raises(GenotypeError, match="earlier step"):
         validate_genotype(forward_ref, CFG)
+
+
+GOOD_DOC = {
+    "config_hash": CFG.hash(),
+    "cells": [
+        {
+            "inputs": ["image:0", "text:1"],
+            "steps": [{"pair": ["image:0", "text:1"], "op": "Sum"}, {"pair": ["step:0", "image:0"], "op": "ConcatFC"}],
+        },
+        {
+            "inputs": ["cell:0", "text:0"],
+            "steps": [{"pair": ["cell:0", "text:0"], "op": "LinearGLU"}, {"pair": ["step:0", "cell:0"], "op": "Sum"}],
+        },
+    ],
+}
+MALFORMED = {
+    "cell-ref-not-int": lambda d: d["cells"][1].update(inputs=["cell:x", "text:0"]),
+    "step-ref-not-int": lambda d: d["cells"][0]["steps"][1].update(pair=["step:x", "image:0"]),
+    "int-inputs": lambda d: d["cells"][0].update(inputs=[1, 2]),
+    "null-input": lambda d: d["cells"][1].update(inputs=[None, "text:0"]),
+    "int-pair": lambda d: d["cells"][0]["steps"][0].update(pair=[1, 2]),
+    "null-op": lambda d: d["cells"][0]["steps"][0].update(op=None),
+    "int-op": lambda d: d["cells"][1]["steps"][1].update(op=3),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_genotype_documents_raise_genotype_error(edit):
+    validate_genotype(Genotype.from_dict(GOOD_DOC), CFG)
+    doc = copy.deepcopy(GOOD_DOC)
+    edit(doc)
+    with pytest.raises(GenotypeError):
+        validate_genotype(Genotype.from_json(json.dumps(doc)), CFG)
 
 
 def test_apply_primitive_zero_is_exact():
