@@ -3,7 +3,10 @@
 Define-by-run tape: every operation whose inputs touch a live ``Tape``
 records one node (op name, parent node ids, backward closure). A tape is
 rebuilt for every forward pass and owned by a single thread; tensors are
-immutable values and safe to share.
+immutable values and safe to share. Backward closures capture arrays and
+shapes, never tensors: a tensor refers to its tape, so capturing one would
+make a reference cycle, and every finished tape would wait for the cycle
+collector instead of being freed when its last reference goes.
 
 Primitives: matmul, transpose, add, subtract, elementwise multiply/divide,
 relu, sigmoid, tanh, softmax over an axis, concat over an axis, mean, sum,
@@ -115,6 +118,15 @@ class Tensor:
         return getitem(self, key)
 
 
+def _checked_tensor(value, tape: "Tape | None" = None, node_id: int | None = None) -> Tensor:
+    """Wrap an op output whose finiteness the op already checked."""
+    out = Tensor.__new__(Tensor)
+    out.data = value if type(value) is np.ndarray and value.dtype == np.float64 else _asarray(value)
+    out.tape = tape
+    out.node_id = node_id
+    return out
+
+
 def constant(value) -> Tensor:
     """Wrap a value as an off-tape constant (no gradient flows into it)."""
     return Tensor(value)
@@ -163,7 +175,7 @@ class Tape:
             raise NonFiniteError(f"{op}: non-finite output")
         node_id = len(self._nodes)
         self._nodes.append(_Node(op, parents, backward_fn, value.shape))
-        return Tensor(value, tape=self, node_id=node_id)
+        return _checked_tensor(value, self, node_id)
 
     def leaf(self, value, name: str | None = None) -> Tensor:
         """Register a differentiable leaf (a parameter) on the tape."""
@@ -215,16 +227,17 @@ def _emit(op, tape, parents, backward_fn, value) -> Tensor:
     if tape is None:
         if not np.all(np.isfinite(value)):
             raise NonFiniteError(f"{op}: non-finite output")
-        return Tensor(value)
+        return _checked_tensor(value)
     ids = tuple(p.node_id for p in parents if p.node_id is not None)
+    if len(ids) == len(parents):
+        return tape._record(op, ids, backward_fn, value)
     on_tape = [p.node_id is not None for p in parents]
 
     def bwd(g):
         full = backward_fn(g)
         return [fg for fg, keep in zip(full, on_tape) if keep]
 
-    live = tuple(i for i in ids)
-    return tape._record(op, live, bwd, value)
+    return tape._record(op, ids, bwd, value)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -246,13 +259,8 @@ def add(a, b) -> Tensor:
         out = ta.data + tb.data
     except ValueError as e:
         raise AutodiffError(f"add: shape mismatch {ta.shape} + {tb.shape}") from e
-    return _emit(
-        "add",
-        tape,
-        (ta, tb),
-        lambda g: (_unbroadcast(g, ta.data.shape), _unbroadcast(g, tb.data.shape)),
-        out,
-    )
+    sa, sb = ta.shape, tb.shape
+    return _emit("add", tape, (ta, tb), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)), out)
 
 
 def sub(a, b) -> Tensor:
@@ -261,13 +269,8 @@ def sub(a, b) -> Tensor:
         out = ta.data - tb.data
     except ValueError as e:
         raise AutodiffError(f"sub: shape mismatch {ta.shape} - {tb.shape}") from e
-    return _emit(
-        "sub",
-        tape,
-        (ta, tb),
-        lambda g: (_unbroadcast(g, ta.data.shape), _unbroadcast(-g, tb.data.shape)),
-        out,
-    )
+    sa, sb = ta.shape, tb.shape
+    return _emit("sub", tape, (ta, tb), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)), out)
 
 
 def mul(a, b) -> Tensor:
@@ -276,14 +279,12 @@ def mul(a, b) -> Tensor:
         out = ta.data * tb.data
     except ValueError as e:
         raise AutodiffError(f"mul: shape mismatch {ta.shape} * {tb.shape}") from e
+    da, db = ta.data, tb.data
     return _emit(
         "mul",
         tape,
         (ta, tb),
-        lambda g: (
-            _unbroadcast(g * tb.data, ta.data.shape),
-            _unbroadcast(g * ta.data, tb.data.shape),
-        ),
+        lambda g: (_unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)),
         out,
     )
 
@@ -295,14 +296,12 @@ def div(a, b) -> Tensor:
             out = ta.data / tb.data
     except ValueError as e:
         raise AutodiffError(f"div: shape mismatch {ta.shape} / {tb.shape}") from e
+    da, db = ta.data, tb.data
     return _emit(
         "div",
         tape,
         (ta, tb),
-        lambda g: (
-            _unbroadcast(g / tb.data, ta.data.shape),
-            _unbroadcast(-g * ta.data / (tb.data * tb.data), tb.data.shape),
-        ),
+        lambda g: (_unbroadcast(g / db, da.shape), _unbroadcast(-g * da / (db * db), db.shape)),
         out,
     )
 
@@ -327,14 +326,8 @@ def matmul(a, b) -> Tensor:
         )
     if ta.data.shape[1] != tb.data.shape[0]:
         raise AutodiffError(f"matmul: inner dims differ {ta.shape} @ {tb.shape}")
-    out = ta.data @ tb.data
-    return _emit(
-        "matmul",
-        tape,
-        (ta, tb),
-        lambda g: (g @ tb.data.T, ta.data.T @ g),
-        out,
-    )
+    da, db = ta.data, tb.data
+    return _emit("matmul", tape, (ta, tb), lambda g: (g @ db.T, da.T @ g), da @ db)
 
 
 def transpose(a) -> Tensor:
@@ -399,7 +392,7 @@ def concat(parts, axis: int = 0) -> Tensor:
 
     def bwd(g):
         pieces = []
-        for i in range(len(tensors)):
+        for i in range(len(sizes)):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(offsets[i], offsets[i + 1])
             pieces.append(g[tuple(idx)])
@@ -439,21 +432,23 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
     (ta,), tape = _coerce((a,))
-    out = np.sqrt(np.sum(ta.data * ta.data, axis=axis, keepdims=keepdims))
+    da = ta.data
+    out = np.sqrt(np.sum(da * da, axis=axis, keepdims=keepdims))
 
     def bwd(g):
         n = out if keepdims or axis is None else np.expand_dims(out, axis)
         gg = g if keepdims or axis is None else np.expand_dims(g, axis)
-        return (gg * ta.data / n,)
+        return (gg * da / n,)
 
     return _emit("l2norm", tape, (ta,), bwd, np.asarray(out, dtype=np.float64))
 
 
 def log(a) -> Tensor:
     (ta,), tape = _coerce((a,))
+    da = ta.data
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(ta.data)
-    return _emit("log", tape, (ta,), lambda g: (g / ta.data,), out)
+        out = np.log(da)
+    return _emit("log", tape, (ta,), lambda g: (g / da,), out)
 
 
 def exp(a) -> Tensor:

@@ -18,10 +18,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NonFiniteError, Tape
-from .contrastive import ContrastiveConfig, ProjectionHead, augment_view, ntxent_loss
+from .contrastive import ContrastiveConfig, ProjectionHead, augment_views, ntxent_loss
 from .data import Dataset
 from .optim import Adam, MomentumSGD
-from .searchspace import ArchParams, MixedFusionEncoder, SearchSpaceConfig, derive_genotype
+from .searchspace import (
+    ArchParams,
+    GenotypeError,
+    MixedFusionEncoder,
+    SearchSpaceConfig,
+    derive_genotype,
+    validate_genotype,
+)
 from .util import TAG_ARCH_INIT, TAG_AUGMENT, TAG_SHUFFLE, TAG_WEIGHT_INIT, seeded_rng
 
 
@@ -82,16 +89,11 @@ def stack_view_features(ds: Dataset, idx, ccfg: ContrastiveConfig, rng: np.rando
     returned list is aligned with the canonical source order (image layers
     then text layers).
     """
-    mats = list(ds.features.values())
+    rows = np.repeat(idx, 2)
+    mats = [m[rows] for m in ds.features.values()]
     n_img = len(ds.image_dims)
-    out = [np.empty((2 * len(idx), m.shape[1])) for m in mats]
-    for r, i in enumerate(idx):
-        rows = [m[i] for m in mats]
-        for v in (2 * r, 2 * r + 1):
-            image, _, text = augment_view(rows[:n_img], ds.tokens[i], rows[n_img:], ccfg, rng)
-            for mat, row in zip(out, image + text):
-                mat[v] = row
-    return out
+    image, _, text = augment_views(mats[:n_img], ds.tokens[rows], mats[n_img:], ccfg, rng)
+    return image + text
 
 
 def _check_compatible(space: SearchSpaceConfig, ds: Dataset) -> None:
@@ -216,7 +218,9 @@ def run_search(
 ):
     """Full search: T_e epochs, checkpointing, genotype from the best logits.
 
-    Returns (genotype, state). Deterministic in (scfg.seed, configs, data).
+    The derived genotype is validated before it is returned; one that no
+    later stage could instantiate raises ``SearchError``. Returns
+    (genotype, state). Deterministic in (scfg.seed, configs, data).
     """
     if len(train) < 2 or len(valid) < 2:
         raise SearchError(
@@ -231,4 +235,9 @@ def run_search(
     opt_arch = Adam(scfg.lr_arch, scfg.adam_beta1, scfg.adam_beta2, scfg.adam_eps)
     for _ in range(scfg.max_epochs):
         search_epoch(state, train, valid, scfg, ccfg, encoder, head, opt_w, opt_arch, report)
-    return derive_genotype(state.best_arch), state
+    genotype = derive_genotype(state.best_arch)
+    try:
+        validate_genotype(genotype, space)
+    except GenotypeError as e:
+        raise SearchError(f"search derived an unusable genotype: {e}") from e
+    return genotype, state

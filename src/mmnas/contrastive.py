@@ -12,12 +12,26 @@ vector, each with its own probability:
   rotate  Givens rotation of disjoint adjacent coordinate pairs by a single
           random angle in [-rotate_max_angle, rotate_max_angle]
 
-plus optional additive Gaussian noise (noise_scale). Text augmentation is
-token masking: each token independently becomes the reserved MASK id
-(vocab_size - 1) with probability mask_prob. A masked position also zeroes
-the text-feature coordinates assigned to it round-robin (coordinate c of a
-text layer belongs to position c mod seq_len), which is the declared
-feature-space effect of masking when only precomputed features exist.
+plus optional additive Gaussian noise (noise_scale). Crop needs a span of at
+least one coordinate, blur a window no wider than the vector, and rotate at
+least two coordinates; otherwise the op leaves the vector as it is.
+
+Text augmentation is token masking: each token independently becomes the
+reserved MASK id (vocab_size - 1) with probability mask_prob. A masked
+position also zeroes the text-feature coordinates assigned to it
+round-robin (coordinate c of a text layer belongs to position c mod
+seq_len), which is the declared feature-space effect of masking when only
+precomputed features exist.
+
+Draw-order contract: ``augment_views`` augments a whole batch, and the
+views it gives are exactly the views that one-row calls
+(``augment_view``) in row order, sharing the rng, would give. Each row
+draws its image layers in layer order, then its text mask. Each image
+layer draws its crop gate (then the span start), flip gate, jitter gate
+(then a scale and a shift per channel), blur gate, rotate gate (then the
+angle) and, when noise_scale > 0, its noise vector. Gates are drawn even
+when the op cannot apply. The batch first draws every parameter row by
+row in this order, then applies each op once to all the rows that drew it.
 
 The loss is the normalized temperature-scaled cross entropy over 2N
 projections ordered pairwise: rows (2k, 2k+1) are the two views of sample
@@ -72,6 +86,8 @@ class ContrastiveConfig:
                 raise ContrastiveError(f"{name} must lie in [0, 1]")
         if not 0.0 <= self.crop_fraction <= 1.0:
             raise ContrastiveError("crop_fraction must lie in [0, 1]")
+        if self.jitter_scale < 0:
+            raise ContrastiveError("jitter_scale must be >= 0")
         if self.blur_width < 1:
             raise ContrastiveError("blur_width must be >= 1")
         if self.text_vocab_size < 2:
@@ -100,58 +116,126 @@ def _flip_pattern(dim: int) -> np.ndarray:
     return pat
 
 
-def _augment_image_layer(x: np.ndarray, cfg: ContrastiveConfig, rng: np.random.Generator) -> np.ndarray:
-    if x.size == 0:
-        raise ContrastiveError("empty feature vector")
+class _LayerDraws:
+    """Random parameters one image layer drew, gathered over the batch rows."""
+
+    __slots__ = ("crop_rows", "crop_starts", "flip_rows", "jitter_rows", "jitter", "blur_rows",
+                 "rotate_rows", "angles", "noise")
+
+    def __init__(self, n: int, d: int, noise: bool):
+        self.crop_rows, self.crop_starts, self.flip_rows = [], [], []
+        self.jitter_rows, self.jitter = [], []  # jitter: (scale, shift) per channel, flat
+        self.blur_rows, self.rotate_rows, self.angles = [], [], []
+        self.noise = np.empty((n, d)) if noise else None
+
+
+def _apply_image_layer(x: np.ndarray, dr: _LayerDraws, cfg: ContrastiveConfig) -> np.ndarray:
     out = np.array(x, dtype=np.float64)
-    d = out.shape[0]
-    # gates are drawn unconditionally so the rng stream does not depend on
-    # the config, only on the draw order
-    if rng.random() < cfg.crop_prob:
+    d = out.shape[1]
+    if dr.crop_rows:
         span = int(round(cfg.crop_fraction * d))
-        if span > 0:
-            start = int(rng.integers(0, d - span + 1))
-            out[start : start + span] = 0.0
-    if rng.random() < cfg.flip_prob:
-        out *= _flip_pattern(d)
-    if rng.random() < cfg.jitter_prob:
-        chunks = np.array_split(np.arange(d), min(4, d))
-        for idx in chunks:
-            a = rng.uniform(1.0 - cfg.jitter_scale, 1.0 + cfg.jitter_scale)
-            b = rng.normal(0.0, cfg.jitter_scale)
-            out[idx] = out[idx] * a + b
-    if rng.random() < cfg.blur_prob and cfg.blur_width > 1:
+        starts = np.array(dr.crop_starts)[:, None]
+        cols = np.arange(d)
+        hit = (cols >= starts) & (cols < starts + span)
+        out[dr.crop_rows] = np.where(hit, 0.0, out[dr.crop_rows])
+    if dr.flip_rows:
+        out[dr.flip_rows] *= _flip_pattern(d)
+    if dr.jitter_rows:
+        # contiguous channels sized as np.array_split(range(d), k) sizes them
+        k = min(4, d)
+        channel = np.repeat(np.arange(k), [d // k + (c < d % k) for c in range(k)])
+        ab = np.array(dr.jitter).reshape(len(dr.jitter_rows), k, 2)[:, channel]
+        out[dr.jitter_rows] = out[dr.jitter_rows] * ab[..., 0] + ab[..., 1]
+    if dr.blur_rows:
         kernel = np.full(cfg.blur_width, 1.0 / cfg.blur_width)
-        out = np.convolve(out, kernel, mode="same")
-    if rng.random() < cfg.rotate_prob and d >= 2:
-        theta = rng.uniform(-cfg.rotate_max_angle, cfg.rotate_max_angle)
+        for r in dr.blur_rows:
+            out[r] = np.convolve(out[r], kernel, mode="same")
+    if dr.rotate_rows:
+        theta = np.array(dr.angles)[:, None]
         c, s = np.cos(theta), np.sin(theta)
-        even = out[0 : 2 * (d // 2) : 2].copy()
-        odd = out[1 : 2 * (d // 2) : 2].copy()
-        out[0 : 2 * (d // 2) : 2] = c * even - s * odd
-        out[1 : 2 * (d // 2) : 2] = s * even + c * odd
-    if cfg.noise_scale > 0:
-        out += rng.normal(0.0, cfg.noise_scale, d)
+        pairs = slice(0, 2 * (d // 2), 2), slice(1, 2 * (d // 2), 2)
+        even, odd = out[dr.rotate_rows, pairs[0]], out[dr.rotate_rows, pairs[1]]
+        out[dr.rotate_rows, pairs[0]] = c * even - s * odd
+        out[dr.rotate_rows, pairs[1]] = s * even + c * odd
+    if dr.noise is not None:
+        out += dr.noise
     return out
+
+
+def augment_views(image: list, tokens: np.ndarray, text: list, cfg: ContrastiveConfig, rng: np.random.Generator):
+    """One augmented view of every row of a batch: (image views, mask, text views).
+
+    ``image`` and ``text`` hold one ``(n, d)`` matrix per layer and ``tokens``
+    is the ``(n, L)`` token matrix. ``mask`` is the ``(n, L)`` boolean matrix
+    of token positions that became ``cfg.mask_token``. Row r of every output
+    is the view row r gets when the rows are augmented one by one in row
+    order (see the module docstring). Inputs are never written to.
+    """
+    if tokens.ndim != 2 or tokens.shape[1] == 0:
+        raise ContrastiveError("text view requires a non-empty token sequence")
+    if any(f.shape[1] == 0 for f in text + image):
+        raise ContrastiveError("empty feature vector")
+    if np.any(tokens >= cfg.text_vocab_size) or np.any(tokens < 0):
+        raise ContrastiveError("token id out of vocabulary range")
+    n, seq_len = tokens.shape
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() and rng.normal(0, s)
+    # is 0.0 + s * rng.standard_normal(): the same draws, without the per-call
+    # argument handling
+    s = cfg.jitter_scale
+    scale_lo, scale_range = 1.0 - s, (1.0 + s) - (1.0 - s)
+    angle_lo, angle_range = -cfg.rotate_max_angle, cfg.rotate_max_angle - -cfg.rotate_max_angle
+    noise_scale = cfg.noise_scale
+    layers = []
+    for x in image:
+        d = x.shape[1]
+        span = int(round(cfg.crop_fraction * d))
+        blur = 1 < cfg.blur_width <= d
+        layers.append((_LayerDraws(n, d, noise_scale > 0), d, span, d - span + 1, min(4, d), blur))
+    uniform, normal, integers = rng.random, rng.standard_normal, rng.integers
+    mask_draws = np.empty((n, seq_len))
+    # draw pass: row by row, every parameter in the order a single row draws it
+    for r in range(n):
+        for dr, d, span, crop_end, channels, blur in layers:
+            # gates are drawn unconditionally so the rng stream does not
+            # depend on the config, only on the draw order
+            if uniform() < cfg.crop_prob and span > 0:
+                dr.crop_rows.append(r)
+                dr.crop_starts.append(int(integers(0, crop_end)))
+            if uniform() < cfg.flip_prob:
+                dr.flip_rows.append(r)
+            if uniform() < cfg.jitter_prob:
+                dr.jitter_rows.append(r)
+                for _ in range(channels):
+                    dr.jitter.append(scale_lo + scale_range * uniform())
+                    dr.jitter.append(0.0 + s * normal())
+            if uniform() < cfg.blur_prob and blur:
+                dr.blur_rows.append(r)
+            if uniform() < cfg.rotate_prob and d >= 2:
+                dr.rotate_rows.append(r)
+                dr.angles.append(angle_lo + angle_range * uniform())
+            if noise_scale > 0:
+                dr.noise[r] = rng.normal(0.0, noise_scale, d)
+        mask_draws[r] = uniform(seq_len)
+    # apply pass: each op once over all the rows that drew it
+    image_view = [_apply_image_layer(x, dr, cfg) for x, (dr, *_) in zip(image, layers)]
+    mask = mask_draws < cfg.mask_prob
+    text_view = [np.array(f, dtype=np.float64) * ~mask[:, np.arange(f.shape[1]) % seq_len] for f in text]
+    return image_view, mask, text_view
 
 
 def augment_view(image: list, tokens: np.ndarray, text: list, cfg: ContrastiveConfig, rng: np.random.Generator):
     """One augmented view of one sample row: (image layers, tokens, text layers).
 
-    ``image`` and ``text`` hold one feature vector per layer. Image layers
-    draw from ``rng`` first, in layer order, then the text mask; the view is
-    pure given the rng state and never writes to its inputs.
+    ``image`` and ``text`` hold one feature vector per layer. This is the
+    one-row case of :func:`augment_views`, with the mask applied to the
+    token ids.
     """
-    if tokens.size == 0:
-        raise ContrastiveError("text view requires a non-empty token sequence")
-    if any(f.size == 0 for f in text):
-        raise ContrastiveError("empty feature vector")
-    if np.any(tokens >= cfg.text_vocab_size) or np.any(tokens < 0):
-        raise ContrastiveError("token id out of vocabulary range")
-    image_view = [_augment_image_layer(x, cfg, rng) for x in image]
-    mask = rng.random(tokens.shape[0]) < cfg.mask_prob
-    text_view = [np.array(f, dtype=np.float64) * ~mask[np.arange(f.shape[0]) % tokens.shape[0]] for f in text]
-    return image_view, np.where(mask, cfg.mask_token, tokens).astype(np.int64), text_view
+    tokens = np.asarray(tokens)
+    image_view, mask, text_view = augment_views(
+        [x[None, :] for x in image], tokens[None, :], [f[None, :] for f in text], cfg, rng
+    )
+    token_view = np.where(mask[0], cfg.mask_token, tokens).astype(np.int64)
+    return [x[0] for x in image_view], token_view, [f[0] for f in text_view]
 
 
 class ProjectionHead:
@@ -186,8 +270,8 @@ class ProjectionHead:
 def pair_partner_matrix(rows: int) -> np.ndarray:
     """One-hot (i, partner(i)) matrix for interleaved view pairs."""
     p = np.zeros((rows, rows))
-    for i in range(rows):
-        p[i, i ^ 1] = 1.0
+    i = np.arange(rows)
+    p[i, i ^ 1] = 1.0
     return p
 
 

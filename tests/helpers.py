@@ -181,6 +181,69 @@ def derive_oracle(arch):
     return Genotype(cells=tuple(cells), config_hash=cfg.hash())
 
 
+def augment_image_layer_oracle(x: np.ndarray, cfg, rng: np.random.Generator) -> np.ndarray:
+    """One image layer of one row, augmented op by op in the library's draw order.
+
+    This is the original per-row implementation, kept as the reference for
+    the batched ``augment_views``. One condition differs: a blur window
+    wider than the vector leaves it unblurred (``np.convolve`` "same" would
+    return a vector of the window's length).
+    """
+    from mmnas.contrastive import ContrastiveError
+
+    if x.size == 0:
+        raise ContrastiveError("empty feature vector")
+    out = np.array(x, dtype=np.float64)
+    d = out.shape[0]
+    # gates are drawn unconditionally so the rng stream does not depend on
+    # the config, only on the draw order
+    if rng.random() < cfg.crop_prob:
+        span = int(round(cfg.crop_fraction * d))
+        if span > 0:
+            start = int(rng.integers(0, d - span + 1))
+            out[start : start + span] = 0.0
+    if rng.random() < cfg.flip_prob:
+        out *= np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
+    if rng.random() < cfg.jitter_prob:
+        chunks = np.array_split(np.arange(d), min(4, d))
+        for idx in chunks:
+            a = rng.uniform(1.0 - cfg.jitter_scale, 1.0 + cfg.jitter_scale)
+            b = rng.normal(0.0, cfg.jitter_scale)
+            out[idx] = out[idx] * a + b
+    if rng.random() < cfg.blur_prob and 1 < cfg.blur_width <= d:
+        kernel = np.full(cfg.blur_width, 1.0 / cfg.blur_width)
+        out = np.convolve(out, kernel, mode="same")
+    if rng.random() < cfg.rotate_prob and d >= 2:
+        theta = rng.uniform(-cfg.rotate_max_angle, cfg.rotate_max_angle)
+        c, s = np.cos(theta), np.sin(theta)
+        even = out[0 : 2 * (d // 2) : 2].copy()
+        odd = out[1 : 2 * (d // 2) : 2].copy()
+        out[0 : 2 * (d // 2) : 2] = c * even - s * odd
+        out[1 : 2 * (d // 2) : 2] = s * even + c * odd
+    if cfg.noise_scale > 0:
+        out += rng.normal(0.0, cfg.noise_scale, d)
+    return out
+
+
+def augment_view_oracle(image: list, tokens: np.ndarray, text: list, cfg, rng: np.random.Generator):
+    """One augmented view of one sample row: (image layers, tokens, text layers).
+
+    Image layers draw from ``rng`` first, in layer order, then the text mask.
+    """
+    from mmnas.contrastive import ContrastiveError
+
+    if tokens.size == 0:
+        raise ContrastiveError("text view requires a non-empty token sequence")
+    if any(f.size == 0 for f in text):
+        raise ContrastiveError("empty feature vector")
+    if np.any(tokens >= cfg.text_vocab_size) or np.any(tokens < 0):
+        raise ContrastiveError("token id out of vocabulary range")
+    image_view = [augment_image_layer_oracle(x, cfg, rng) for x in image]
+    mask = rng.random(tokens.shape[0]) < cfg.mask_prob
+    text_view = [np.array(f, dtype=np.float64) * ~mask[np.arange(f.shape[0]) % tokens.shape[0]] for f in text]
+    return image_view, np.where(mask, cfg.mask_token, tokens).astype(np.int64), text_view
+
+
 def sign_test_p(wins: int, trials: int) -> float:
     """One-sided exact binomial sign test: P(X >= wins | p = 1/2)."""
     return sum(math.comb(trials, k) for k in range(wins, trials + 1)) / 2.0 ** trials

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,23 @@ def test_backward_rejects_off_tape_root():
     tape.leaf([1.0], "x")
     with pytest.raises(AutodiffError, match="tape"):
         tape.backward(ad.constant(1.0))
+
+
+def test_tape_is_freed_without_the_cycle_collector():
+    # backward closures hold arrays, not tensors, so nothing on the tape
+    # points back at it and a finished batch frees its memory at once
+    gc.disable()
+    try:
+        tape = Tape()
+        x = tape.leaf(np.arange(6.0).reshape(2, 3), "x")
+        y = ad.concat([ad.mul(x, x), ad.div(x, ad.add(x, 1.0)), ad.matmul(x, ad.transpose(x))], axis=1)
+        root = ad.tsum(ad.log(ad.add(ad.l2norm(ad.sub(y, 1.0), axis=1), 1.0)))
+        tape.backward(root)
+        ref = weakref.ref(tape)
+        del tape, x, y, root
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_mixing_two_tapes_rejected():

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import augment_view_oracle
+
+import mmnas.bilevel as bilevel
 from mmnas.bilevel import (
     SearchConfig,
     SearchError,
@@ -10,10 +13,10 @@ from mmnas.bilevel import (
     search_epoch,
     stack_view_features,
 )
-from mmnas.contrastive import ContrastiveConfig, ProjectionHead, augment_view
+from mmnas.contrastive import ContrastiveConfig, ProjectionHead
 from mmnas.data import SyntheticSpec, generate, split
 from mmnas.optim import Adam, MomentumSGD
-from mmnas.searchspace import MixedFusionEncoder, SearchSpaceConfig
+from mmnas.searchspace import CellGene, Genotype, MixedFusionEncoder, SearchSpaceConfig
 
 CCFG = ContrastiveConfig()
 
@@ -128,6 +131,19 @@ def test_mismatched_space_rejected():
         run_search(SearchConfig(max_epochs=1), wrong, CCFG, train, valid)
 
 
+def _all_pruned_genotype(arch):
+    """What derive_genotype returned before it kept a step in every cell."""
+    names = arch.config.sources()
+    return Genotype(cells=(CellGene(inputs=(names[0], names[1]), steps=()),), config_hash=arch.config.hash())
+
+
+def test_search_never_returns_an_unusable_genotype(monkeypatch):
+    train, valid, space = _setup()
+    monkeypatch.setattr(bilevel, "derive_genotype", _all_pruned_genotype)
+    with pytest.raises(SearchError, match="all steps pruned"):
+        run_search(SearchConfig(max_epochs=1, batch_size=8), space, CCFG, train, valid)
+
+
 def test_report_records_carry_required_fields():
     train, valid, space = _setup(seed=10)
     rows = []
@@ -161,7 +177,7 @@ def test_stack_view_features_interleaves_pairs():
     rng = np.random.default_rng(0)
     for r, i in enumerate(idx):
         for v in (2 * r, 2 * r + 1):
-            image, _, text = augment_view(
+            image, _, text = augment_view_oracle(
                 [ds.features["image:0"][i]], ds.tokens[i], [ds.features["text:0"][i]], CCFG, rng
             )
             assert feats[0][v].tobytes() == image[0].tobytes()

@@ -181,6 +181,22 @@ def test_failed_run_leaves_incomplete_marker(tmp_path, tiny_config):
     assert (out / ".incomplete").exists()
 
 
+def test_search_with_unusable_genotype_writes_nothing(tmp_path, tiny_config, monkeypatch, capsys):
+    import mmnas.bilevel
+    from mmnas.searchspace import CellGene, Genotype
+
+    def all_pruned(arch):
+        return Genotype(cells=(CellGene(inputs=("image:0", "text:0"), steps=()),), config_hash=arch.config.hash())
+
+    monkeypatch.setattr(mmnas.bilevel, "derive_genotype", all_pruned)
+    out = tmp_path / "s"
+    assert main(["search", "--config", tiny_config, "--out-dir", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "SearchError"
+    assert not (out / "genotype.json").exists()
+    assert (out / ".incomplete").exists()
+
+
 def test_freeze_encoder_flag_override(tmp_path, tiny_config):
     out = tmp_path / "r"
     assert (

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import check_gradients, max_rel_err, naive_ntxent
+from helpers import augment_view_oracle, check_gradients, max_rel_err, naive_ntxent
 
 import mmnas.autodiff as ad
 from mmnas.autodiff import Tape
@@ -12,6 +12,7 @@ from mmnas.contrastive import (
     ContrastiveError,
     ProjectionHead,
     augment_view,
+    augment_views,
     ntxent_loss,
 )
 
@@ -81,6 +82,69 @@ def test_empty_feature_vector_rejected():
     image[0] = np.zeros(0)
     with pytest.raises(ContrastiveError, match="empty"):
         augment_view(image, tokens, text, ContrastiveConfig(text_vocab_size=50), np.random.default_rng(0))
+
+
+def _batch(n=12, img_dims=(8, 6), txt_dims=(7,), text_len=10, vocab=50, seed=0):
+    """(image matrices, token matrix, text matrices) of an n-row batch."""
+    rng = np.random.default_rng(seed)
+    return (
+        [rng.standard_normal((n, d)) for d in img_dims],
+        rng.integers(0, vocab - 1, size=(n, text_len)),
+        [rng.standard_normal((n, d)) for d in txt_dims],
+    )
+
+
+GATES = ("crop_prob", "flip_prob", "jitter_prob", "blur_prob", "rotate_prob")
+
+ORACLE_CASES = (
+    [pytest.param({"img_dims": (d,)}, {}, id=f"image-dim-{d}") for d in (1, 2, 3, 5, 32)]
+    + [
+        pytest.param({"txt_dims": (7, 13), "text_len": 5}, {}, id="text-dims-not-multiple-of-L"),
+        pytest.param({"text_len": 1}, {}, id="L-1"),
+    ]
+    + [pytest.param({}, {"crop_fraction": f}, id=f"crop-fraction-{f}") for f in (0.0, 0.3, 1.0)]
+    + [
+        pytest.param({"img_dims": (8, 3)}, {"blur_width": w, "blur_prob": 0.9}, id=f"blur-width-{w}")
+        for w in (1, 3, 4)
+    ]
+    + [
+        pytest.param({}, {"noise_scale": 0.0}, id="no-noise"),
+        pytest.param({}, {"mask_prob": 0.0}, id="no-masking"),
+        pytest.param({}, {g: 0.0 for g in GATES}, id="all-gates-0"),
+        pytest.param({}, {g: 1.0 for g in GATES}, id="all-gates-1"),
+    ]
+)
+
+
+@pytest.mark.parametrize("shape, overrides", ORACLE_CASES)
+def test_batched_augmentation_matches_the_per_row_oracle(shape, overrides):
+    image, tokens, text = _batch(**shape)
+    cfg = ContrastiveConfig(text_vocab_size=50, **overrides)
+    batch_rng, row_rng = np.random.default_rng(11), np.random.default_rng(11)
+    image_view, mask, text_view = augment_views(image, tokens, text, cfg, batch_rng)
+    for r in range(tokens.shape[0]):
+        want_image, want_tokens, want_text = augment_view_oracle(
+            [x[r] for x in image], tokens[r], [f[r] for f in text], cfg, row_rng
+        )
+        for want, got in zip(want_image + want_text, image_view + text_view):
+            assert want.tobytes() == got[r].tobytes()
+        assert want_tokens.tobytes() == np.where(mask[r], cfg.mask_token, tokens[r]).tobytes()
+    # the batch consumed exactly the draws of the per-row calls
+    assert batch_rng.bit_generator.state == row_rng.bit_generator.state
+
+
+def test_batched_validation_checks_every_row():
+    image, tokens, text = _batch()
+    tokens[7, 3] = 50
+    with pytest.raises(ContrastiveError, match="vocabulary"):
+        augment_views(image, tokens, text, ContrastiveConfig(text_vocab_size=50), np.random.default_rng(0))
+    with pytest.raises(ContrastiveError, match="non-empty token"):
+        augment_views(image, tokens[:, :0], text, ContrastiveConfig(text_vocab_size=50), np.random.default_rng(0))
+
+
+def test_negative_jitter_scale_rejected():
+    with pytest.raises(ContrastiveError, match="jitter_scale"):
+        ContrastiveConfig(jitter_scale=-0.1)
 
 
 def test_mask_prob_one_rejected():
