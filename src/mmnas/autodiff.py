@@ -10,7 +10,9 @@ collector instead of being freed when its last reference goes.
 
 Primitives: matmul, transpose, add, subtract, elementwise multiply/divide,
 relu, sigmoid, tanh, softmax over an axis, concat over an axis, mean, sum,
-scalar multiply, L2 norm, log, exp, basic slicing. Elementwise ops follow
+scalar multiply, L2 norm, log, exp, basic slicing, and ``mix``, a weighted
+sum of equal-shape parts recorded as one node (the softmax mixtures of the
+search space). Elementwise ops follow
 numpy broadcasting; the backward pass sum-reduces gradients over broadcast
 axes. Every op validates that its output is finite and names itself in the
 error when it is not.
@@ -45,6 +47,7 @@ __all__ = [
     "log",
     "exp",
     "getitem",
+    "mix",
     "constant",
 ]
 
@@ -470,3 +473,53 @@ def getitem(a, key) -> Tensor:
         return (full,)
 
     return _emit("slice", tape, (ta,), bwd, np.asarray(out, dtype=np.float64))
+
+
+def mix(w, parts, scatter=None) -> Tensor:
+    """Weighted sum ``sum_p c[p] * parts[p]`` of equal-shape parts, one node.
+
+    ``c = w`` for a 1-D weight vector ``w`` with one entry per part, or
+    ``c = scatter @ w`` for a constant ``(P, J)`` matrix that maps J weights
+    onto the P parts. Parts are summed left to right. The backward pass
+    gives part p ``c[p] * g`` and ``w`` the vector ``<g, parts[p]>`` (mapped
+    back through ``scatter.T``). ``w`` and any part may be constants.
+    """
+    parts = list(parts)
+    if not parts:
+        raise AutodiffError("mix: empty part list")
+    (tw, *tparts), tape = _coerce([w, *parts])
+    if tw.data.ndim != 1:
+        raise AutodiffError(f"mix: weights must be 1-D, got shape {tw.shape}")
+    if scatter is None:
+        if tw.data.shape[0] != len(parts):
+            raise AutodiffError(f"mix: {tw.data.shape[0]} weights for {len(parts)} parts")
+        c = tw.data
+    else:
+        scatter = np.asarray(scatter, dtype=np.float64)
+        if scatter.shape != (len(parts), tw.data.shape[0]):
+            raise AutodiffError(
+                f"mix: scatter shape {scatter.shape} does not map {tw.data.shape[0]} weights "
+                f"onto {len(parts)} parts"
+            )
+        c = scatter @ tw.data
+    shape = tparts[0].shape
+    if any(t.shape != shape for t in tparts):
+        raise AutodiffError(f"mix: part shapes differ {[t.shape for t in tparts]}")
+    datas = [t.data for t in tparts]
+    out = datas[0] * c[0]
+    for d, cp in zip(datas[1:], c[1:]):
+        out = out + d * cp
+    if tape is None:
+        return _emit("mix", None, (), None, out)
+    w_on_tape = tw.node_id is not None
+    on_tape = [p for p, t in enumerate(tparts) if t.node_id is not None]
+    ids = ((tw.node_id,) if w_on_tape else ()) + tuple(tparts[p].node_id for p in on_tape)
+
+    def bwd(g):
+        grads = [g * c[p] for p in on_tape]
+        if w_on_tape:
+            gc = np.array([np.vdot(g, d) for d in datas])
+            grads.insert(0, gc if scatter is None else scatter.T @ gc)
+        return grads
+
+    return tape._record("mix", ids, bwd, out)

@@ -145,9 +145,9 @@ def search_epoch(
         for bi, idx in enumerate(batches):
             feats = stack_view_features(ds, idx, ccfg, rng_aug)
             tape = Tape()
-            w_leaves = {k: tape.leaf(v, k) for k, v in state.weights.items()}
-            a_leaves = {k: tape.leaf(v, k) for k, v in state.arch.named().items()}
             try:
+                w_leaves = {k: tape.leaf(v, k) for k, v in state.weights.items()}
+                a_leaves = {k: tape.leaf(v, k) for k, v in state.arch.named().items()}
                 loss = contrastive_batch_loss(encoder, head, w_leaves, a_leaves, feats, ccfg.temperature)
             except NonFiniteError as e:
                 raise SearchError(

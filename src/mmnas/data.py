@@ -112,12 +112,6 @@ class SyntheticSpec:
         }
 
 
-def proxy_tokens(sample_id: int, text_len: int, vocab_size: int) -> np.ndarray:
-    """Deterministic token sequence for a sample; MASK id is never emitted."""
-    rng = seeded_rng(_TOKEN_STREAM_KEY, TAG_DATA_TOKENS, sample_id)
-    return rng.integers(0, vocab_size - 1, size=text_len, dtype=np.int64)
-
-
 class Dataset:
     """Read-only columnar paired dataset; row i of every matrix is sample i.
 
@@ -165,7 +159,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _token_matrix(n: int, text_len: int, vocab_size: int) -> np.ndarray:
-    return np.array([proxy_tokens(i, text_len, vocab_size) for i in range(n)], dtype=np.int64).reshape(n, text_len)
+    """Deterministic ``n x text_len`` token matrix; the MASK id (vocab - 1) is
+    never drawn. One fixed stream filled row by row, so row i is the same
+    for every n."""
+    rng = seeded_rng(_TOKEN_STREAM_KEY, TAG_DATA_TOKENS)
+    return rng.integers(0, vocab_size - 1, size=(n, text_len), dtype=np.int64)
 
 
 def generate(spec: SyntheticSpec) -> Dataset:

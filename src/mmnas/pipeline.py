@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape
+from .autodiff import NonFiniteError, Tape
 from .bilevel import (
     SearchConfig,
     batch_indices,
@@ -140,11 +140,16 @@ def pretrain(
         rng_ep = seeded_rng(seed, TAG_PRETRAIN_EPOCH, epoch)
         losses = []
         t0 = time.perf_counter()
-        for idx in batch_indices(len(train), batch_size, rng_ep):
+        for bi, idx in enumerate(batch_indices(len(train), batch_size, rng_ep)):
             feats = stack_view_features(train, idx, ccfg, rng_ep)
             tape = Tape()
-            leaves = {k: tape.leaf(v, k) for k, v in weights.items()}
-            loss = contrastive_batch_loss(encoder, head, leaves, None, feats, ccfg.temperature)
+            try:
+                leaves = {k: tape.leaf(v, k) for k, v in weights.items()}
+                loss = contrastive_batch_loss(encoder, head, leaves, None, feats, ccfg.temperature)
+            except NonFiniteError as e:
+                raise PipelineError(
+                    f"pretrain: non-finite loss at epoch {epoch + 1} batch {bi}: {e}"
+                ) from e
             grads = tape.backward(loss)
             opt.step(weights, {k: grads.of(t) for k, t in leaves.items()})
             losses.append(float(loss.data))

@@ -354,12 +354,7 @@ def mixed_cell_input(alpha: Tensor, candidates: list) -> Tensor:
     for cand in candidates:
         if cand.shape != shape:
             raise SpaceError(f"candidate shapes differ: {cand.shape} vs {shape}")
-    w = ad.softmax(alpha, axis=0)
-    out = None
-    for i, cand in enumerate(candidates):
-        term = ad.mul(cand, w[(i,)])
-        out = term if out is None else out + term
-    return out
+    return ad.mix(ad.softmax(alpha, axis=0), candidates)
 
 
 def mixed_step(beta: Tensor, gamma: Tensor, pair_candidates: list, prim_params: dict, hidden: int) -> Tensor:
@@ -367,26 +362,35 @@ def mixed_step(beta: Tensor, gamma: Tensor, pair_candidates: list, prim_params: 
 
     ``pair_candidates`` is the ordered-pair list over the step's pool;
     ``prim_params`` maps primitive name -> {param name -> Tensor leaf}.
+
+    The beta mixture is linear, so it is computed per pool entry rather
+    than per pair (the pair-marginal identity): with w = softmax(beta),
+
+      in0 = sum_j w_j pair_j[0] = sum_p (sum_{j: pair_j[0] is pool_p} w_j) pool_p
+
+    and likewise in1 with pair_j[1]. The pool is recovered from the pairs
+    by identity, in first-seen order, and each slot is one ``mix`` with a
+    0/1 scatter matrix S[p, j] = 1 iff pair j holds pool_p in that slot.
     """
     if beta.data.ndim != 1 or len(pair_candidates) != beta.data.shape[0]:
         raise SpaceError("beta length does not match pair candidate count")
     if gamma.data.ndim != 1 or gamma.data.shape[0] != len(PRIMITIVES):
         raise SpaceError("gamma length does not match primitive count")
-    wb = ad.softmax(beta, axis=0)
-    in0 = None
-    in1 = None
+    pool, index = [], {}
+    for pair in pair_candidates:
+        for t in pair:
+            if id(t) not in index:
+                index[id(t)] = len(pool)
+                pool.append(t)
+    scatter = np.zeros((2, len(pool), len(pair_candidates)))
     for j, (u, v) in enumerate(pair_candidates):
-        wj = wb[(j,)]
-        t0 = ad.mul(u, wj)
-        t1 = ad.mul(v, wj)
-        in0 = t0 if in0 is None else in0 + t0
-        in1 = t1 if in1 is None else in1 + t1
-    wg = ad.softmax(gamma, axis=0)
-    out = None
-    for p, op in enumerate(PRIMITIVES):
-        term = ad.mul(apply_primitive(op, in0, in1, prim_params.get(op, {}), hidden), wg[(p,)])
-        out = term if out is None else out + term
-    return out
+        scatter[0, index[id(u)], j] = 1.0
+        scatter[1, index[id(v)], j] = 1.0
+    wb = ad.softmax(beta, axis=0)
+    in0 = ad.mix(wb, pool, scatter[0])
+    in1 = ad.mix(wb, pool, scatter[1])
+    outs = [apply_primitive(op, in0, in1, prim_params.get(op, {}), hidden) for op in PRIMITIVES]
+    return ad.mix(ad.softmax(gamma, axis=0), outs)
 
 
 def _linear_init(rng: np.random.Generator, shape: tuple) -> np.ndarray:

@@ -244,6 +244,46 @@ def augment_view_oracle(image: list, tokens: np.ndarray, text: list, cfg, rng: n
     return image_view, np.where(mask, cfg.mask_token, tokens).astype(np.int64), text_view
 
 
+def mixed_cell_input_oracle(alpha, candidates):
+    """The original per-candidate loop: one scalar-weighted term per candidate.
+
+    Kept as the reference for the fused ``mixed_cell_input``.
+    """
+    import mmnas.autodiff as ad
+
+    w = ad.softmax(alpha, axis=0)
+    out = None
+    for i, cand in enumerate(candidates):
+        term = ad.mul(cand, w[(i,)])
+        out = term if out is None else out + term
+    return out
+
+
+def mixed_step_oracle(beta, gamma, pair_candidates, prim_params, hidden):
+    """The original per-pair loop: both slots sum one weighted term per pair.
+
+    Kept as the reference for the pair-marginal ``mixed_step``.
+    """
+    import mmnas.autodiff as ad
+    from mmnas.searchspace import PRIMITIVES, apply_primitive
+
+    wb = ad.softmax(beta, axis=0)
+    in0 = None
+    in1 = None
+    for j, (u, v) in enumerate(pair_candidates):
+        wj = wb[(j,)]
+        t0 = ad.mul(u, wj)
+        t1 = ad.mul(v, wj)
+        in0 = t0 if in0 is None else in0 + t0
+        in1 = t1 if in1 is None else in1 + t1
+    wg = ad.softmax(gamma, axis=0)
+    out = None
+    for p, op in enumerate(PRIMITIVES):
+        term = ad.mul(apply_primitive(op, in0, in1, prim_params.get(op, {}), hidden), wg[(p,)])
+        out = term if out is None else out + term
+    return out
+
+
 def sign_test_p(wins: int, trials: int) -> float:
     """One-sided exact binomial sign test: P(X >= wins | p = 1/2)."""
     return sum(math.comb(trials, k) for k in range(wins, trials + 1)) / 2.0 ** trials

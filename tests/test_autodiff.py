@@ -224,3 +224,71 @@ def test_broadcast_div_rowwise_gradient():
         {"x": x, "n": n},
         tol=1e-6,
     )
+
+
+# scatter with a part fed by two weights (row 0) and a weight feeding two
+# parts (column 3), the shape of the pair-marginal slots in mixed_step
+_SCATTER = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
+
+
+def _mix_cases(rng):
+    """(name, params builder, scalar builder) for ``mix``, as in criterion 1."""
+    w23 = np.linspace(0.4, 1.6, 6).reshape(2, 3)
+
+    def weighted(t, w=w23):
+        return ad.tsum(ad.mul(t, ad.constant(w)))
+
+    def parts(n, shape=(2, 3)):
+        return {f"p{i}": rng.standard_normal(shape) for i in range(n)}
+
+    fixed = rng.standard_normal((2, 3))
+    return [
+        ("plain", lambda: {"w": rng.standard_normal(3), **parts(3)},
+         lambda lv: weighted(ad.mix(lv["w"], [lv["p0"], lv["p1"], lv["p2"]]))),
+        ("scatter", lambda: {"w": rng.standard_normal(4), **parts(3)},
+         lambda lv: weighted(ad.mix(lv["w"], [lv["p0"], lv["p1"], lv["p2"]], _SCATTER))),
+        ("scatter_repeated_part", lambda: {"w": rng.standard_normal(4), **parts(2)},
+         lambda lv: weighted(ad.mix(lv["w"], [lv["p0"], lv["p1"], lv["p0"]], _SCATTER))),
+        ("softmax_weights", lambda: {"a": rng.standard_normal(4), **parts(3)},
+         lambda lv: weighted(ad.mix(ad.softmax(lv["a"], axis=0), [lv["p0"], lv["p1"], lv["p2"]], _SCATTER))),
+        ("w_off_tape", lambda: parts(3),
+         lambda lv: weighted(ad.mix(ad.constant([0.3, -1.2, 0.7]), [lv["p0"], lv["p1"], lv["p2"]]))),
+        ("part_off_tape", lambda: {"w": rng.standard_normal(4), **parts(1)},
+         lambda lv: weighted(ad.mix(lv["w"], [lv["p0"], ad.constant(np.zeros((2, 3))), ad.constant(fixed)], _SCATTER))),
+        ("one_d", lambda: {"w": rng.standard_normal(4), **parts(3, (5,))},
+         lambda lv: weighted(ad.mix(lv["w"], [lv["p0"], lv["p1"], lv["p2"]], _SCATTER), np.linspace(0.5, 1.5, 5))),
+    ]
+
+
+@pytest.mark.parametrize("case", _mix_cases(np.random.default_rng(11)), ids=lambda c: c[0])
+def test_mix_gradients(case):
+    _, make_params, builder = case
+    for _ in range(20):
+        check_gradients(builder, make_params(), tol=1e-6)
+
+
+def test_mix_is_one_node_and_matches_the_weighted_sum():
+    rng = np.random.default_rng(12)
+    w, parts = rng.standard_normal(4), [rng.standard_normal((2, 3)) for _ in range(3)]
+    tape = Tape()
+    leaves = [tape.leaf(p) for p in parts]
+    before = len(tape)
+    out = ad.mix(ad.constant(w), leaves, _SCATTER)
+    assert len(tape) == before + 1 and out.tape is tape
+    c = _SCATTER @ w
+    np.testing.assert_allclose(out.data, sum(cp * p for cp, p in zip(c, parts)), rtol=1e-15, atol=1e-15)
+    assert ad.mix(ad.constant(w[:3]), [ad.constant(p) for p in parts]).tape is None
+
+
+def test_mix_rejects_malformed_input():
+    p = ad.constant(np.ones((2, 3)))
+    with pytest.raises(AutodiffError, match="empty"):
+        ad.mix(ad.constant([1.0]), [])
+    with pytest.raises(AutodiffError, match="1-D"):
+        ad.mix(ad.constant([[1.0]]), [p])
+    with pytest.raises(AutodiffError, match="2 weights for 1 parts"):
+        ad.mix(ad.constant([1.0, 2.0]), [p])
+    with pytest.raises(AutodiffError, match="scatter shape"):
+        ad.mix(ad.constant([1.0, 2.0]), [p, p], np.ones((2, 3)))
+    with pytest.raises(AutodiffError, match="part shapes"):
+        ad.mix(ad.constant([1.0, 2.0]), [p, ad.constant(np.ones((3, 2)))])

@@ -4,10 +4,12 @@ import pytest
 from helpers import augment_view_oracle
 
 import mmnas.bilevel as bilevel
+from mmnas.autodiff import Tape
 from mmnas.bilevel import (
     SearchConfig,
     SearchError,
     batch_indices,
+    contrastive_batch_loss,
     init_search_state,
     run_search,
     search_epoch,
@@ -144,6 +146,15 @@ def test_search_never_returns_an_unusable_genotype(monkeypatch):
         run_search(SearchConfig(max_epochs=1, batch_size=8), space, CCFG, train, valid)
 
 
+def test_diverged_weights_raise_search_error_with_their_position():
+    train, valid, space = _setup()
+    # one step at this rate sends the weights past float64 range
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SearchError, match=r"non-finite loss at epoch 1 phase train batch 1: ") as info:
+            run_search(SearchConfig(max_epochs=1, batch_size=8, lr_weights=1e300), space, CCFG, train, valid)
+    assert isinstance(info.value.__cause__, FloatingPointError)
+
+
 def test_report_records_carry_required_fields():
     train, valid, space = _setup(seed=10)
     rows = []
@@ -182,6 +193,26 @@ def test_stack_view_features_interleaves_pairs():
             )
             assert feats[0][v].tobytes() == image[0].tobytes()
             assert feats[1][v].tobytes() == text[0].tobytes()
+
+
+@pytest.mark.parametrize(
+    "cells, steps, max_nodes", [(1, 2, 115), (2, 3, 254)], ids=["default-1x2", "deep-2x3"]
+)
+def test_search_batch_tape_size(cells, steps, max_nodes):
+    # one fused node per softmax mixture; a per-pair mixture records
+    # 193 nodes on the default space and 554 on the deep one
+    ds = generate(SyntheticSpec(num_samples=8, seed=0))
+    space = SearchSpaceConfig(
+        features_per_modality=(ds.image_dims, ds.text_dims), num_cells=cells, steps_per_cell=steps
+    )
+    state = init_search_state(SearchConfig(), space, CCFG)
+    head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
+    feats = stack_view_features(ds, np.arange(4), CCFG, np.random.default_rng(0))
+    tape = Tape()
+    w = {k: tape.leaf(v, k) for k, v in state.weights.items()}
+    a = {k: tape.leaf(v, k) for k, v in state.arch.named().items()}
+    contrastive_batch_loss(MixedFusionEncoder(space), head, w, a, feats, CCFG.temperature)
+    assert len(tape) <= max_nodes
 
 
 def test_search_config_validation():

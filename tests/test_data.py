@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from mmnas.data import (
     audit,
     generate,
     load,
-    proxy_tokens,
     save,
     split,
 )
@@ -42,8 +43,9 @@ def test_generation_is_deterministic():
     assert list(a.features) == ["image:0", "image:1", "text:0", "text:1"]
     assert a.features["text:1"].shape == (120, 11) and a.features["text:1"].flags.c_contiguous
     assert a.tokens.shape == (120, 16) and a.labels.shape == (120, 5)
-    # tokens depend only on the sample index
-    assert a.tokens[17].tobytes() == proxy_tokens(17, 16, 1000).tobytes()
+    # tokens depend only on the sample index, not on the dataset size
+    big = generate(dataclasses.replace(SPEC, num_samples=2000))
+    assert a.tokens[17].tobytes() == big.tokens[17].tobytes()
 
 
 def test_noiseless_limit_features_are_linear_in_latent():
@@ -104,10 +106,12 @@ def test_signal_plan_validation():
         SyntheticSpec(image_layer_dims=(0, 4))
 
 
-def test_proxy_tokens_deterministic_and_in_vocab():
-    a = proxy_tokens(17, 16, 1000)
-    b = proxy_tokens(17, 16, 1000)
+def test_token_matrix_deterministic_and_in_vocab():
+    spec = dataclasses.replace(SPEC, num_samples=2000)
+    a = generate(spec).tokens
+    b = generate(spec).tokens
     assert a.tobytes() == b.tobytes()
+    assert a.shape == (2000, 16) and a.dtype == np.int64
     assert a.max() < 999  # MASK id (vocab-1) never emitted
     assert a.min() >= 0
 

@@ -104,6 +104,17 @@ def test_pretrain_loss_decreases_with_training():
     assert records[-1]["mean_loss"] < records[0]["mean_loss"]
 
 
+def test_pretrain_wraps_non_finite_loss_with_its_position():
+    ds = _dataset()
+    space = _space(ds)
+    genotype = _genotype(space)
+    # one step at this rate sends the weights past float64 range
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PipelineError, match=r"pretrain: non-finite loss at epoch 1 batch 1: ") as info:
+            pretrain(genotype, space, CCFG, ds, epochs=2, lr=1e300, seed=6)
+    assert isinstance(info.value.__cause__, ad.NonFiniteError)
+
+
 # ---------------------------------------------------------------------------
 # classifier fitting
 # ---------------------------------------------------------------------------

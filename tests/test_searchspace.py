@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import check_gradients, derive_oracle
+from helpers import check_gradients, derive_oracle, mixed_cell_input_oracle, mixed_step_oracle
 
 import mmnas.autodiff as ad
 from mmnas.autodiff import Tape
@@ -185,6 +185,61 @@ def test_mixed_step_gradient():
         },
         tol=1e-5,
     )
+
+
+def _assert_matches_oracle(fused, oracle, params, out_shape):
+    """Same value and same gradient of every leaf, to 1e-12."""
+    weighting = np.linspace(0.2, 1.4, int(np.prod(out_shape))).reshape(out_shape)
+    results = []
+    for fn in (fused, oracle):
+        tape = Tape()
+        leaves = {k: tape.leaf(v, k) for k, v in params.items()}
+        out = fn(leaves)
+        grads = tape.backward(ad.tsum(ad.mul(out, ad.constant(weighting))))
+        results.append((out.data, {k: grads.of(t) for k, t in leaves.items()}))
+    (value, grads), (ref_value, ref_grads) = results
+    np.testing.assert_allclose(value, ref_value, rtol=1e-12, atol=1e-12)
+    for k in params:
+        np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-12, atol=1e-12, err_msg=k)
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 6])
+def test_mixed_cell_input_matches_the_per_candidate_oracle(count):
+    rng = np.random.default_rng(30 + count)
+    for _ in range(5):
+        params = {"alpha": rng.standard_normal(count), **{f"c{i}": rng.standard_normal((5, 4)) for i in range(count)}}
+        cands = [f"c{i}" for i in range(count)]
+        _assert_matches_oracle(
+            lambda lv: mixed_cell_input(lv["alpha"], [lv[c] for c in cands]),
+            lambda lv: mixed_cell_input_oracle(lv["alpha"], [lv[c] for c in cands]),
+            params,
+            (5, 4),
+        )
+
+
+@pytest.mark.parametrize("pool_size", [2, 3, 4])
+def test_mixed_step_matches_the_per_pair_oracle(pool_size):
+    rng = np.random.default_rng(40 + pool_size)
+    hidden = 4
+    prim = _step_params(hidden, seed=pool_size)
+    for _ in range(5):
+        params = {
+            "beta": rng.standard_normal(len(ordered_pairs(pool_size))),
+            "gamma": rng.standard_normal(len(PRIMITIVES)),
+            **{f"pool{p}": rng.standard_normal((5, hidden)) for p in range(pool_size)},
+            **{f"{op}/{k}": v.copy() for op, d in prim.items() for k, v in d.items()},
+        }
+
+        def build(step):
+            def fn(lv):
+                pool = [lv[f"pool{p}"] for p in range(pool_size)]
+                pairs = [(pool[i], pool[j]) for i, j in ordered_pairs(pool_size)]
+                pp = {op: {k: lv[f"{op}/{k}"] for k in prim[op]} for op in PRIMITIVES}
+                return step(lv["beta"], lv["gamma"], pairs, pp, hidden)
+
+            return fn
+
+        _assert_matches_oracle(build(mixed_step), build(mixed_step_oracle), params, (5, hidden))
 
 
 # ---------------------------------------------------------------------------
