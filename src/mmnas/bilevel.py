@@ -8,17 +8,32 @@ first-order alternation. After the phases, a no-update evaluation pass
 over the valid split scores the current architecture, and the best
 (lowest) validation loss snapshots the logits. The returned genotype is
 derived from that best snapshot.
+
+Augmentation reads no model state, so each epoch's augmented view
+batches (train, then valid, then the evaluation pass) come from one
+``view_stream``. When the process may use two or more CPUs, the ``fork``
+start method exists and the process is not itself a daemonic
+multiprocessing worker, a forked worker computes them ahead of training
+and sends them over a pipe; the pipe's buffer holds only a few batches,
+so a full pipe blocks the worker. Otherwise the same batches are computed
+inline. The batches, and so every result, are identical either way.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import itertools
+import multiprocessing
+import os
+import signal
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import NonFiniteError, Tape
-from .contrastive import ContrastiveConfig, ProjectionHead, augment_views, ntxent_loss
+from .contrastive import ContrastiveConfig, ContrastiveError, ProjectionHead, augment_views, ntxent_loss
 from .data import Dataset
 from .optim import Adam, MomentumSGD
 from .searchspace import (
@@ -96,6 +111,95 @@ def stack_view_features(ds: Dataset, idx, ccfg: ContrastiveConfig, rng: np.rando
     return image + text
 
 
+def _view_batches(sections, batch_size: int, ccfg: ContrastiveConfig):
+    """Two-view features of every batch of every section, in training order.
+
+    A section is ``(ds, shuffle_rng, augment_rng)``: its batches are
+    ``batch_indices(len(ds), batch_size, shuffle_rng)``, each augmented by
+    ``stack_view_features`` with ``augment_rng``. The two may be one rng.
+    """
+    for ds, shuffle_rng, augment_rng in sections:
+        for idx in batch_indices(len(ds), batch_size, shuffle_rng):
+            yield stack_view_features(ds, idx, ccfg, augment_rng)
+
+
+def _serve(batches, conn) -> None:
+    """Worker body: send each batch, then None; an error is sent in its place."""
+    gc.freeze()  # never collect (so never copy) the objects inherited from the parent
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and ends this worker
+    with contextlib.suppress(BrokenPipeError):  # the parent stopped reading
+        try:
+            for feats in batches:
+                conn.send(feats)
+        except Exception as e:
+            conn.send(e)
+        else:
+            conn.send(None)
+
+
+def _received(conn, worker):
+    """Reader side of the pipe: yield each batch, raise the worker's error."""
+    while True:
+        try:
+            msg = conn.recv()
+        except EOFError:
+            worker.join()
+            raise RuntimeError(
+                f"augmentation worker exited with code {worker.exitcode} before its last batch"
+            ) from None
+        if msg is None:
+            return
+        if isinstance(msg, BaseException):
+            raise msg
+        yield msg
+
+
+def _worker_allowed() -> bool:
+    """Two or more usable CPUs, the fork start method, and a process that may fork one."""
+    return (
+        hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and "fork" in multiprocessing.get_all_start_methods()
+        and not multiprocessing.current_process().daemon  # multiprocessing forbids it
+    )
+
+
+@contextlib.contextmanager
+def view_stream(sections, batch_size: int, ccfg: ContrastiveConfig):
+    """Iterator over the two-view features of every batch of ``sections``.
+
+    Sections are as in ``_view_batches``. Where ``_worker_allowed``, a
+    forked worker computes the batches and sends them over a pipe, at most
+    a few batches ahead of the reader (a full pipe blocks it); it makes no
+    BLAS call. Otherwise each batch is computed inline when asked for.
+    Both give the same bytes in the same order. An error raised while
+    computing a batch is raised by the iterator at that batch, with its
+    type and message. Leaving the block ends the worker.
+    """
+    batches = _view_batches(sections, batch_size, ccfg)
+    if not _worker_allowed():
+        with contextlib.closing(batches):
+            yield batches
+        return
+    ctx = multiprocessing.get_context("fork")
+    conn, child_conn = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_serve, args=(batches, child_conn), name="mmnas-views", daemon=True)
+    worker.start()
+    child_conn.close()
+    try:
+        yield _received(conn, worker)
+    finally:
+        conn.close()
+        worker.terminate()  # a no-op once the worker has sent its last batch and exited
+        worker.join()
+        worker.close()
+
+
+def loss_failure(e: Exception) -> str:
+    """How a batch's forward pass failed, for the stage error that wraps ``e``."""
+    return "non-finite loss" if isinstance(e, NonFiniteError) else "contrastive loss failed"
+
+
 def _check_compatible(space: SearchSpaceConfig, ds: Dataset) -> None:
     if tuple(space.modality_names) != ("image", "text"):
         raise SearchError("dataset pipeline expects modalities ('image', 'text')")
@@ -134,51 +238,60 @@ def search_epoch(
             report(rec)
 
     epoch = state.epoch + 1
-    for phase_idx, (phase, ds) in enumerate((("train", train), ("valid", valid))):
-        rng_shuffle = seeded_rng(scfg.seed, TAG_SHUFFLE, state.epoch, phase_idx)
-        rng_aug = seeded_rng(scfg.seed, TAG_AUGMENT, state.epoch, phase_idx)
-        batches = batch_indices(len(ds), scfg.batch_size, rng_shuffle)
-        if not batches:
-            raise SearchError(f"{phase} split too small for one batch (needs >= 2 samples)")
-        losses = []
-        t0 = time.perf_counter()
-        for bi, idx in enumerate(batches):
-            feats = stack_view_features(ds, idx, ccfg, rng_aug)
-            tape = Tape()
-            try:
-                w_leaves = {k: tape.leaf(v, k) for k, v in state.weights.items()}
-                a_leaves = {k: tape.leaf(v, k) for k, v in state.arch.named().items()}
-                loss = contrastive_batch_loss(encoder, head, w_leaves, a_leaves, feats, ccfg.temperature)
-            except NonFiniteError as e:
-                raise SearchError(
-                    f"non-finite loss at epoch {epoch} phase {phase} batch {bi}: {e}"
-                ) from e
-            grads = tape.backward(loss)
-            if phase == "train":
-                opt_w.step(state.weights, {k: grads.of(t) for k, t in w_leaves.items()})
-            else:
-                named = state.arch.named()
-                opt_arch.step(named, {k: grads.of(a_leaves[k]) for k in named})
-            losses.append(float(loss.data))
-        emit(
-            {
-                "epoch": epoch,
-                "phase": phase,
-                "mean_loss": float(np.mean(losses)),
-                "lr": scfg.lr_weights if phase == "train" else scfg.lr_arch,
-                "wallclock_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-                "best_so_far": None if np.isinf(state.best_valid_loss) else state.best_valid_loss,
-            }
-        )
+    phases = (("train", train), ("valid", valid))
+    sections = [
+        (ds, *(seeded_rng(scfg.seed, tag, state.epoch, i) for tag in (TAG_SHUFFLE, TAG_AUGMENT)))
+        for i, (_, ds) in enumerate(phases)
+    ]
+    # checkpoint pass: the valid split in order, with its own augmentation stream
+    sections.append((valid, None, seeded_rng(scfg.seed, TAG_AUGMENT, state.epoch, 2)))
+    with view_stream(sections, scfg.batch_size, ccfg) as views:
+        for phase, ds in phases:
+            # the batch count does not depend on the shuffle
+            n_batches = len(batch_indices(len(ds), scfg.batch_size))
+            if not n_batches:
+                raise SearchError(f"{phase} split too small for one batch (needs >= 2 samples)")
+            losses = []
+            t0 = time.perf_counter()
+            for bi, feats in enumerate(itertools.islice(views, n_batches)):
+                tape = Tape()
+                try:
+                    w_leaves = {k: tape.leaf(v, k) for k, v in state.weights.items()}
+                    a_leaves = {k: tape.leaf(v, k) for k, v in state.arch.named().items()}
+                    loss = contrastive_batch_loss(encoder, head, w_leaves, a_leaves, feats, ccfg.temperature)
+                except (NonFiniteError, ContrastiveError) as e:
+                    raise SearchError(
+                        f"{loss_failure(e)} at epoch {epoch} phase {phase} batch {bi}: {e}"
+                    ) from e
+                grads = tape.backward(loss)
+                if phase == "train":
+                    opt_w.step(state.weights, {k: grads.of(t) for k, t in w_leaves.items()})
+                else:
+                    named = state.arch.named()
+                    opt_arch.step(named, {k: grads.of(a_leaves[k]) for k in named})
+                losses.append(float(loss.data))
+            emit(
+                {
+                    "epoch": epoch,
+                    "phase": phase,
+                    "mean_loss": float(np.mean(losses)),
+                    "lr": scfg.lr_weights if phase == "train" else scfg.lr_arch,
+                    "wallclock_ms": round(1000.0 * (time.perf_counter() - t0), 3),
+                    "best_so_far": None if np.isinf(state.best_valid_loss) else state.best_valid_loss,
+                }
+            )
 
-    # checkpoint pass: score the post-update architecture, no updates
-    rng_aug = seeded_rng(scfg.seed, TAG_AUGMENT, state.epoch, 2)
-    t0 = time.perf_counter()
-    losses = []
-    for idx in batch_indices(len(valid), scfg.batch_size):
-        feats = stack_view_features(valid, idx, ccfg, rng_aug)
-        loss = contrastive_batch_loss(encoder, head, state.weights, state.arch.named(), feats, ccfg.temperature)
-        losses.append(float(loss.data))
+        # checkpoint pass: score the post-update architecture, no updates
+        t0 = time.perf_counter()
+        losses = []
+        for bi, feats in enumerate(views):
+            try:
+                loss = contrastive_batch_loss(
+                    encoder, head, state.weights, state.arch.named(), feats, ccfg.temperature
+                )
+            except (NonFiniteError, ContrastiveError) as e:
+                raise SearchError(f"{loss_failure(e)} at epoch {epoch} phase eval batch {bi}: {e}") from e
+            losses.append(float(loss.data))
     eval_loss = float(np.mean(losses))
     if eval_loss < state.best_valid_loss:
         state.best_valid_loss = eval_loss

@@ -6,6 +6,11 @@ drops the projection head, adds a linear classification layer and fits it
 on the scarce labeled split (encoder frozen by default). Evaluation
 reports the support-weighted F1 over the held-out test split.
 
+Pretraining takes the augmented view batches of all its epochs from one
+``bilevel.view_stream``: a forked worker computes them ahead of training
+when the process may use two or more CPUs, and they are computed inline
+otherwise, with identical results.
+
 The classification loss is per-label sigmoid binary cross entropy (the
 benchmark is multilabel); a mutually exclusive softmax cross entropy mode
 exists behind ``classifier_loss="softmax_ce"`` for single-label data.
@@ -14,6 +19,7 @@ Prediction threshold is fixed at 0.5.
 
 from __future__ import annotations
 
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -26,11 +32,12 @@ from .bilevel import (
     SearchConfig,
     batch_indices,
     contrastive_batch_loss,
+    loss_failure,
     run_search,
-    stack_view_features,
+    view_stream,
 )
 from .checkpoint import save_weights
-from .contrastive import ContrastiveConfig, ProjectionHead
+from .contrastive import ContrastiveConfig, ContrastiveError, ProjectionHead
 from .data import Dataset, SplitSet, split
 from .optim import Adam, MomentumSGD
 from .searchspace import Genotype, SearchSpaceConfig, instantiate
@@ -136,35 +143,37 @@ def pretrain(
         raise PipelineError(f"pretraining split too small for one batch: {len(train)} samples")
     opt = MomentumSGD(lr, momentum)
     epoch_losses = []
-    for epoch in range(epochs):
-        rng_ep = seeded_rng(seed, TAG_PRETRAIN_EPOCH, epoch)
-        losses = []
-        t0 = time.perf_counter()
-        for bi, idx in enumerate(batch_indices(len(train), batch_size, rng_ep)):
-            feats = stack_view_features(train, idx, ccfg, rng_ep)
-            tape = Tape()
-            try:
-                leaves = {k: tape.leaf(v, k) for k, v in weights.items()}
-                loss = contrastive_batch_loss(encoder, head, leaves, None, feats, ccfg.temperature)
-            except NonFiniteError as e:
-                raise PipelineError(
-                    f"pretrain: non-finite loss at epoch {epoch + 1} batch {bi}: {e}"
-                ) from e
-            grads = tape.backward(loss)
-            opt.step(weights, {k: grads.of(t) for k, t in leaves.items()})
-            losses.append(float(loss.data))
-        epoch_losses.append(float(np.mean(losses)))
-        if report is not None:
-            report(
-                {
-                    "epoch": epoch + 1,
-                    "phase": "pretrain",
-                    "mean_loss": epoch_losses[-1],
-                    "lr": lr,
-                    "wallclock_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-                    "best_so_far": min(epoch_losses),
-                }
-            )
+    # each epoch's rng shuffles its batches, then augments them
+    rngs = [seeded_rng(seed, TAG_PRETRAIN_EPOCH, epoch) for epoch in range(epochs)]
+    n_batches = len(batch_indices(len(train), batch_size))  # the same for every shuffle
+    with view_stream([(train, rng, rng) for rng in rngs], batch_size, ccfg) as views:
+        for epoch in range(epochs):
+            losses = []
+            t0 = time.perf_counter()
+            for bi, feats in enumerate(itertools.islice(views, n_batches)):
+                tape = Tape()
+                try:
+                    leaves = {k: tape.leaf(v, k) for k, v in weights.items()}
+                    loss = contrastive_batch_loss(encoder, head, leaves, None, feats, ccfg.temperature)
+                except (NonFiniteError, ContrastiveError) as e:
+                    raise PipelineError(
+                        f"pretrain: {loss_failure(e)} at epoch {epoch + 1} batch {bi}: {e}"
+                    ) from e
+                grads = tape.backward(loss)
+                opt.step(weights, {k: grads.of(t) for k, t in leaves.items()})
+                losses.append(float(loss.data))
+            epoch_losses.append(float(np.mean(losses)))
+            if report is not None:
+                report(
+                    {
+                        "epoch": epoch + 1,
+                        "phase": "pretrain",
+                        "mean_loss": epoch_losses[-1],
+                        "lr": lr,
+                        "wallclock_ms": round(1000.0 * (time.perf_counter() - t0), 3),
+                        "best_so_far": min(epoch_losses),
+                    }
+                )
     if len(epoch_losses) > 1 and epoch_losses[-1] >= epoch_losses[0]:
         warnings.warn(
             f"contrastive pretraining loss did not decrease "

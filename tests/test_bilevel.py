@@ -15,12 +15,13 @@ from mmnas.bilevel import (
     search_epoch,
     stack_view_features,
 )
-from mmnas.contrastive import ContrastiveConfig, ProjectionHead
+from mmnas.contrastive import ContrastiveConfig, ContrastiveError, ProjectionHead
 from mmnas.data import SyntheticSpec, generate, split
 from mmnas.optim import Adam, MomentumSGD
 from mmnas.searchspace import CellGene, Genotype, MixedFusionEncoder, SearchSpaceConfig
 
 CCFG = ContrastiveConfig()
+NTXENT_LOSS = bilevel.ntxent_loss
 
 
 def _setup(n=80, seed=0, hidden=6):
@@ -153,6 +154,24 @@ def test_diverged_weights_raise_search_error_with_their_position():
         with pytest.raises(SearchError, match=r"non-finite loss at epoch 1 phase train batch 1: ") as info:
             run_search(SearchConfig(max_epochs=1, batch_size=8, lr_weights=1e300), space, CCFG, train, valid)
     assert isinstance(info.value.__cause__, FloatingPointError)
+
+
+# one epoch on _setup(): 7 train, 2 valid and 2 eval batches, one loss call each
+@pytest.mark.parametrize("failing_call, where", [(3, "phase train batch 2"), (11, "phase eval batch 1")])
+def test_contrastive_errors_raise_search_error_with_their_position(monkeypatch, failing_call, where):
+    train, valid, space = _setup()
+    calls = []
+
+    def ntxent_loss(z, temperature):
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise ContrastiveError("zero-norm projection row: cosine similarity undefined")
+        return NTXENT_LOSS(z, temperature)
+
+    monkeypatch.setattr(bilevel, "ntxent_loss", ntxent_loss)
+    with pytest.raises(SearchError, match=rf"^contrastive loss failed at epoch 1 {where}: zero-norm") as info:
+        run_search(SearchConfig(max_epochs=1, batch_size=8), space, CCFG, train, valid)
+    assert isinstance(info.value.__cause__, ContrastiveError)
 
 
 def test_report_records_carry_required_fields():

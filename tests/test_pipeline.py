@@ -4,7 +4,7 @@ import pytest
 from helpers import check_gradients, weighted_f1_oracle
 
 import mmnas.autodiff as ad
-from mmnas.contrastive import ContrastiveConfig, ProjectionHead
+from mmnas.contrastive import ContrastiveConfig, ContrastiveError, ProjectionHead
 from mmnas.data import Dataset, SyntheticSpec, generate, split
 from mmnas.bilevel import SearchConfig
 from mmnas.pipeline import (
@@ -113,6 +113,24 @@ def test_pretrain_wraps_non_finite_loss_with_its_position():
         with pytest.raises(PipelineError, match=r"pretrain: non-finite loss at epoch 1 batch 1: ") as info:
             pretrain(genotype, space, CCFG, ds, epochs=2, lr=1e300, seed=6)
     assert isinstance(info.value.__cause__, ad.NonFiniteError)
+
+
+def test_pretrain_positions_a_zero_norm_projection():
+    # the probe setting below, at seed 14: with every bias still zero, every
+    # ReLU unit of the ConcatFC step dies for one view of the first batch,
+    # so its encoder output and projection are zero rows
+    ds = _dataset(n=200, seed=15)
+    space = _space(ds, hidden=8)
+    genotype = Genotype(
+        cells=(CellGene(inputs=("image:0", "text:1"), steps=(StepGene(pair=("image:0", "text:1"), op="ConcatFC"),)),),
+        config_hash=space.hash(),
+    )
+    splits = split(ds, 0.3, seed=0)
+    with pytest.raises(
+        PipelineError, match=r"^pretrain: contrastive loss failed at epoch 1 batch 0: zero-norm projection row"
+    ) as info:
+        pretrain(genotype, space, CCFG, splits.search_train, epochs=4, lr=0.05, batch_size=16, seed=14)
+    assert isinstance(info.value.__cause__, ContrastiveError)
 
 
 # ---------------------------------------------------------------------------
