@@ -26,8 +26,10 @@ import gc
 import itertools
 import multiprocessing
 import os
+import pickle
 import signal
 import time
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,8 +125,27 @@ def _view_batches(sections, batch_size: int, ccfg: ContrastiveConfig):
             yield stack_view_features(ds, idx, ccfg, augment_rng)
 
 
-def _serve(batches, conn) -> None:
-    """Worker body: send each batch, then None; an error is sent in its place."""
+class _RemoteTraceback(Exception):
+    """The worker-side traceback of an error, attached as its ``__cause__``."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _sendable(e: Exception) -> Exception:
+    """``e`` if it survives a pickle round trip, else a RuntimeError naming it."""
+    try:
+        pickle.loads(pickle.dumps(e))
+    except Exception:
+        return RuntimeError(f"augmentation worker raised an error that cannot be sent: {e!r}")
+    return e
+
+
+def _serve(batches, reader, conn) -> None:
+    """Worker body: send each batch, then None; an error and its traceback in its place."""
+    # the parent must be the pipe's only reader, so that a parent that dies
+    # without ending this worker turns its next write into a BrokenPipeError
+    reader.close()
     gc.freeze()  # never collect (so never copy) the objects inherited from the parent
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and ends this worker
     with contextlib.suppress(BrokenPipeError):  # the parent stopped reading
@@ -132,13 +153,13 @@ def _serve(batches, conn) -> None:
             for feats in batches:
                 conn.send(feats)
         except Exception as e:
-            conn.send(e)
+            conn.send((_sendable(e), traceback.format_exc()))
         else:
             conn.send(None)
 
 
 def _received(conn, worker):
-    """Reader side of the pipe: yield each batch, raise the worker's error."""
+    """Reader side of the pipe: yield each batch (a list), raise the worker's error (a tuple)."""
     while True:
         try:
             msg = conn.recv()
@@ -149,13 +170,18 @@ def _received(conn, worker):
             ) from None
         if msg is None:
             return
-        if isinstance(msg, BaseException):
-            raise msg
+        if isinstance(msg, tuple):
+            error, tb = msg
+            raise error from _RemoteTraceback(tb)
         yield msg
 
 
 def _worker_allowed() -> bool:
-    """Two or more usable CPUs, the fork start method, and a process that may fork one."""
+    """Two or more usable CPUs, the fork start method, and a process that may fork one.
+
+    Usable, not free: a worker without a CPU of its own slows the stage
+    down (README, "Determinism").
+    """
     return (
         hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
@@ -174,7 +200,10 @@ def view_stream(sections, batch_size: int, ccfg: ContrastiveConfig):
     BLAS call. Otherwise each batch is computed inline when asked for.
     Both give the same bytes in the same order. An error raised while
     computing a batch is raised by the iterator at that batch, with its
-    type and message. Leaving the block ends the worker.
+    type and message; from the worker it comes with the worker's traceback
+    as its ``__cause__`` (one that cannot be pickled arrives as a
+    ``RuntimeError`` naming it). Leaving the block ends the worker, and a
+    worker whose parent dies ends at its next write to the pipe.
     """
     batches = _view_batches(sections, batch_size, ccfg)
     if not _worker_allowed():
@@ -183,7 +212,7 @@ def view_stream(sections, batch_size: int, ccfg: ContrastiveConfig):
         return
     ctx = multiprocessing.get_context("fork")
     conn, child_conn = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_serve, args=(batches, child_conn), name="mmnas-views", daemon=True)
+    worker = ctx.Process(target=_serve, args=(batches, conn, child_conn), name="mmnas-views", daemon=True)
     worker.start()
     child_conn.close()
     try:

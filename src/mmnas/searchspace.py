@@ -357,12 +357,6 @@ def mixed_cell_input(alpha: Tensor, candidates: list) -> Tensor:
     return ad.mix(ad.softmax(alpha, axis=0), candidates)
 
 
-# the primitives whose output the gamma mixture sums, and the constant
-# scatter that picks their weights out of softmax(gamma)
-_LIVE_PRIMITIVES = tuple(op for op in PRIMITIVES if op != "Zero")
-_LIVE_SCATTER = np.eye(len(PRIMITIVES))[[PRIMITIVES.index(op) for op in _LIVE_PRIMITIVES]]
-
-
 def mixed_step(beta: Tensor, gamma: Tensor, pair_candidates: list, prim_params: dict, hidden: int) -> Tensor:
     """Beta-mixture per input slot, then gamma-mixture over primitives.
 
@@ -377,9 +371,6 @@ def mixed_step(beta: Tensor, gamma: Tensor, pair_candidates: list, prim_params: 
     and likewise in1 with pair_j[1]. The pool is recovered from the pairs
     by identity, in first-seen order, and each slot is one ``mix`` with a
     0/1 scatter matrix S[p, j] = 1 iff pair j holds pool_p in that slot.
-    The gamma mixture leaves out ``Zero``, whose term is exactly zero: it
-    mixes the other primitives through a constant selection scatter, so
-    ``Zero``'s weight still takes part in the softmax.
     """
     if beta.data.ndim != 1 or len(pair_candidates) != beta.data.shape[0]:
         raise SpaceError("beta length does not match pair candidate count")
@@ -398,8 +389,8 @@ def mixed_step(beta: Tensor, gamma: Tensor, pair_candidates: list, prim_params: 
     wb = ad.softmax(beta, axis=0)
     in0 = ad.mix(wb, pool, scatter[0])
     in1 = ad.mix(wb, pool, scatter[1])
-    outs = [apply_primitive(op, in0, in1, prim_params.get(op, {}), hidden) for op in _LIVE_PRIMITIVES]
-    return ad.mix(ad.softmax(gamma, axis=0), outs, _LIVE_SCATTER)
+    outs = [apply_primitive(op, in0, in1, prim_params.get(op, {}), hidden) for op in PRIMITIVES]
+    return ad.mix(ad.softmax(gamma, axis=0), outs)
 
 
 def _linear_init(rng: np.random.Generator, shape: tuple) -> np.ndarray:

@@ -1,40 +1,17 @@
 """Suite-wide checks shared by every test module."""
 
 import multiprocessing
-import os
-from pathlib import Path
 
 import pytest
-
-
-def _live_children() -> list:
-    """Pids of this process's children that are still running (zombies excluded)."""
-    proc = Path("/proc")
-    if not proc.is_dir():
-        return [p.pid for p in multiprocessing.active_children()]
-    me, pids = os.getpid(), []
-    for entry in proc.iterdir():
-        if not entry.name.isdigit():
-            continue
-        try:
-            stat = (entry / "stat").read_text()
-        except OSError:  # the process ended while we looked
-            continue
-        # "pid (comm) state ppid ...": comm may hold spaces and parentheses
-        state, ppid = stat[stat.rindex(")") + 2 :].split()[:2]
-        if int(ppid) == me and state != "Z":
-            pids.append(int(entry.name))
-    return pids
 
 
 @pytest.fixture(autouse=True)
 def no_child_process_outlives_its_test():
     """Fail a test that leaves a child process running, e.g. an augmentation worker."""
     yield
-    multiprocessing.active_children()  # reaps finished multiprocessing children
-    left = _live_children()
+    left = multiprocessing.active_children()  # also reaps the finished ones
+    for child in left:
+        child.terminate()
+        child.join()
     if left:
-        for child in multiprocessing.active_children():
-            child.terminate()
-            child.join()
-        pytest.fail(f"test left live child processes: {left}")
+        pytest.fail(f"test left live child processes: {[child.pid for child in left]}")

@@ -2,13 +2,19 @@
 
 Each test runs a tiny ``pretrain`` (3 epochs of 5 batches) or one
 ``search_epoch`` (7 train, 2 valid and 2 eval batches) with the forked
-worker forced (the affinity probe reports two CPUs) and with the inline
-path forced (one CPU).
+worker forced (the affinity probe reports two CPUs), most also with the
+inline path forced (one CPU).
 """
 
 import gc
 import multiprocessing
 import os
+import select
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -135,7 +141,36 @@ def test_an_augmentation_error_surfaces_at_its_batch(stage, mode, monkeypatch):
     assert type(info.value) is ContrastiveError
     assert str(info.value) == f"injected at batch {k}"
     assert len(seen) == k
+    if mode == "worker":  # the worker's traceback comes along as the cause
+        assert "in failing" in str(info.value.__cause__)
     assert multiprocessing.active_children() == []
+
+
+class NeedsTwoArgs(Exception):
+    """Pickles, but cannot be rebuilt from its args."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+class HoldsALambda(Exception):
+    """Cannot be pickled at all."""
+
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.fn = lambda: None
+
+
+@pytest.mark.parametrize("error", [lambda: NeedsTwoArgs(1, 2), HoldsALambda], ids=["unrebuildable", "unpicklable"])
+def test_an_error_that_cannot_be_sent_still_surfaces(error, monkeypatch):
+    def failing(ds, idx, ccfg, rng):
+        raise error()
+
+    monkeypatch.setattr(bilevel, "stack_view_features", failing)
+    with pytest.raises(RuntimeError, match="augmentation worker raised an error that cannot be sent: ") as info:
+        _run("pretrain", "worker", monkeypatch, [])
+    assert type(error()).__name__ in str(info.value)
+    assert "in failing" in str(info.value.__cause__)
 
 
 @pytest.mark.parametrize("mode", CPUS)
@@ -151,6 +186,25 @@ def test_a_training_error_ends_the_stream(stage, mode, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("stage", STAGES)
+def test_a_training_error_ends_a_busy_worker(stage, monkeypatch):
+    # the worker is still augmenting batch 2 when batch 1's loss fails
+    calls = []
+
+    def slow(ds, idx, ccfg, rng):
+        calls.append(1)
+        if len(calls) == 3:
+            time.sleep(60)
+        return STACK_VIEW_FEATURES(ds, idx, ccfg, rng)
+
+    monkeypatch.setattr(bilevel, "stack_view_features", slow)
+    _, _, error = STAGES[stage]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(error, match="non-finite loss at epoch 1 .*batch 1: "):
+            _run(stage, "worker", monkeypatch, [], lr=1e300)
+    assert multiprocessing.active_children() == []
+
+
 def test_a_daemonic_process_augments_inline(monkeypatch, tmp_path):
     # multiprocessing does not let a daemonic process start children
     monkeypatch.setattr(multiprocessing, "current_process", lambda: SimpleNamespace(daemon=True))
@@ -158,3 +212,50 @@ def test_a_daemonic_process_augments_inline(monkeypatch, tmp_path):
     _log_pids(monkeypatch, log)
     _run("pretrain", "worker", monkeypatch, [])
     assert set(log.read_text().split()) == {str(os.getpid())}
+
+
+KILLED_PARENT = """
+import multiprocessing, os, time
+import mmnas.pipeline as pipeline
+from test_view_stream import _pretrain
+
+os.sched_getaffinity = lambda pid: {0, 1}
+
+def stalled(*args):
+    # the worker fills the pipe while this process waits to be killed
+    print(multiprocessing.active_children()[0].pid, flush=True)
+    time.sleep(600)
+
+pipeline.contrastive_batch_loss = stalled
+_pretrain()
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"  # a zombie has exited
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_the_worker_ends_when_its_parent_is_killed():
+    # pretrain's 15 batches outgrow the pipe's buffer, so the worker soon
+    # blocks on a write; once the parent is killed that write must fail
+    path = [str(Path(pipeline.__file__).parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen([sys.executable, "-c", KILLED_PARENT], stdout=subprocess.PIPE, env=env, text=True)
+    try:
+        assert select.select([proc.stdout], [], [], 60)[0], "the stalled pretrain printed no worker pid"
+        worker = int(proc.stdout.readline())
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+    deadline = time.monotonic() + 30
+    while _running(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if _running(worker):
+        os.kill(worker, signal.SIGKILL)
+        pytest.fail(f"augmentation worker {worker} outlived its killed parent")
