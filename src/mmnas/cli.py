@@ -75,11 +75,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_dataset(args, cfg: RunConfig):
-    if getattr(args, "data", None):
-        return dataio.load(
-            args.data, text_len=cfg.data.text_len, vocab_size=cfg.data.vocab_size
-        )
+def _load_dataset(data_path, cfg: RunConfig):
+    """The MMNF file at ``data_path``, or the config's synthetic dataset."""
+    if data_path:
+        return dataio.load(data_path, text_len=cfg.data.text_len, vocab_size=cfg.data.vocab_size)
     return dataio.generate(cfg.data)
 
 
@@ -108,7 +107,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_audit_data(args) -> int:
     cfg = _load_config(args)
-    ds = _load_dataset(args, cfg)
+    ds = _load_dataset(args.data, cfg)
     report = dataio.audit(ds, cfg.data)
     print(json.dumps(report, sort_keys=True, indent=2))
     if not report["planted_dominates"]:
@@ -127,7 +126,7 @@ def cmd_search(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     marker = _run_guard(out)
-    ds = _load_dataset(args, cfg)
+    ds = _load_dataset(args.data, cfg)
     space = cfg.space_config(ds.image_dims, ds.text_dims)
     splits = dataio.split(ds, cfg.pipeline.labeled_ratio, cfg.seed)
     reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)
@@ -158,7 +157,7 @@ def cmd_pretrain(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     marker = _run_guard(out)
-    ds = _load_dataset(args, cfg)
+    ds = _load_dataset(args.data, cfg)
     space = cfg.space_config(ds.image_dims, ds.text_dims)
     genotype = _genotype_from_file(args.genotype, space)
     splits = dataio.split(ds, cfg.pipeline.labeled_ratio, cfg.seed)
@@ -186,7 +185,7 @@ def cmd_fit(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     marker = _run_guard(out)
-    ds = _load_dataset(args, cfg)
+    ds = _load_dataset(args.data, cfg)
     space = cfg.space_config(ds.image_dims, ds.text_dims)
     genotype = _genotype_from_file(args.genotype, space)
     encoder = instantiate(genotype, space)
@@ -223,7 +222,7 @@ def cmd_eval(args) -> int:
     else:
         if not (args.genotype and args.weights):
             raise CliError("eval needs --predictions, or --genotype and --weights")
-        ds = _load_dataset(args, cfg)
+        ds = _load_dataset(args.data, cfg)
         space = cfg.space_config(ds.image_dims, ds.text_dims)
         genotype = _genotype_from_file(args.genotype, space)
         encoder = instantiate(genotype, space)
@@ -250,11 +249,7 @@ def cmd_eval(args) -> int:
 
 
 def _run_all_once(cfg: RunConfig, out: Path, genotype_path=None, weights_path=None, data_path=None):
-    ds = (
-        dataio.load(data_path, text_len=cfg.data.text_len, vocab_size=cfg.data.vocab_size)
-        if data_path
-        else dataio.generate(cfg.data)
-    )
+    ds = _load_dataset(data_path, cfg)
     space = cfg.space_config(ds.image_dims, ds.text_dims)
     genotype = _genotype_from_file(genotype_path, space) if genotype_path else None
     pretrained = load_weights(weights_path) if weights_path else None

@@ -47,6 +47,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .util import init_linear
 
 
 class ContrastiveError(ValueError):
@@ -255,10 +256,7 @@ class ProjectionHead:
         }
 
     def init_weights(self, rng: np.random.Generator) -> dict:
-        out = {}
-        for name, shape in self.weight_shapes().items():
-            out[name] = np.zeros(shape) if len(shape) == 1 else rng.standard_normal(shape) / np.sqrt(shape[0])
-        return out
+        return init_linear(rng, self.weight_shapes())
 
     def forward(self, weights: dict, h: Tensor) -> Tensor:
         if h.data.ndim != 2 or h.shape[1] != self.in_dim:

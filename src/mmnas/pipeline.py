@@ -417,10 +417,7 @@ def run_pipeline(
             save_weights(out / "encoder.mmnw", pretrained)
     elif pretrained is None:
         # sanctioned baseline: stage 2 skipped without weights = random encoder
-        rng = seeded_rng(seed, TAG_PRETRAIN_INIT)
-        head = ProjectionHead(space.hidden_dim, ccfg.proj_hidden_dim, ccfg.proj_dim)
-        pretrained = encoder.init_weights(rng)
-        pretrained.update(head.init_weights(rng))
+        pretrained = pretrain(genotype, space, ccfg, splits.search_train, epochs=0, lr=pcfg.pretrain_lr, seed=seed)
 
     artifacts = {"genotype": genotype, "encoder_weights": pretrained}
 

@@ -14,6 +14,11 @@ network is differentiable in (alpha, beta, gamma) and in the operator
 weights. ``derive_genotype`` discretizes the logits into a ``Genotype``,
 and ``instantiate`` builds the pruned network with fresh weights.
 
+Both encoders build on ``_FusionEncoder``: weight shapes and init, source
+projections, step weights and cell outputs. ``MixedFusionEncoder`` selects
+every source and primitive and wires them through softmax mixtures;
+``DerivedFusionEncoder`` selects what its genotype names.
+
 Primitive operators (two ``batch x hidden`` inputs -> one ``batch x hidden``
 output):
 
@@ -39,7 +44,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .util import canonical_json, short_hash
+from .util import canonical_json, init_linear, short_hash
 
 PRIMITIVES = ("Sum", "ScaledDotAttention", "LinearGLU", "ConcatFC", "Zero")
 
@@ -393,52 +398,88 @@ def mixed_step(beta: Tensor, gamma: Tensor, pair_candidates: list, prim_params: 
     return ad.mix(ad.softmax(gamma, axis=0), outs)
 
 
-def _linear_init(rng: np.random.Generator, shape: tuple) -> np.ndarray:
-    if len(shape) == 1:
-        return np.zeros(shape)
-    return rng.standard_normal(shape) / np.sqrt(shape[0])
+class _FusionEncoder:
+    """The builders both encoders share; a subclass says only what it selects.
+
+    ``sources`` are the backbone sources that get a projection, in
+    canonical order; ``cell_ops[c][s]`` names the primitives whose weights
+    step s of cell c holds. Weight names run projections first, then per
+    cell each step's primitive weights and the cell-output layer, and
+    ``init_weights`` draws in that order.
+    """
+
+    def __init__(self, config: SearchSpaceConfig, sources: list, cell_ops: list):
+        self.config = config
+        self.sources = sources
+        self.cell_ops = cell_ops
+
+    def weight_shapes(self) -> dict:
+        cfg = self.config
+        h = cfg.hidden_dim
+        shapes = {}
+        for src in self.sources:
+            shapes[f"proj/{src}/W"] = (cfg.source_dim(src), h)
+            shapes[f"proj/{src}/b"] = (h,)
+        for c, step_ops in enumerate(self.cell_ops):
+            for s, ops in enumerate(step_ops):
+                for op in ops:
+                    for pname, pshape in primitive_param_shapes(op, h).items():
+                        shapes[f"cell{c}/step{s}/{op}/{pname}"] = pshape
+            shapes[f"cell{c}/out/W"] = (len(step_ops) * h, h)
+            shapes[f"cell{c}/out/b"] = (h,)
+        return shapes
+
+    def init_weights(self, rng: np.random.Generator) -> dict:
+        return init_linear(rng, self.weight_shapes())
+
+    def _project(self, weights: dict, features) -> dict:
+        """Source name -> projected tensor; ``features`` is a list aligned
+        with ``config.sources()`` or a source -> array map (extras ignored)."""
+        if isinstance(features, (list, tuple)):
+            srcs = self.config.sources()
+            if len(features) != len(srcs):
+                raise SpaceError(f"expected {len(srcs)} feature arrays, got {len(features)}")
+            features = dict(zip(srcs, features))
+        projected = {}
+        for src in self.sources:
+            if src not in features:
+                raise SpaceError(f"missing features for source {src!r}")
+            projected[src] = ad.add(
+                ad.matmul(ad.constant(features[src]), weights[f"proj/{src}/W"]), weights[f"proj/{src}/b"]
+            )
+        return projected
+
+    def _step_params(self, weights: dict, c: int, s: int) -> dict:
+        """Primitive name -> {param name -> weight} for step s of cell c."""
+        return {
+            op: {
+                pname: weights[f"cell{c}/step{s}/{op}/{pname}"]
+                for pname in primitive_param_shapes(op, self.config.hidden_dim)
+            }
+            for op in self.cell_ops[c][s]
+        }
+
+    def _cell_output(self, weights: dict, c: int, step_outs: list) -> Tensor:
+        merged = ad.concat(step_outs, axis=1) if len(step_outs) > 1 else step_outs[0]
+        return ad.add(ad.matmul(merged, weights[f"cell{c}/out/W"]), weights[f"cell{c}/out/b"])
 
 
-class MixedFusionEncoder:
+class MixedFusionEncoder(_FusionEncoder):
     """The search-phase encoder: projections + softmax-mixed fusion cells.
 
+    Every source is projected and every step holds every primitive.
     ``forward`` consumes one raw feature array per backbone source (aligned
     with ``config.sources()``) and returns the fused representation
     (batch x hidden_dim), the output of the last cell.
     """
 
     def __init__(self, config: SearchSpaceConfig):
-        self.config = config
-
-    def weight_shapes(self) -> dict:
-        cfg = self.config
-        h = cfg.hidden_dim
-        shapes = {}
-        for src in cfg.sources():
-            shapes[f"proj/{src}/W"] = (cfg.source_dim(src), h)
-            shapes[f"proj/{src}/b"] = (h,)
-        for c in range(cfg.num_cells):
-            for s in range(cfg.steps_per_cell):
-                for op in PRIMITIVES:
-                    for pname, pshape in primitive_param_shapes(op, h).items():
-                        shapes[f"cell{c}/step{s}/{op}/{pname}"] = pshape
-            shapes[f"cell{c}/out/W"] = (cfg.steps_per_cell * h, h)
-            shapes[f"cell{c}/out/b"] = (h,)
-        return shapes
-
-    def init_weights(self, rng: np.random.Generator) -> dict:
-        return {name: _linear_init(rng, shape) for name, shape in self.weight_shapes().items()}
+        super().__init__(config, config.sources(), [[PRIMITIVES] * config.steps_per_cell] * config.num_cells)
 
     def forward(self, weights: dict, arch: dict, features: list) -> Tensor:
         """weights/arch map names to tape leaves, or raw arrays when frozen."""
         cfg = self.config
-        srcs = cfg.sources()
-        if len(features) != len(srcs):
-            raise SpaceError(f"expected {len(srcs)} feature arrays, got {len(features)}")
-        base = []
-        for src, feat in zip(srcs, features):
-            x = ad.add(ad.matmul(ad.constant(feat), weights[f"proj/{src}/W"]), weights[f"proj/{src}/b"])
-            base.append(x)
+        base = list(self._project(weights, features).values())
         cell_outs = []
         for c in range(cfg.num_cells):
             candidates = base + cell_outs
@@ -450,24 +491,13 @@ class MixedFusionEncoder:
             mask[int(np.argmax(alpha.data))] = _MASK_LOGIT
             slot_b = mixed_cell_input(ad.add(alpha, ad.constant(mask)), candidates)
             pool = [slot_a, slot_b]
-            step_outs = []
             for s in range(cfg.steps_per_cell):
                 pairs = [(pool[i], pool[j]) for i, j in ordered_pairs(len(pool))]
-                prim_params = {
-                    op: {
-                        pname: weights[f"cell{c}/step{s}/{op}/{pname}"]
-                        for pname in primitive_param_shapes(op, cfg.hidden_dim)
-                    }
-                    for op in PRIMITIVES
-                }
-                out = mixed_step(
-                    arch[f"beta/c{c}/s{s}"], arch[f"gamma/c{c}/s{s}"], pairs, prim_params, cfg.hidden_dim
-                )
-                pool.append(out)
-                step_outs.append(out)
-            merged = ad.concat(step_outs, axis=1) if len(step_outs) > 1 else step_outs[0]
-            cell_out = ad.add(ad.matmul(merged, weights[f"cell{c}/out/W"]), weights[f"cell{c}/out/b"])
-            cell_outs.append(cell_out)
+                pool.append(mixed_step(
+                    arch[f"beta/c{c}/s{s}"], arch[f"gamma/c{c}/s{s}"], pairs,
+                    self._step_params(weights, c, s), cfg.hidden_dim,
+                ))
+            cell_outs.append(self._cell_output(weights, c, pool[2:]))
         return cell_outs[-1]
 
 
@@ -580,81 +610,37 @@ def random_genotype(config: SearchSpaceConfig, rng: np.random.Generator) -> Geno
     return Genotype(cells=tuple(cells), config_hash=config.hash())
 
 
-class DerivedFusionEncoder:
-    """Fixed network instantiated from a genotype; only retained edges exist."""
+class DerivedFusionEncoder(_FusionEncoder):
+    """Fixed network instantiated from a genotype; only retained edges exist.
+
+    Only the sources that some cell reads are projected, and each step
+    holds the weights of its one primitive.
+    """
 
     def __init__(self, genotype: Genotype, config: SearchSpaceConfig):
         validate_genotype(genotype, config)
         self.genotype = genotype
-        self.config = config
+        used = {src for cell in genotype.cells for src in cell.inputs if not src.startswith("cell:")}
+        super().__init__(
+            config,
+            [s for s in config.sources() if s in used],
+            [[(step.op,) for step in cell.steps] for cell in genotype.cells],
+        )
 
     def used_sources(self) -> list:
-        used = set()
-        for cell in self.genotype.cells:
-            for src in cell.inputs:
-                if not src.startswith("cell:"):
-                    used.add(src)
-        return [s for s in self.config.sources() if s in used]
-
-    def weight_shapes(self) -> dict:
-        cfg = self.config
-        h = cfg.hidden_dim
-        shapes = {}
-        for src in self.used_sources():
-            shapes[f"proj/{src}/W"] = (cfg.source_dim(src), h)
-            shapes[f"proj/{src}/b"] = (h,)
-        for c, cell in enumerate(self.genotype.cells):
-            for s, step in enumerate(cell.steps):
-                for pname, pshape in primitive_param_shapes(step.op, h).items():
-                    shapes[f"cell{c}/step{s}/{step.op}/{pname}"] = pshape
-            shapes[f"cell{c}/out/W"] = (len(cell.steps) * h, h)
-            shapes[f"cell{c}/out/b"] = (h,)
-        return shapes
-
-    def init_weights(self, rng: np.random.Generator) -> dict:
-        return {name: _linear_init(rng, shape) for name, shape in self.weight_shapes().items()}
+        return list(self.sources)
 
     def forward(self, weights: dict, features) -> Tensor:
         """``features`` maps source name -> raw array (extra sources ignored)."""
-        cfg = self.config
-        if isinstance(features, (list, tuple)):
-            features = dict(zip(cfg.sources(), features))
-        projected = {}
-        for src in self.used_sources():
-            if src not in features:
-                raise SpaceError(f"missing features for source {src!r}")
-            projected[src] = ad.add(
-                ad.matmul(ad.constant(features[src]), weights[f"proj/{src}/W"]),
-                weights[f"proj/{src}/b"],
-            )
-        cell_outs = []
+        env = self._project(weights, features)  # gains "cell:k" -> output of cell k
         for c, cell in enumerate(self.genotype.cells):
-            def resolve_input(src):
-                if src.startswith("cell:"):
-                    return cell_outs[int(src.split(":", 1)[1])]
-                return projected[src]
-
-            in_a = resolve_input(cell.inputs[0])
-            in_b = resolve_input(cell.inputs[1])
-            step_outs = []
+            refs = {src: env[src] for src in cell.inputs}  # gains "step:k" -> output of step k
             for s, step in enumerate(cell.steps):
-                def resolve_pair(src):
-                    if src.startswith("step:"):
-                        return step_outs[int(src.split(":", 1)[1])]
-                    return in_a if src == cell.inputs[0] else in_b
-
-                params = {
-                    pname: weights[f"cell{c}/step{s}/{step.op}/{pname}"]
-                    for pname in primitive_param_shapes(step.op, cfg.hidden_dim)
-                }
-                step_outs.append(
-                    apply_primitive(step.op, resolve_pair(step.pair[0]), resolve_pair(step.pair[1]), params, cfg.hidden_dim)
-                )
-            merged = ad.concat(step_outs, axis=1) if len(step_outs) > 1 else step_outs[0]
-            cell_outs.append(
-                ad.add(ad.matmul(merged, weights[f"cell{c}/out/W"]), weights[f"cell{c}/out/b"])
-            )
-        return cell_outs[-1]
+                x, y = (refs[src] for src in step.pair)
+                params = self._step_params(weights, c, s)[step.op]
+                refs[f"step:{s}"] = apply_primitive(step.op, x, y, params, self.config.hidden_dim)
+            env[f"cell:{c}"] = self._cell_output(weights, c, [refs[f"step:{s}"] for s in range(len(cell.steps))])
+        return env[f"cell:{len(self.genotype.cells) - 1}"]
 
 
 def instantiate(genotype: Genotype, config: SearchSpaceConfig) -> DerivedFusionEncoder:

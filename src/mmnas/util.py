@@ -1,4 +1,5 @@
-"""Shared helpers: canonical JSON, short hashes, deterministic RNG streams."""
+"""Shared helpers: canonical JSON, short hashes, deterministic RNG streams,
+linear weight initialization."""
 
 from __future__ import annotations
 
@@ -23,6 +24,15 @@ def seeded_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, *map(int, tags)]))
 
 
+def init_linear(rng: np.random.Generator, shapes: dict) -> dict:
+    """Zeros for vectors (biases), N(0, 1) / sqrt(fan_in) for matrices, drawn
+    from ``rng`` in the key order of ``shapes``."""
+    return {
+        name: np.zeros(shape) if len(shape) == 1 else rng.standard_normal(shape) / np.sqrt(shape[0])
+        for name, shape in shapes.items()
+    }
+
+
 # purpose tags for seeded_rng; every consumer uses one of these so streams
 # never collide across stages
 TAG_WEIGHT_INIT = 1
@@ -39,3 +49,4 @@ TAG_DATA_MAPS = 11
 TAG_DATA_NOISE = 12
 TAG_DATA_LABELS = 13
 TAG_DATA_TOKENS = 14
+

@@ -284,6 +284,53 @@ def mixed_step_oracle(beta, gamma, pair_candidates, prim_params, hidden):
     return out
 
 
+def derived_forward_oracle(genotype, weights: dict, features: dict) -> np.ndarray:
+    """The derived network in plain numpy: one explicit loop per cell and step.
+
+    ``weights`` uses the derived encoder's names (steps re-indexed after
+    pruning) and ``features`` maps source name -> raw array. Primitives
+    follow the search space's definitions written out here again.
+    """
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    def primitive(op, prefix, x, y):
+        if op == "Sum":
+            return x + y
+        if op == "ScaledDotAttention":
+            q, k, v = x @ weights[prefix + "Wq"], y @ weights[prefix + "Wk"], y @ weights[prefix + "Wv"]
+            scores = q @ k.T / math.sqrt(x.shape[1])
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            return (e / e.sum(axis=1, keepdims=True)) @ v
+        cc = np.concatenate([x, y], axis=1)
+        if op == "LinearGLU":
+            return (cc @ weights[prefix + "W1"]) * sigmoid(cc @ weights[prefix + "W2"])
+        if op == "ConcatFC":
+            return np.maximum(cc @ weights[prefix + "W"] + weights[prefix + "b"], 0.0)
+        raise AssertionError(f"no oracle for primitive {op!r}")
+
+    cell_outputs = []
+    for c, cell in enumerate(genotype.cells):
+        inputs = {}
+        for src in cell.inputs:
+            if src.startswith("cell:"):
+                inputs[src] = cell_outputs[int(src[len("cell:"):])]
+            else:
+                inputs[src] = features[src] @ weights[f"proj/{src}/W"] + weights[f"proj/{src}/b"]
+        step_outputs = []
+        for s, step in enumerate(cell.steps):
+            operands = []
+            for src in step.pair:
+                if src.startswith("step:"):
+                    operands.append(step_outputs[int(src[len("step:"):])])
+                else:
+                    operands.append(inputs[src])
+            step_outputs.append(primitive(step.op, f"cell{c}/step{s}/{step.op}/", *operands))
+        merged = np.concatenate(step_outputs, axis=1)
+        cell_outputs.append(merged @ weights[f"cell{c}/out/W"] + weights[f"cell{c}/out/b"])
+    return cell_outputs[-1]
+
+
 def sign_test_p(wins: int, trials: int) -> float:
     """One-sided exact binomial sign test: P(X >= wins | p = 1/2)."""
     return sum(math.comb(trials, k) for k in range(wins, trials + 1)) / 2.0 ** trials

@@ -4,7 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from helpers import check_gradients, derive_oracle, mixed_cell_input_oracle, mixed_step_oracle
+from helpers import (
+    check_gradients,
+    derive_oracle,
+    derived_forward_oracle,
+    mixed_cell_input_oracle,
+    mixed_step_oracle,
+)
 
 import mmnas.autodiff as ad
 from mmnas.autodiff import Tape
@@ -481,6 +487,40 @@ def test_relaxation_consistency_on_random_genotypes():
         h_mixed = mixed.forward(w, arch.named(), feats)
         h_inst = derived.forward(shared, dict(zip(CFG.sources(), feats)))
         assert np.max(np.abs(h_mixed.data - h_inst.data)) < 1e-9
+
+
+def test_derived_forward_matches_oracle_on_pruned_derivations():
+    cfg = SearchSpaceConfig(features_per_modality=((6, 5), (4, 7)), num_cells=2, steps_per_cell=3, hidden_dim=4)
+    h = cfg.hidden_dim
+    mixed_shapes = MixedFusionEncoder(cfg).weight_shapes()
+    zero = PRIMITIVES.index("Zero")
+    rng = np.random.default_rng(21)
+    feats = dict(zip(cfg.sources(), _features(cfg, batch=5, seed=22)))
+    pruned_seen = reindexed_seen = 0
+    for _ in range(60):
+        arch = _random_arch(cfg, rng)
+        genotype = derive_genotype(arch)
+        derived = instantiate(genotype, cfg)
+        w = derived.init_weights(rng)
+        h_derived = derived.forward(w, feats)
+        assert np.max(np.abs(h_derived.data - derived_forward_oracle(genotype, w, feats))) < 1e-12
+
+        selected = {f"proj/{src}" for cell in genotype.cells for src in cell.inputs if not src.startswith("cell:")}
+        for c, cell in enumerate(genotype.cells):
+            selected.add(f"cell{c}/out")
+            selected.update(f"cell{c}/step{s}/{step.op}" for s, step in enumerate(cell.steps))
+        shapes = derived.weight_shapes()
+        assert list(shapes) == [k for k in mixed_shapes if k.rsplit("/", 1)[0] in selected]
+        for c, cell in enumerate(genotype.cells):
+            assert shapes[f"cell{c}/out/W"] == (len(cell.steps) * h, h)
+        assert all(shapes[k] == mixed_shapes[k] for k in shapes if not k.endswith("/out/W"))
+
+        for c, cell in enumerate(genotype.cells):
+            pruned_seen += len(cell.steps) < cfg.steps_per_cell
+            # step 0 lost to Zero yet two steps survive: "step:0" names original step 1
+            first_pruned = int(np.argmax(arch.gamma[c][0])) == zero and len(cell.steps) > 1
+            reindexed_seen += first_pruned and any("step:0" in step.pair for step in cell.steps)
+    assert pruned_seen > 0 and reindexed_seen > 0  # the sample must exercise pruning and re-indexing
 
 
 # ---------------------------------------------------------------------------
