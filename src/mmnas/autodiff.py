@@ -12,7 +12,10 @@ Primitives: matmul, transpose, add, subtract, elementwise multiply/divide,
 relu, sigmoid, tanh, softmax over an axis, concat over an axis, mean, sum,
 scalar multiply, L2 norm, log, exp, basic slicing, and ``mix``, a weighted
 sum of equal-shape parts recorded as one node (the softmax mixtures of the
-search space). Elementwise ops follow
+search space). ``fused`` records a composite whose caller computes the
+value and the closed-form gradient itself, also as one node: the
+contrastive loss (``contrastive.ntxent_loss``) and the classifier's sigmoid
+cross entropy (``pipeline.bce_with_logits``). Elementwise ops follow
 numpy broadcasting; the backward pass sum-reduces gradients over broadcast
 axes. Every op validates that its output is finite and names itself in the
 error when it is not.
@@ -48,6 +51,7 @@ __all__ = [
     "exp",
     "getitem",
     "mix",
+    "fused",
     "constant",
 ]
 
@@ -523,3 +527,15 @@ def mix(w, parts, scatter=None) -> Tensor:
         return grads
 
     return tape._record("mix", ids, bwd, out)
+
+
+def fused(op: str, inputs, value, backward) -> Tensor:
+    """Record a composite op as one node: ``value`` and ``backward`` come precomputed.
+
+    ``inputs`` are the differentiable operands (raw arrays become constants)
+    and ``value`` is the output the caller computed from their data.
+    ``backward(g)`` returns one gradient per input, in order. The output is
+    checked for finiteness like any other op's, under the name ``op``.
+    """
+    tensors, tape = _coerce(inputs)
+    return _emit(op, tape, tuple(tensors), backward, _asarray(value))

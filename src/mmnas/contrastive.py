@@ -36,7 +36,14 @@ row in this order, then applies each op once to all the rows that drew it.
 The loss is the normalized temperature-scaled cross entropy over 2N
 projections ordered pairwise: rows (2k, 2k+1) are the two views of sample
 k. Cosine similarities, the positive-pair term in the numerator, every
-non-self term in the denominator, log-sum-exp stabilized.
+non-self term in the denominator, log-sum-exp stabilized. It is one tape
+node with a closed-form gradient. With unit rows zn = z / |z|, logits
+zn zn^T / tau, the self terms masked out of the softmax and P the one-hot
+partner matrix:
+
+  G      = (softmax(masked logits) - P) / (2N tau)    gradient in zn zn^T
+  dL/dzn = (G + G^T) zn
+  dL/dz  = (dL/dzn - zn <dL/dzn, zn>) / |z|           row by row
 """
 
 from __future__ import annotations
@@ -265,19 +272,12 @@ class ProjectionHead:
         return ad.add(ad.matmul(z1, weights["head/W2"]), weights["head/b2"])
 
 
-def pair_partner_matrix(rows: int) -> np.ndarray:
-    """One-hot (i, partner(i)) matrix for interleaved view pairs."""
-    p = np.zeros((rows, rows))
-    i = np.arange(rows)
-    p[i, i ^ 1] = 1.0
-    return p
-
-
 def ntxent_loss(z: Tensor, temperature: float) -> Tensor:
-    """Mean over all 2N rows of -log softmax(positive | non-self rows).
+    """Mean over all 2N rows of -log softmax(positive | non-self rows), one tape node.
 
     Rows must be ordered (view_a of sample 0, view_b of sample 0, view_a of
-    sample 1, ...). Differentiable through z.
+    sample 1, ...). Differentiable through z; the gradient is the closed form
+    given in the module docstring.
     """
     if temperature <= 0:
         raise ContrastiveError("temperature must be > 0")
@@ -286,18 +286,30 @@ def ntxent_loss(z: Tensor, temperature: float) -> Tensor:
     rows = z.shape[0]
     if rows < 2 or rows % 2 != 0:
         raise ContrastiveError(f"need an even number >= 2 of projection rows, got {rows}")
-    row_norms = np.sqrt(np.sum(z.data * z.data, axis=1))
-    if np.any(row_norms == 0.0):
+    norms = np.sqrt(np.sum(z.data * z.data, axis=1, keepdims=True))
+    if np.any(norms == 0.0):
         raise ContrastiveError("zero-norm projection row: cosine similarity undefined")
+    if not np.all(np.isfinite(norms)):
+        raise ad.NonFiniteError("ntxent: non-finite projection row norm")
 
-    norms = ad.l2norm(z, axis=1, keepdims=True)
-    zn = ad.div(z, norms)
-    logits = ad.scale(ad.matmul(zn, ad.transpose(zn)), 1.0 / temperature)
-    masked = ad.add(logits, ad.constant(np.diag(np.full(rows, -1e9))))
-    row_max = np.max(masked.data, axis=1, keepdims=True)  # detached shift
-    lse = ad.add(
-        ad.log(ad.tsum(ad.exp(ad.sub(masked, ad.constant(row_max))), axis=1, keepdims=True)),
-        ad.constant(row_max),
-    )
-    pos = ad.tsum(ad.mul(logits, ad.constant(pair_partner_matrix(rows))), axis=1, keepdims=True)
-    return ad.mean(ad.sub(lse, pos))
+    zn = z.data / norms
+    c = 1.0 / temperature
+    # a contiguous copy of the transpose keeps the general matrix product:
+    # numpy sends zn @ zn.T to a symmetric kernel that rounds differently
+    logits = (zn @ zn.T.copy()) * c
+    masked = logits + np.diag(np.full(rows, -1e9))
+    row_max = np.max(masked, axis=1, keepdims=True)
+    e = np.exp(masked - row_max)
+    sum_e = np.sum(e, axis=1, keepdims=True)
+    i = np.arange(rows)
+    partner = i ^ 1
+    value = np.mean((np.log(sum_e) + row_max) - logits[i, partner][:, None])
+
+    def backward(g):
+        d_logits = e / sum_e
+        d_logits[i, partner] -= 1.0
+        d_sims = d_logits * (g * c / rows)
+        d_zn = (d_sims + d_sims.T) @ zn
+        return ((d_zn - zn * np.sum(d_zn * zn, axis=1, keepdims=True)) / norms,)
+
+    return ad.fused("ntxent", [z], value, backward)

@@ -188,14 +188,24 @@ def pretrain(
 # stage 3: classifier fitting and evaluation
 # ---------------------------------------------------------------------------
 
-def _softplus(x):
-    absx = ad.add(ad.relu(x), ad.relu(ad.neg(x)))
-    return ad.add(ad.relu(x), ad.log(ad.add(ad.exp(ad.neg(absx)), 1.0)))
-
-
 def bce_with_logits(logits, targets: np.ndarray):
-    """Mean per-label sigmoid cross entropy, stable in both logit tails."""
-    return ad.mean(ad.sub(_softplus(logits), ad.mul(logits, ad.constant(targets))))
+    """Mean per-label sigmoid cross entropy, stable in both logit tails, one tape node.
+
+    The value is mean(softplus(x) - x t), softplus(x) = relu(x) + log(1 +
+    exp(-|x|)); the gradient is (sigmoid(x) - t) / x.size, with sigmoid(x)
+    taken from the same exp(-|x|), so neither tail overflows.
+    """
+    x = logits.data
+    t = np.asarray(targets, dtype=np.float64)
+    if t.shape != x.shape:
+        raise PipelineError(f"bce_with_logits: targets of shape {t.shape} for logits of shape {x.shape}")
+    e = np.exp(-np.abs(x))
+    value = np.mean(x * (x > 0.0) + np.log(e + 1.0) - x * t)
+
+    def backward(g):
+        return ((np.where(x >= 0.0, 1.0, e) / (1.0 + e) - t) * (g / x.size),)
+
+    return ad.fused("bce", [logits], value, backward)
 
 
 def softmax_cross_entropy(logits, targets: np.ndarray):

@@ -83,6 +83,9 @@ class SearchSpaceConfig:
             raise SpaceError("modality_names and features_per_modality must align and be non-empty")
         if len(set(names)) != len(names) or any(":" in n for n in names):
             raise SpaceError("modality names must be unique and colon-free")
+        reserved = [n for n in names if n in ("cell", "step")]
+        if reserved:
+            raise SpaceError(f"modality name {reserved[0]!r} is reserved: genotypes use 'cell:k' and 'step:k'")
         if self.num_cells < 1 or self.steps_per_cell < 1 or self.hidden_dim < 1:
             raise SpaceError("num_cells, steps_per_cell and hidden_dim must be >= 1")
         for dims in feats:
@@ -323,8 +326,11 @@ def primitive_param_shapes(op: str, hidden: int) -> dict:
     raise SpaceError(f"unknown primitive {op!r}")
 
 
-def apply_primitive(op: str, x: Tensor, y: Tensor, params: dict, hidden: int) -> Tensor:
-    """Apply one primitive to (batch x hidden) inputs; see module docstring."""
+def apply_primitive(op: str, x: Tensor, y: Tensor, params: dict, hidden: int, cc: Tensor | None = None) -> Tensor:
+    """Apply one primitive to (batch x hidden) inputs; see module docstring.
+
+    ``cc`` is ``concat([x, y], axis=1)`` when the caller already built it.
+    """
     if x.shape != y.shape or x.data.ndim != 2 or x.shape[1] != hidden:
         raise SpaceError(f"{op}: inputs must both be batch x {hidden}, got {x.shape} / {y.shape}")
     if op == "Sum":
@@ -337,7 +343,8 @@ def apply_primitive(op: str, x: Tensor, y: Tensor, params: dict, hidden: int) ->
         v = ad.matmul(y, params["Wv"])
         scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(hidden))
         return ad.matmul(ad.softmax(scores, axis=1), v)
-    cc = ad.concat([x, y], axis=1)
+    if cc is None:
+        cc = ad.concat([x, y], axis=1)
     if op == "LinearGLU":
         return ad.mul(ad.matmul(cc, params["W1"]), ad.sigmoid(ad.matmul(cc, params["W2"])))
     if op == "ConcatFC":
@@ -394,7 +401,8 @@ def mixed_step(beta: Tensor, gamma: Tensor, pair_candidates: list, prim_params: 
     wb = ad.softmax(beta, axis=0)
     in0 = ad.mix(wb, pool, scatter[0])
     in1 = ad.mix(wb, pool, scatter[1])
-    outs = [apply_primitive(op, in0, in1, prim_params.get(op, {}), hidden) for op in PRIMITIVES]
+    cc = ad.concat([in0, in1], axis=1)  # shared by LinearGLU and ConcatFC
+    outs = [apply_primitive(op, in0, in1, prim_params.get(op, {}), hidden, cc) for op in PRIMITIVES]
     return ad.mix(ad.softmax(gamma, axis=0), outs)
 
 

@@ -83,6 +83,24 @@ def naive_ntxent(z: np.ndarray, tau: float) -> float:
     return total / n2
 
 
+def bce_oracle(logits: np.ndarray, targets: np.ndarray) -> float:
+    """Mean binary cross entropy -[t log p + (1 - t) log(1 - p)], p = sigmoid(x).
+
+    One element at a time; each log-probability is written in the form that
+    cannot overflow for the element's sign (so x = +-800 stay finite).
+    """
+    total = 0.0
+    for x, t in zip(np.ravel(logits).tolist(), np.ravel(targets).tolist()):
+        if x >= 0:
+            log_p = -math.log1p(math.exp(-x))
+            log_not_p = -x - math.log1p(math.exp(-x))
+        else:
+            log_p = x - math.log1p(math.exp(x))
+            log_not_p = -math.log1p(math.exp(x))
+        total += -(t * log_p + (1.0 - t) * log_not_p)
+    return total / np.size(logits)
+
+
 def weighted_f1_oracle(pred: np.ndarray, truth: np.ndarray) -> float:
     """Loop-based confusion-matrix weighted F1."""
     n, num_labels = truth.shape

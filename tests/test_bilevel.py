@@ -215,11 +215,12 @@ def test_stack_view_features_interleaves_pairs():
 
 
 @pytest.mark.parametrize(
-    "cells, steps, max_nodes", [(1, 2, 115), (2, 3, 254)], ids=["default-1x2", "deep-2x3"]
+    "cells, steps, max_nodes", [(1, 2, 99), (2, 3, 234)], ids=["default-1x2", "deep-2x3"]
 )
 def test_search_batch_tape_size(cells, steps, max_nodes):
-    # one fused node per softmax mixture; a per-pair mixture records
-    # 193 nodes on the default space and 554 on the deep one
+    # one fused node per softmax mixture and for the loss, one concat per
+    # mixed step; a per-pair mixture records 193 nodes on the default space
+    # and 554 on the deep one
     ds = generate(SyntheticSpec(num_samples=8, seed=0))
     space = SearchSpaceConfig(
         features_per_modality=(ds.image_dims, ds.text_dims), num_cells=cells, steps_per_cell=steps

@@ -287,6 +287,43 @@ def test_bad_batch_shapes_rejected():
         ntxent_loss(ad.constant(np.ones((2, 2))), 0.0)
 
 
+def test_loss_is_one_tape_node():
+    tape = Tape()
+    z = tape.leaf(np.random.default_rng(31).standard_normal((8, 5)), "z")
+    before = len(tape)
+    loss = ntxent_loss(z, 0.3)
+    assert len(tape) == before + 1 and loss.tape is tape
+
+
+@pytest.mark.parametrize(
+    "z, temperature, match",
+    [
+        (np.array([[1.0, 2.0], [0.0, 0.0]]), 0.5, "zero-norm"),
+        (np.ones((3, 2)), 0.5, "even"),
+        (np.ones(4), 0.5, "2-D"),
+        (np.ones((2, 2)), 0.0, "temperature"),
+        (np.ones((2, 2)), -1.0, "temperature"),
+    ],
+    ids=["zero-norm", "odd-rows", "1-D", "zero-temperature", "negative-temperature"],
+)
+def test_rejected_input_records_no_node(z, temperature, match):
+    tape = Tape()
+    leaf = tape.leaf(z, "z")
+    with pytest.raises(ContrastiveError, match=match):
+        ntxent_loss(leaf, temperature)
+    assert len(tape) == 1  # the leaf only
+
+
+def test_overflowing_row_norm_is_non_finite():
+    # |z|^2 overflows although z is finite; dividing by an infinite norm
+    # would give zero rows and a finite, meaningless loss
+    tape = Tape()
+    z = tape.leaf([[1e200, 0.0], [0.0, 1.0]], "z")
+    with np.errstate(over="ignore"), pytest.raises(ad.NonFiniteError, match="ntxent"):
+        ntxent_loss(z, 0.5)
+    assert len(tape) == 1
+
+
 def test_loss_differentiable_through_projection_head():
     head = ProjectionHead(3, 4, 3)
     rng = np.random.default_rng(30)
