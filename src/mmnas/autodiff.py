@@ -10,12 +10,15 @@ collector instead of being freed when its last reference goes.
 
 Primitives: matmul, transpose, add, subtract, elementwise multiply/divide,
 relu, sigmoid, tanh, softmax over an axis, concat over an axis, mean, sum,
-scalar multiply, L2 norm, log, exp, basic slicing, and ``mix``, a weighted
-sum of equal-shape parts recorded as one node (the softmax mixtures of the
-search space). ``fused`` records a composite whose caller computes the
-value and the closed-form gradient itself, also as one node: the
-contrastive loss (``contrastive.ntxent_loss``) and the classifier's sigmoid
-cross entropy (``pipeline.bce_with_logits``). Elementwise ops follow
+scalar multiply, L2 norm, log, exp, basic slicing; ``linear``, the affine
+layer ``x @ W + b`` as one node (every projection, cell-output, head and
+classifier layer); and ``mix``, a weighted sum of equal-shape parts
+recorded as one node (the softmax mixtures of the search space).
+``fused`` records a composite whose caller computes the value and the
+closed-form gradient itself, also as one node: the contrastive loss
+(``contrastive.ntxent_loss``), the classifier's sigmoid cross entropy
+(``pipeline.bce_with_logits``) and the attention and GLU primitives of the
+search space (``searchspace.apply_primitive``). Elementwise ops follow
 numpy broadcasting; the backward pass sum-reduces gradients over broadcast
 axes. Every op validates that its output is finite and names itself in the
 error when it is not.
@@ -37,9 +40,11 @@ __all__ = [
     "div",
     "neg",
     "matmul",
+    "linear",
     "transpose",
     "relu",
     "sigmoid",
+    "stable_sigmoid",
     "tanh",
     "softmax",
     "concat",
@@ -80,7 +85,7 @@ class Tensor:
 
     def __init__(self, data, tape: "Tape | None" = None, node_id: int | None = None):
         self.data = _asarray(data)
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise NonFiniteError("tensor literal contains NaN or Inf")
         self.tape = tape
         self.node_id = node_id
@@ -178,7 +183,7 @@ class Tape:
         return len(self._nodes)
 
     def _record(self, op: str, parents: tuple, backward_fn, value: np.ndarray) -> Tensor:
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise NonFiniteError(f"{op}: non-finite output")
         node_id = len(self._nodes)
         self._nodes.append(_Node(op, parents, backward_fn, value.shape))
@@ -232,7 +237,7 @@ def _coerce(args) -> tuple[list[Tensor], Tape | None]:
 def _emit(op, tape, parents, backward_fn, value) -> Tensor:
     """Record on the tape when any parent is on it, else return a constant."""
     if tape is None:
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise NonFiniteError(f"{op}: non-finite output")
         return _checked_tensor(value)
     ids = tuple(p.node_id for p in parents if p.node_id is not None)
@@ -337,6 +342,33 @@ def matmul(a, b) -> Tensor:
     return _emit("matmul", tape, (ta, tb), lambda g: (g @ db.T, da.T @ g), da @ db)
 
 
+def linear(x, w, b) -> Tensor:
+    """Affine layer ``x @ w + b`` as one node, for a 1-D bias ``b``.
+
+    The backward pass gives ``(g @ w.T, x.T @ g, g.sum(axis=0))``, bitwise
+    what ``add(matmul(x, w), b)`` gives; a gradient whose operand is off
+    the tape is not computed.
+    """
+    (tx, tw, tb), tape = _coerce((x, w, b))
+    if tx.data.ndim != 2 or tw.data.ndim != 2:
+        raise AutodiffError(f"linear: expects 2-D input and weight, got {tx.shape} @ {tw.shape}")
+    if tx.data.shape[1] != tw.data.shape[0]:
+        raise AutodiffError(f"linear: inner dims differ {tx.shape} @ {tw.shape}")
+    if tb.data.shape != (tw.data.shape[1],):
+        raise AutodiffError(f"linear: bias of shape {tb.shape} for weight of shape {tw.shape}")
+    dx, dw = tx.data, tw.data
+    need_x, need_w, need_b = (t.node_id is not None for t in (tx, tw, tb))
+
+    def bwd(g):
+        return (
+            g @ dw.T if need_x else None,
+            dx.T @ g if need_w else None,
+            g.sum(axis=0) if need_b else None,
+        )
+
+    return _emit("linear", tape, (tx, tw, tb), bwd, dx @ dw + tb.data)
+
+
 def transpose(a) -> Tensor:
     (ta,), tape = _coerce((a,))
     if ta.data.ndim != 2:
@@ -350,14 +382,15 @@ def relu(a) -> Tensor:
     return _emit("relu", tape, (ta,), lambda g: (g * mask,), ta.data * mask)
 
 
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function of an array, from ``exp(-|x|)`` so neither tail overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a) -> Tensor:
     (ta,), tape = _coerce((a,))
-    # stable in both tails
-    out = np.where(
-        ta.data >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(ta.data))),
-        np.exp(-np.abs(ta.data)) / (1.0 + np.exp(-np.abs(ta.data))),
-    )
+    out = stable_sigmoid(ta.data)
     return _emit("sigmoid", tape, (ta,), lambda g: (g * out * (1.0 - out),), out)
 
 

@@ -6,15 +6,20 @@ Layout (integers little-endian):
   per entry (sorted by name for byte-stable output):
     name_len u16 | name utf-8 | ndim u8 | dims u32 x ndim | data f64 LE
 
-Round-trips are bit-exact; readers reject wrong magic/version, truncation
-(reported with the failing offset) and trailing bytes.
+Round-trips are bit-exact and writes are atomic. Readers raise
+``CheckpointError`` for wrong magic/version, truncation, names that are not
+UTF-8, duplicate names, non-finite values and trailing bytes, each reported
+with the failing offset where there is one.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
+
+from .util import atomic_open
 
 MMNW_MAGIC = b"MMNW"
 MMNW_VERSION = 1
@@ -26,7 +31,7 @@ class CheckpointError(ValueError):
 
 def save_weights(path, weights: dict) -> None:
     names = sorted(weights)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MMNW_MAGIC)
         fh.write(struct.pack("<II", MMNW_VERSION, len(names)))
         for name in names:
@@ -66,7 +71,12 @@ def load_weights(path) -> dict:
         (name_len,) = struct.unpack_from("<H", raw, off)
         off += 2
         need(off, name_len, "name")
-        name = raw[off : off + name_len].decode("utf-8")
+        try:
+            name = raw[off : off + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"parameter name at offset {off} is not valid UTF-8") from None
+        if name in out:
+            raise CheckpointError(f"duplicate parameter name {name!r} at offset {off}")
         off += name_len
         need(off, 1, "ndim")
         ndim = raw[off]
@@ -74,9 +84,11 @@ def load_weights(path) -> dict:
         need(off, 4 * ndim, "dims")
         dims = struct.unpack_from(f"<{ndim}I", raw, off)
         off += 4 * ndim
-        size = int(np.prod(dims)) if ndim else 1
+        size = math.prod(dims)  # python ints: no overflow to hide a short file
         need(off, 8 * size, f"tensor data for {name!r}")
         arr = np.frombuffer(raw, dtype="<f8", count=size, offset=off).reshape(dims)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"non-finite values in {name!r} at offset {off}")
         off += 8 * size
         out[name] = arr.astype(np.float64)
     if off != len(raw):

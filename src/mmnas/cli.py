@@ -31,6 +31,7 @@ from .pipeline import (
 )
 from .bilevel import run_search
 from .searchspace import Genotype, instantiate, validate_genotype
+from .util import atomic_open
 
 
 class CliError(RuntimeError):
@@ -134,7 +135,8 @@ def cmd_search(args) -> int:
     genotype, state = run_search(
         cfg.search_config(), space, cfg.contrastive, splits.search_train, splits.search_valid, report=reporter
     )
-    (out / "genotype.json").write_text(genotype.to_json() + "\n")
+    with atomic_open(out / "genotype.json") as fh:
+        fh.write(genotype.to_json() + "\n")
     reporter(
         StageReport(
             stage="search",
@@ -333,7 +335,7 @@ def cmd_sweep_r(args) -> int:
             cell_marker.unlink()
             print(f"r={r:g} seed={seed} weighted_f1={artifacts['weighted_f1']:.6f}")
     csv_path = out / "sweep.csv"
-    with open(csv_path, "w", newline="") as fh:
+    with atomic_open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["r", "seed", "weighted_f1"])
         for row in rows:

@@ -268,8 +268,8 @@ class ProjectionHead:
     def forward(self, weights: dict, h: Tensor) -> Tensor:
         if h.data.ndim != 2 or h.shape[1] != self.in_dim:
             raise ContrastiveError(f"projection head expects batch x {self.in_dim}, got {h.shape}")
-        z1 = ad.relu(ad.add(ad.matmul(h, weights["head/W1"]), weights["head/b1"]))
-        return ad.add(ad.matmul(z1, weights["head/W2"]), weights["head/b2"])
+        z1 = ad.relu(ad.linear(h, weights["head/W1"], weights["head/b1"]))
+        return ad.linear(z1, weights["head/W2"], weights["head/b2"])
 
 
 def ntxent_loss(z: Tensor, temperature: float) -> Tensor:

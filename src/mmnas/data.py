@@ -36,6 +36,7 @@ from .util import (
     TAG_DATA_NOISE,
     TAG_DATA_TOKENS,
     TAG_SPLIT,
+    atomic_open,
     seeded_rng,
 )
 
@@ -214,7 +215,7 @@ def save(dataset: Dataset, path, text_len: int = 16, vocab_size: int = 1000) -> 
     num_labels = dataset.num_labels
     header += struct.pack("<I", num_labels)
 
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(bytes(header))
         for x in dataset.features.values():
             fh.write(x.astype("<f4").tobytes())
@@ -272,14 +273,16 @@ def load(path, text_len: int = 16, vocab_size: int = 1000, expect_dims: tuple | 
     features = {}
     for modality, dims in zip(("image", "text"), per_modality):
         for l, d in enumerate(dims):
-            x = np.frombuffer(raw, dtype="<f4", count=n * d, offset=off).reshape(n, d).astype(np.float64)
-            off += 4 * n * d
-            if not np.all(np.isfinite(x)):
+            block = np.frombuffer(raw, dtype="<f4", count=n * d, offset=off)
+            if not np.isfinite(block).all():
                 raise FormatError("non-finite feature values (corrupt payload)")
-            features[f"{modality}:{l}"] = x
+            features[f"{modality}:{l}"] = block.reshape(n, d).astype(np.float64)
+            off += 4 * n * d
     labels = None
     if num_labels:
         labels = np.frombuffer(raw, dtype=np.uint8, count=n * num_labels, offset=off).reshape(n, num_labels).copy()
+        if np.any(labels > 1):
+            raise FormatError(f"label values other than 0 and 1 at offset {off}")
     return Dataset(features, _token_matrix(n, text_len, vocab_size), labels)
 
 

@@ -46,6 +46,7 @@ from .util import (
     TAG_CLASSIFIER_INIT,
     TAG_PRETRAIN_EPOCH,
     TAG_PRETRAIN_INIT,
+    atomic_open,
     seeded_rng,
 )
 
@@ -274,7 +275,7 @@ def fit_classifier(
                 trainable = model
                 leaves = {k: tape.leaf(v, k) for k, v in trainable.items()}
                 h = encoder.forward(leaves, {src: x[idx] for src, x in labeled.features.items()})
-            logits = ad.add(ad.matmul(h, leaves["clf/W"]), leaves["clf/b"])
+            logits = ad.linear(h, leaves["clf/W"], leaves["clf/b"])
             loss = loss_fn(logits, targets[idx])
             grads = tape.backward(loss)
             opt.step(trainable, {k: grads.of(t) for k, t in leaves.items()})
@@ -400,7 +401,8 @@ def run_pipeline(
             t0,
         )
         if out is not None:
-            (out / "genotype.json").write_text(genotype.to_json() + "\n")
+            with atomic_open(out / "genotype.json") as fh:
+                fh.write(genotype.to_json() + "\n")
     elif genotype is None:
         raise PipelineError("search stage disabled and no genotype supplied")
 

@@ -29,6 +29,24 @@ output):
   ConcatFC            relu(concat(x, y) W + b)
   Zero                exact zeros, no weights
 
+Given cc = concat(x, y), which ``mixed_step`` builds once for both
+primitives that read it, Sum records one ``add`` node, Zero none, ConcatFC
+two (``relu(linear(cc, W, b))``), and attention and GLU one ``fused`` node
+each, whose backward is the closed form below for an upstream gradient G:
+
+  ScaledDotAttention  q = x Wq, k = y Wk, v = y Wv, c = 1/sqrt(hidden),
+                      P = softmax(c q k^T) row-wise, out = P v;
+                      dP = G v^T, dS = c (dP - rowsum(dP * P)) * P,
+                      dq = dS k, dk = dS^T q, dv = P^T G;
+                      dx = dq Wq^T, dy = dk Wk^T + dv Wv^T,
+                      dWq = x^T dq, dWk = y^T dk, dWv = y^T dv
+  LinearGLU           a = cc W1, s = sigmoid(cc W2), out = a * s;
+                      da = G * s, db = G * a * s * (1 - s);
+                      dcc = da W1^T + db W2^T, dW1 = cc^T da, dW2 = cc^T db
+
+Their forward passes evaluate the same numpy expressions in the same order
+as the unfused op chains did, so their values are bitwise unchanged.
+
 Cell input slots: a cell has one alpha vector but two input slots. Slot A
 is the plain softmax mixture over candidates; slot B is the same mixture
 with the current argmax logit masked to -1e9 (renormalized by the softmax),
@@ -330,6 +348,7 @@ def apply_primitive(op: str, x: Tensor, y: Tensor, params: dict, hidden: int, cc
     """Apply one primitive to (batch x hidden) inputs; see module docstring.
 
     ``cc`` is ``concat([x, y], axis=1)`` when the caller already built it.
+    ``params`` values are tape leaves or raw arrays.
     """
     if x.shape != y.shape or x.data.ndim != 2 or x.shape[1] != hidden:
         raise SpaceError(f"{op}: inputs must both be batch x {hidden}, got {x.shape} / {y.shape}")
@@ -337,19 +356,54 @@ def apply_primitive(op: str, x: Tensor, y: Tensor, params: dict, hidden: int, cc
         return x + y
     if op == "Zero":
         return ad.constant(np.zeros(x.shape))
+    weights = []
+    for name, shape in primitive_param_shapes(op, hidden).items():
+        w = params[name]
+        if w.shape != shape:
+            raise SpaceError(f"{op}: weight {name} has shape {w.shape}, expected {shape}")
+        weights.append(w)
     if op == "ScaledDotAttention":
-        q = ad.matmul(x, params["Wq"])
-        k = ad.matmul(y, params["Wk"])
-        v = ad.matmul(y, params["Wv"])
-        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(hidden))
-        return ad.matmul(ad.softmax(scores, axis=1), v)
+        return _attention(x, y, *weights, hidden)
     if cc is None:
         cc = ad.concat([x, y], axis=1)
     if op == "LinearGLU":
-        return ad.mul(ad.matmul(cc, params["W1"]), ad.sigmoid(ad.matmul(cc, params["W2"])))
-    if op == "ConcatFC":
-        return ad.relu(ad.add(ad.matmul(cc, params["W"]), params["b"]))
-    raise SpaceError(f"unknown primitive {op!r}")
+        return _glu(cc, *weights)
+    return ad.relu(ad.linear(cc, *weights))
+
+
+def _array(w) -> np.ndarray:
+    return w.data if isinstance(w, Tensor) else w
+
+
+def _attention(x: Tensor, y: Tensor, wq, wk, wv, hidden: int) -> Tensor:
+    xd, yd = x.data, y.data
+    mq, mk, mv = _array(wq), _array(wk), _array(wv)
+    q, k, v = xd @ mq, yd @ mk, yd @ mv
+    c = float(1.0 / np.sqrt(hidden))
+    scores = (q @ k.T.copy()) * c
+    e = np.exp(scores - np.max(scores, axis=1, keepdims=True))
+    p = e / np.sum(e, axis=1, keepdims=True)
+
+    def backward(g):
+        dp = g @ v.T
+        ds = (dp - np.sum(dp * p, axis=1, keepdims=True)) * p * c
+        dq, dk, dv = ds @ k, ds.T @ q, p.T @ g
+        return dq @ mq.T, dk @ mk.T + dv @ mv.T, xd.T @ dq, yd.T @ dk, yd.T @ dv
+
+    return ad.fused("ScaledDotAttention", [x, y, wq, wk, wv], p @ v, backward)
+
+
+def _glu(cc: Tensor, w1, w2) -> Tensor:
+    cd = cc.data
+    m1, m2 = _array(w1), _array(w2)
+    a = cd @ m1
+    s = ad.stable_sigmoid(cd @ m2)
+
+    def backward(g):
+        da, db = g * s, g * a * s * (1.0 - s)
+        return da @ m1.T + db @ m2.T, cd.T @ da, cd.T @ db
+
+    return ad.fused("LinearGLU", [cc, w1, w2], a * s, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +506,7 @@ class _FusionEncoder:
         for src in self.sources:
             if src not in features:
                 raise SpaceError(f"missing features for source {src!r}")
-            projected[src] = ad.add(
-                ad.matmul(ad.constant(features[src]), weights[f"proj/{src}/W"]), weights[f"proj/{src}/b"]
-            )
+            projected[src] = ad.linear(features[src], weights[f"proj/{src}/W"], weights[f"proj/{src}/b"])
         return projected
 
     def _step_params(self, weights: dict, c: int, s: int) -> dict:
@@ -469,7 +521,7 @@ class _FusionEncoder:
 
     def _cell_output(self, weights: dict, c: int, step_outs: list) -> Tensor:
         merged = ad.concat(step_outs, axis=1) if len(step_outs) > 1 else step_outs[0]
-        return ad.add(ad.matmul(merged, weights[f"cell{c}/out/W"]), weights[f"cell{c}/out/b"])
+        return ad.linear(merged, weights[f"cell{c}/out/W"], weights[f"cell{c}/out/b"])
 
 
 class MixedFusionEncoder(_FusionEncoder):

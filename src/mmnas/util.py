@@ -1,10 +1,13 @@
 """Shared helpers: canonical JSON, short hashes, deterministic RNG streams,
-linear weight initialization."""
+linear weight initialization, atomic file writes."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +34,26 @@ def init_linear(rng: np.random.Generator, shapes: dict) -> dict:
         name: np.zeros(shape) if len(shape) == 1 else rng.standard_normal(shape) / np.sqrt(shape[0])
         for name, shape in shapes.items()
     }
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a sibling temporary file for writing; rename it over ``path`` on success.
+
+    Readers see the old file or the whole new one, never a partial write.
+    If the block raises, the temporary file is removed and ``path`` is left
+    as it was. (No fsync: this guards against a failed or killed writer,
+    not against power loss.)
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # purpose tags for seeded_rng; every consumer uses one of these so streams

@@ -277,13 +277,47 @@ def mixed_cell_input_oracle(alpha, candidates):
     return out
 
 
+def linear_oracle(x, w, b):
+    """The original two-node affine layer, the reference for ``autodiff.linear``."""
+    import mmnas.autodiff as ad
+
+    return ad.add(ad.matmul(x, w), b)
+
+
+def primitive_oracle(op, x, y, params, hidden):
+    """The original op chain of each primitive, one tape node per array op.
+
+    Kept as the reference for the fused ``apply_primitive``: attention
+    recorded 8 nodes, GLU 4 plus the concat, ConcatFC 3 plus the concat.
+    """
+    import mmnas.autodiff as ad
+
+    if op == "Sum":
+        return ad.add(x, y)
+    if op == "Zero":
+        return ad.constant(np.zeros(x.shape))
+    if op == "ScaledDotAttention":
+        q = ad.matmul(x, params["Wq"])
+        k = ad.matmul(y, params["Wk"])
+        v = ad.matmul(y, params["Wv"])
+        scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(hidden))
+        return ad.matmul(ad.softmax(scores, axis=1), v)
+    cc = ad.concat([x, y], axis=1)
+    if op == "LinearGLU":
+        return ad.mul(ad.matmul(cc, params["W1"]), ad.sigmoid(ad.matmul(cc, params["W2"])))
+    if op == "ConcatFC":
+        return ad.relu(linear_oracle(cc, params["W"], params["b"]))
+    raise AssertionError(f"no oracle for primitive {op!r}")
+
+
 def mixed_step_oracle(beta, gamma, pair_candidates, prim_params, hidden):
-    """The original per-pair loop: both slots sum one weighted term per pair.
+    """The original per-pair loop: both slots sum one weighted term per pair,
+    and every primitive is its unfused op chain.
 
     Kept as the reference for the pair-marginal ``mixed_step``.
     """
     import mmnas.autodiff as ad
-    from mmnas.searchspace import PRIMITIVES, apply_primitive
+    from mmnas.searchspace import PRIMITIVES
 
     wb = ad.softmax(beta, axis=0)
     in0 = None
@@ -297,7 +331,7 @@ def mixed_step_oracle(beta, gamma, pair_candidates, prim_params, hidden):
     wg = ad.softmax(gamma, axis=0)
     out = None
     for p, op in enumerate(PRIMITIVES):
-        term = ad.mul(apply_primitive(op, in0, in1, prim_params.get(op, {}), hidden), wg[(p,)])
+        term = ad.mul(primitive_oracle(op, in0, in1, prim_params.get(op, {}), hidden), wg[(p,)])
         out = term if out is None else out + term
     return out
 
@@ -347,6 +381,17 @@ def derived_forward_oracle(genotype, weights: dict, features: dict) -> np.ndarra
         merged = np.concatenate(step_outputs, axis=1)
         cell_outputs.append(merged @ weights[f"cell{c}/out/W"] + weights[f"cell{c}/out/b"])
     return cell_outputs[-1]
+
+
+def corruptions(blob: bytes, values=(0x00, 0x01, 0x7F, 0x80, 0xFF)):
+    """Every proper prefix of ``blob``, then every single-byte replacement
+    by each of ``values`` that changes the byte, as (description, bytes)."""
+    for end in range(len(blob)):
+        yield f"prefix of {end} bytes", blob[:end]
+    for pos, orig in enumerate(blob):
+        for value in values:
+            if value != orig:
+                yield f"byte {pos} {orig:#04x} -> {value:#04x}", blob[:pos] + bytes([value]) + blob[pos + 1 :]
 
 
 def sign_test_p(wins: int, trials: int) -> float:

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import check_gradients
+from helpers import check_gradients, linear_oracle
 
 import mmnas.autodiff as ad
 from mmnas.autodiff import AutodiffError, NonFiniteError, Tape
@@ -292,3 +292,51 @@ def test_mix_rejects_malformed_input():
         ad.mix(ad.constant([1.0, 2.0]), [p, p], np.ones((2, 3)))
     with pytest.raises(AutodiffError, match="part shapes"):
         ad.mix(ad.constant([1.0, 2.0]), [p, ad.constant(np.ones((3, 2)))])
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_linear_gradients(rows):
+    rng = np.random.default_rng(13 + rows)
+    weighting = ad.constant(np.linspace(0.5, 1.5, 2 * rows).reshape(rows, 2))
+    for _ in range(20):
+        x, w, b = rng.standard_normal((rows, 3)), rng.standard_normal((3, 2)), rng.standard_normal(2)
+        check_gradients(
+            lambda lv: ad.tsum(ad.mul(ad.linear(lv["x"], lv["w"], lv["b"]), weighting)),
+            {"x": x, "w": w, "b": b},
+            tol=1e-6,
+        )
+        # raw-array weights stay constants; only the input is differentiated
+        check_gradients(lambda lv: ad.tsum(ad.mul(ad.linear(lv["x"], w, b), weighting)), {"x": x}, tol=1e-6)
+
+
+@pytest.mark.parametrize("on_tape", ["xwb", "x", "wb"])
+@pytest.mark.parametrize("rows", [1, 5])
+def test_linear_is_one_node_and_bitwise_matmul_plus_add(rows, on_tape):
+    rng = np.random.default_rng(rows)
+    arrays = {"x": rng.standard_normal((rows, 3)), "w": rng.standard_normal((3, 4)), "b": rng.standard_normal(4)}
+    weighting = ad.constant(np.linspace(0.5, 1.5, 4 * rows).reshape(rows, 4))
+    results = []
+    for layer in (ad.linear, linear_oracle):
+        tape = Tape()
+        leaves = {k: tape.leaf(v, k) for k, v in arrays.items() if k in on_tape}
+        before = len(tape)
+        out = layer(*(leaves.get(k, v) for k, v in arrays.items()))
+        nodes = len(tape) - before
+        grads = tape.backward(ad.tsum(ad.mul(out, weighting)))
+        results.append((out.data.tobytes(), nodes, {k: grads.of(t).tobytes() for k, t in leaves.items()}))
+    (value, nodes, grads), (ref_value, ref_nodes, ref_grads) = results
+    assert (nodes, ref_nodes) == (1, 2)
+    assert value == ref_value and grads == ref_grads
+    off = ad.linear(*arrays.values())
+    assert off.tape is None and off.data.tobytes() == value
+
+
+def test_linear_rejects_malformed_operands():
+    with pytest.raises(AutodiffError, match="linear: expects 2-D"):
+        ad.linear(np.ones(3), np.ones((3, 2)), np.ones(2))
+    with pytest.raises(AutodiffError, match="linear: inner dims differ"):
+        ad.linear(np.ones((2, 3)), np.ones((2, 2)), np.ones(2))
+    with pytest.raises(AutodiffError, match="linear: bias of shape"):
+        ad.linear(np.ones((2, 3)), np.ones((3, 2)), np.ones((1, 2)))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="linear"):
+        ad.linear(np.full((1, 1), 1e308), np.full((1, 1), 10.0), np.zeros(1))

@@ -215,12 +215,12 @@ def test_stack_view_features_interleaves_pairs():
 
 
 @pytest.mark.parametrize(
-    "cells, steps, max_nodes", [(1, 2, 99), (2, 3, 234)], ids=["default-1x2", "deep-2x3"]
+    "cells, steps, nodes", [(1, 2, 70), (2, 3, 160)], ids=["default-1x2", "deep-2x3"]
 )
-def test_search_batch_tape_size(cells, steps, max_nodes):
-    # one fused node per softmax mixture and for the loss, one concat per
-    # mixed step; a per-pair mixture records 193 nodes on the default space
-    # and 554 on the deep one
+def test_search_batch_tape_size(cells, steps, nodes):
+    # one node per softmax mixture, affine layer, attention, GLU and loss,
+    # one concat per mixed step; a per-pair mixture with unfused layers
+    # recorded 193 nodes on the default space and 554 on the deep one
     ds = generate(SyntheticSpec(num_samples=8, seed=0))
     space = SearchSpaceConfig(
         features_per_modality=(ds.image_dims, ds.text_dims), num_cells=cells, steps_per_cell=steps
@@ -232,7 +232,7 @@ def test_search_batch_tape_size(cells, steps, max_nodes):
     w = {k: tape.leaf(v, k) for k, v in state.weights.items()}
     a = {k: tape.leaf(v, k) for k, v in state.arch.named().items()}
     contrastive_batch_loss(MixedFusionEncoder(space), head, w, a, feats, CCFG.temperature)
-    assert len(tape) <= max_nodes
+    assert len(tape) == nodes
 
 
 def test_search_config_validation():

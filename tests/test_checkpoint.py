@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from helpers import corruptions
+
 from mmnas.checkpoint import CheckpointError, load_weights, save_weights
+from mmnas.util import atomic_open
 
 
 def _weights(seed=0):
@@ -68,3 +71,86 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_weights(path)
+
+
+def _entry(name: bytes, dims: tuple, values) -> bytes:
+    import struct
+
+    head = struct.pack("<H", len(name)) + name + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+    return head + np.asarray(values, dtype="<f8").tobytes()
+
+
+def test_undecodable_name_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "w.mmnw"
+    path.write_bytes(b"MMNW" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little") + _entry(b"\xff", (1,), [0.0]))
+    with pytest.raises(CheckpointError, match="offset 14 is not valid UTF-8"):
+        load_weights(path)
+
+
+def test_huge_dims_are_reported_as_truncation(tmp_path):
+    # 2^32-1 x 2^32-1 float64s overflow a C size; the check sees the true size
+    path = tmp_path / "w.mmnw"
+    path.write_bytes(b"MMNW" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little") + _entry(b"w", (2**32 - 1,) * 2, []))
+    with pytest.raises(CheckpointError, match=f"truncated checkpoint: need {8 * (2**32 - 1) ** 2} bytes"):
+        load_weights(path)
+
+
+def test_duplicate_names_rejected(tmp_path):
+    path = tmp_path / "w.mmnw"
+    entry = _entry(b"w", (1,), [1.0])
+    path.write_bytes(b"MMNW" + (1).to_bytes(4, "little") + (2).to_bytes(4, "little") + entry + entry)
+    with pytest.raises(CheckpointError, match="duplicate parameter name 'w' at offset 30"):
+        load_weights(path)
+
+
+def test_non_finite_values_rejected(tmp_path):
+    path = tmp_path / "w.mmnw"
+    save_weights(path, {"w": np.array([1.0, np.inf])})
+    with pytest.raises(CheckpointError, match="non-finite values in 'w' at offset"):
+        load_weights(path)
+
+
+def test_every_truncation_and_byte_flip_is_a_checkpoint_error_or_a_clean_load(tmp_path):
+    src = tmp_path / "w.mmnw"
+    save_weights(src, {"cell0/out/W": np.arange(4.0).reshape(2, 2) - 1.5, "head/b": np.array([0.5, -2.0, 3.0])})
+    path = tmp_path / "bad.mmnw"
+    cases = 0
+    for what, blob in corruptions(src.read_bytes()):
+        path.write_bytes(blob)
+        try:
+            loaded = load_weights(path)
+        except CheckpointError:
+            pass
+        else:
+            for name, arr in loaded.items():
+                assert isinstance(name, str) and arr.dtype == np.float64, what
+                assert np.isfinite(arr).all(), what
+        cases += 1
+    assert cases > 500
+
+
+def test_failed_save_leaves_the_earlier_checkpoint(tmp_path):
+    path = tmp_path / "w.mmnw"
+    save_weights(path, _weights())
+    before = path.read_bytes()
+    # sorted first, so the writer fails after writing the first entry
+    with pytest.raises(CheckpointError, match="too long"):
+        save_weights(path, {"a": np.ones(3), "b" * 70000: np.ones(2)})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w.mmnw"]
+
+
+def test_atomic_open_keeps_the_earlier_file_when_the_writer_fails(tmp_path):
+    path = tmp_path / "genotype.json"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="midway"):
+        with atomic_open(path) as fh:
+            fh.write("partial")
+            fh.flush()
+            raise RuntimeError("midway")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["genotype.json"]
+    with atomic_open(path, "w", newline="") as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["genotype.json"]

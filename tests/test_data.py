@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import corruptions
+
 from mmnas.data import (
     DataError,
     Dataset,
@@ -155,6 +157,52 @@ def test_mmnf_truncation_names_offset(tmp_path):
     path.write_bytes(blob[:-1])
     with pytest.raises(FormatError, match=r"offset \d+"):
         load(path)
+
+
+def test_mmnf_every_truncation_and_byte_flip_is_a_format_error_or_a_clean_load(tmp_path):
+    small = SyntheticSpec(num_samples=2, image_layer_dims=(2,), text_layer_dims=(1, 2), num_labels=2, latent_dim=1,
+                          signal_plan=(("image:0", 10.0), ("text:1", 10.0)), seed=3)
+    src, path = tmp_path / "d.mmnf", tmp_path / "bad.mmnf"
+    save(generate(small), src)
+    cases = 0
+    for what, blob in corruptions(src.read_bytes()):
+        path.write_bytes(blob)
+        try:
+            ds = load(path)
+        except FormatError:
+            pass
+        else:
+            assert all(x.shape == (len(ds), x.shape[1]) and np.isfinite(x).all() for x in ds.features.values()), what
+            assert ds.labels is None or set(np.unique(ds.labels)) <= {0, 1}, what
+        cases += 1
+    assert cases > 300
+
+
+def test_mmnf_non_binary_label_rejected(tmp_path):
+    path = tmp_path / "d.mmnf"
+    save(generate(SPEC), path)
+    blob = bytearray(path.read_bytes())
+    blob[-1] = 2
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=r"label values other than 0 and 1 at offset \d+"):
+        load(path)
+
+
+def test_failed_save_leaves_the_earlier_file(tmp_path):
+    path = tmp_path / "d.mmnf"
+    save(generate(SPEC), path)
+    before = path.read_bytes()
+
+    class Broken:
+        def astype(self, dtype):
+            raise OSError("disk went away")
+
+    ds = generate(SPEC)
+    ds.features["image:1"] = Broken()  # the writer fails after the first block
+    with pytest.raises(OSError, match="disk went away"):
+        save(ds, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["d.mmnf"]
 
 
 def test_mmnf_bad_magic_and_version(tmp_path):

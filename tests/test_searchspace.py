@@ -10,6 +10,7 @@ from helpers import (
     derived_forward_oracle,
     mixed_cell_input_oracle,
     mixed_step_oracle,
+    primitive_oracle,
 )
 
 import mmnas.autodiff as ad
@@ -246,6 +247,78 @@ def test_mixed_step_matches_the_per_pair_oracle(pool_size):
             return fn
 
         _assert_matches_oracle(build(mixed_step), build(mixed_step_oracle), params, (5, hidden))
+
+
+# ---------------------------------------------------------------------------
+# fused primitives
+# ---------------------------------------------------------------------------
+
+WEIGHTED_OPS = ("ScaledDotAttention", "LinearGLU", "ConcatFC")
+# nodes each primitive records given a prebuilt concat of its inputs
+FUSED_NODES = {"ScaledDotAttention": 1, "LinearGLU": 1, "ConcatFC": 2}
+
+
+def _primitive_inputs(op, hidden, rows, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, hidden)), rng.standard_normal((rows, hidden)), _step_params(hidden, seed)[op]
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+@pytest.mark.parametrize("leaf_weights", [True, False], ids=["leaf-weights", "raw-weights"])
+@pytest.mark.parametrize("op", WEIGHTED_OPS)
+def test_fused_primitive_matches_the_unfused_oracle(op, leaf_weights, rows):
+    """Bitwise the oracle's value, its gradients to 1e-12, in one node."""
+    hidden = 4
+    weighting = ad.constant(np.linspace(0.2, 1.4, rows * hidden).reshape(rows, hidden))
+    for seed in range(5):
+        x0, y0, p0 = _primitive_inputs(op, hidden, rows, seed)
+        results = []
+        for fused in (True, False):
+            tape = Tape()
+            x, y = tape.leaf(x0, "x"), tape.leaf(y0, "y")
+            params = {k: tape.leaf(v, k) for k, v in p0.items()} if leaf_weights else p0
+            if fused:
+                cc = ad.concat([x, y], axis=1)
+                before = len(tape)
+                out = apply_primitive(op, x, y, params, hidden, cc)
+                assert len(tape) - before == FUSED_NODES[op]
+            else:
+                out = primitive_oracle(op, x, y, params, hidden)
+            grads = tape.backward(ad.tsum(ad.mul(out, weighting)))
+            leaves = {"x": x, "y": y, **(params if leaf_weights else {})}
+            results.append((out.data, {k: grads.of(t) for k, t in leaves.items()}))
+        (value, grads), (ref_value, ref_grads) = results
+        assert value.tobytes() == ref_value.tobytes()
+        for k in grads:
+            np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-12, atol=1e-12, err_msg=k)
+        off = apply_primitive(op, ad.constant(x0), ad.constant(y0), p0, hidden)
+        assert off.tape is None and off.data.tobytes() == value.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+@pytest.mark.parametrize("op", WEIGHTED_OPS)
+def test_fused_primitive_gradients_match_finite_differences(op, rows):
+    hidden = 3
+    weighting = ad.constant(np.linspace(0.3, 1.2, rows * hidden).reshape(rows, hidden))
+    for seed in range(5):
+        x0, y0, p0 = _primitive_inputs(op, hidden, rows, 20 + seed)
+
+        def build(lv, weights=None):
+            params = {k: lv[k] for k in p0} if weights is None else weights
+            return ad.tsum(ad.mul(apply_primitive(op, lv["x"], lv["y"], params, hidden), weighting))
+
+        check_gradients(build, {"x": x0, "y": y0, **p0}, tol=1e-6)
+        check_gradients(lambda lv: build(lv, p0), {"x": x0, "y": y0}, tol=1e-6)
+
+
+@pytest.mark.parametrize("op", WEIGHTED_OPS)
+def test_apply_primitive_rejects_misshapen_weights(op):
+    x = ad.constant(np.ones((2, 4)))
+    params = dict(_step_params(4)[op])
+    name = next(iter(params))
+    params[name] = np.ones((3, 3))
+    with pytest.raises(SpaceError, match=f"{op}: weight {name} has shape"):
+        apply_primitive(op, x, x, params, 4)
 
 
 # ---------------------------------------------------------------------------
