@@ -275,7 +275,7 @@ def load(path, text_len: int = 16, vocab_size: int = 1000, expect_dims: tuple | 
         for l, d in enumerate(dims):
             block = np.frombuffer(raw, dtype="<f4", count=n * d, offset=off)
             if not np.isfinite(block).all():
-                raise FormatError("non-finite feature values (corrupt payload)")
+                raise FormatError(f"non-finite feature values in {modality}:{l} at offset {off} (corrupt payload)")
             features[f"{modality}:{l}"] = block.reshape(n, d).astype(np.float64)
             off += 4 * n * d
     labels = None

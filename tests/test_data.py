@@ -178,13 +178,27 @@ def test_mmnf_every_truncation_and_byte_flip_is_a_format_error_or_a_clean_load(t
     assert cases > 300
 
 
-def test_mmnf_non_binary_label_rejected(tmp_path):
+# text:1's block starts this far from the end: 11 float32s, then 5 label bytes, per sample
+TEXT1_FROM_END = -(4 * 11 + 5) * SPEC.num_samples
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({-1: 2}, r"label values other than 0 and 1 at offset \d+"),
+        # exponent bits of text:1's first float all set: Inf or NaN
+        ({TEXT1_FROM_END + 2: 0x80, TEXT1_FROM_END + 3: 0x7F}, r"non-finite feature values in text:1 at offset \d+"),
+    ],
+    ids=["label", "feature"],
+)
+def test_mmnf_corrupt_payload_names_what_and_where(tmp_path, edits, message):
     path = tmp_path / "d.mmnf"
     save(generate(SPEC), path)
     blob = bytearray(path.read_bytes())
-    blob[-1] = 2
+    for pos, value in edits.items():
+        blob[pos] = value
     path.write_bytes(bytes(blob))
-    with pytest.raises(FormatError, match=r"label values other than 0 and 1 at offset \d+"):
+    with pytest.raises(FormatError, match=message):
         load(path)
 
 

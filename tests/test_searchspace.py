@@ -1,5 +1,7 @@
 import copy
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -309,6 +311,23 @@ def test_fused_primitive_gradients_match_finite_differences(op, rows):
 
         check_gradients(build, {"x": x0, "y": y0, **p0}, tol=1e-6)
         check_gradients(lambda lv: build(lv, p0), {"x": x0, "y": y0}, tol=1e-6)
+
+
+def test_fused_primitive_tape_is_freed_without_the_cycle_collector():
+    # the closed-form backwards hold arrays, never tensors (see autodiff)
+    gc.disable()
+    try:
+        tape = Tape()
+        x0, y0, _ = _primitive_inputs("Sum", 4, 3, 0)
+        x, y = tape.leaf(x0, "x"), tape.leaf(y0, "y")
+        params = {op: {k: tape.leaf(v, k) for k, v in d.items()} for op, d in _step_params(4).items()}
+        root = ad.tsum(ad.concat([apply_primitive(op, x, y, params[op], 4) for op in WEIGHTED_OPS], axis=1))
+        tape.backward(root)
+        ref = weakref.ref(tape)
+        del tape, x, y, params, root
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("op", WEIGHTED_OPS)
