@@ -32,8 +32,12 @@ output):
 Given cc = concat(x, y), which ``mixed_step`` builds once for both
 primitives that read it, Sum records one ``add`` node, Zero none, ConcatFC
 two (``relu(linear(cc, W, b))``), and attention and GLU one ``fused`` node
-each, whose backward is the closed form below for an upstream gradient G:
+each. Their gradients, for an upstream gradient G:
 
+  Sum                 dx = dy = G
+  ConcatFC            dZ = G * (cc W + b > 0); dcc = dZ W^T, dW = cc^T dZ,
+                      db = column sums of dZ
+  Zero                none (a constant)
   ScaledDotAttention  q = x Wq, k = y Wk, v = y Wv, c = 1/sqrt(hidden),
                       P = softmax(c q k^T) row-wise, out = P v;
                       dP = G v^T, dS = c (dP - rowsum(dP * P)) * P,
@@ -44,8 +48,9 @@ each, whose backward is the closed form below for an upstream gradient G:
                       da = G * s, db = G * a * s * (1 - s);
                       dcc = da W1^T + db W2^T, dW1 = cc^T da, dW2 = cc^T db
 
-Their forward passes evaluate the same numpy expressions in the same order
-as the unfused op chains did, so their values are bitwise unchanged.
+The fused attention and GLU nodes evaluate the same numpy expressions in
+the same order as their unfused op chains did, so their values are
+bitwise unchanged; their backward passes are the closed forms above.
 
 Cell input slots: a cell has one alpha vector but two input slots. Slot A
 is the plain softmax mixture over candidates; slot B is the same mixture
