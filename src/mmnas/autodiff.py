@@ -22,6 +22,12 @@ search space (``searchspace.apply_primitive``). Elementwise ops follow
 numpy broadcasting; the backward pass sum-reduces gradients over broadcast
 axes. Every op validates that its output is finite and names itself in the
 error when it is not.
+
+Parameters enter a tape as named leaves: ``Tape.leaf`` registers one array,
+and ``Tape.leaves`` registers every view of one flat parameter vector
+(``util.flat_views``) with one finiteness check of the vector.
+``Gradients.flat`` gathers their gradients back into one vector of the
+same layout, which an optimizer steps whole (``optim``).
 """
 
 from __future__ import annotations
@@ -172,6 +178,11 @@ class Gradients:
             return np.zeros(tensor.data.shape, dtype=np.float64)
         return g
 
+    def flat(self, leaves: dict) -> np.ndarray:
+        """The gradients of ``leaves`` (from ``Tape.leaves``), flattened and
+        concatenated in order: the gradient vector of their flat vector."""
+        return np.concatenate([self.of(t) for t in leaves.values()], axis=None)
+
 
 class Tape:
     """Ordered op recording; inputs always precede their consumers."""
@@ -193,6 +204,23 @@ class Tape:
         """Register a differentiable leaf (a parameter) on the tape."""
         arr = _asarray(value)
         return self._record(f"leaf:{name}" if name else "leaf", (), None, arr)
+
+    def leaves(self, views: dict, flat: np.ndarray) -> dict:
+        """Register every view of ``flat`` (``util.flat_views``) as a named leaf.
+
+        One finiteness check of ``flat`` stands for the per-leaf checks of
+        ``leaf``. On failure it raises the ``NonFiniteError`` that ``leaf``
+        raises for the first non-finite view, and records no node.
+        Returns name -> leaf, in the order of ``views``.
+        """
+        if not np.isfinite(flat).all():
+            bad = next(k for k, v in views.items() if not np.isfinite(v).all())
+            raise NonFiniteError(f"leaf:{bad}: non-finite output")
+        out = {}
+        for name, v in views.items():
+            out[name] = _checked_tensor(v, self, len(self._nodes))
+            self._nodes.append(_Node(f"leaf:{name}", (), None, v.shape))
+        return out
 
     def backward(self, root: Tensor) -> Gradients:
         """Accumulate d(root)/d(node) for every node reachable from root."""

@@ -4,10 +4,14 @@ Each epoch runs two phases over disjoint unlabeled splits: the train phase
 steps only the operator weights w (momentum SGD), the valid phase steps
 only the architecture logits alpha/beta/gamma (Adam). Both phases minimize
 the same two-view contrastive objective; no inner-loop unrolling, plain
-first-order alternation. After the phases, a no-update evaluation pass
-over the valid split scores the current architecture, and the best
-(lowest) validation loss snapshots the logits. The returned genotype is
-derived from that best snapshot.
+first-order alternation. The train phase differentiates only w, the
+valid phase only the logits: a phase puts the views of the one vector it
+steps (``SearchState.flat_weights`` or ``ArchParams.flat``) on the tape
+with ``Tape.leaves`` and reads the other set as plain arrays, so no
+backward pass computes a gradient that is then thrown away. After the
+phases, a no-update evaluation pass over the valid split scores the
+current architecture, and the best (lowest) validation loss snapshots the
+logits. The returned genotype is derived from that best snapshot.
 
 Augmentation reads no model state, so each epoch's augmented view
 batches (train, then valid, then the evaluation pass) come from one
@@ -46,7 +50,7 @@ from .searchspace import (
     derive_genotype,
     validate_genotype,
 )
-from .util import TAG_ARCH_INIT, TAG_AUGMENT, TAG_SHUFFLE, TAG_WEIGHT_INIT, seeded_rng
+from .util import TAG_ARCH_INIT, TAG_AUGMENT, TAG_SHUFFLE, TAG_WEIGHT_INIT, flat_views, seeded_rng
 
 
 class SearchError(RuntimeError):
@@ -83,12 +87,19 @@ class SearchConfig:
 
 @dataclass
 class SearchState:
+    """Search progress. ``weights`` are copied into one owned vector,
+    ``flat_weights``, and the dict then holds views of it (``util.flat_views``)."""
+
     arch: ArchParams
     weights: dict
     best_arch: ArchParams
     best_valid_loss: float = float("inf")
     epoch: int = 0
     history: list = field(default_factory=list)
+    flat_weights: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat_weights, self.weights = flat_views(self.weights)
 
 
 def batch_indices(n: int, batch_size: int, rng: np.random.Generator | None = None) -> list:
@@ -267,15 +278,18 @@ def search_epoch(
             report(rec)
 
     epoch = state.epoch + 1
-    phases = (("train", train), ("valid", valid))
+    arch = state.arch.named()
+    w_set, a_set = (state.weights, state.flat_weights), (arch, state.arch.flat)
+    # (phase, split, the set it differentiates and steps, the set it reads as plain arrays)
+    phases = (("train", train, w_set, a_set, opt_w), ("valid", valid, a_set, w_set, opt_arch))
     sections = [
         (ds, *(seeded_rng(scfg.seed, tag, state.epoch, i) for tag in (TAG_SHUFFLE, TAG_AUGMENT)))
-        for i, (_, ds) in enumerate(phases)
+        for i, ds in enumerate((train, valid))
     ]
     # checkpoint pass: the valid split in order, with its own augmentation stream
     sections.append((valid, None, seeded_rng(scfg.seed, TAG_AUGMENT, state.epoch, 2)))
     with view_stream(sections, scfg.batch_size, ccfg) as views:
-        for phase, ds in phases:
+        for phase, ds, (stepped, flat), frozen, opt in phases:
             # the batch count does not depend on the shuffle
             n_batches = len(batch_indices(len(ds), scfg.batch_size))
             if not n_batches:
@@ -285,19 +299,18 @@ def search_epoch(
             for bi, feats in enumerate(itertools.islice(views, n_batches)):
                 tape = Tape()
                 try:
-                    w_leaves = {k: tape.leaf(v, k) for k, v in state.weights.items()}
-                    a_leaves = {k: tape.leaf(v, k) for k, v in state.arch.named().items()}
-                    loss = contrastive_batch_loss(encoder, head, w_leaves, a_leaves, feats, ccfg.temperature)
+                    if bi == 0:
+                        # the plain set is constant all phase: one check names a
+                        # non-finite entry as its leaf would
+                        Tape().leaves(*frozen)
+                    leaves = tape.leaves(stepped, flat)
+                    w, a = (leaves, arch) if phase == "train" else (state.weights, leaves)
+                    loss = contrastive_batch_loss(encoder, head, w, a, feats, ccfg.temperature)
                 except (NonFiniteError, ContrastiveError) as e:
                     raise SearchError(
                         f"{loss_failure(e)} at epoch {epoch} phase {phase} batch {bi}: {e}"
                     ) from e
-                grads = tape.backward(loss)
-                if phase == "train":
-                    opt_w.step(state.weights, {k: grads.of(t) for k, t in w_leaves.items()})
-                else:
-                    named = state.arch.named()
-                    opt_arch.step(named, {k: grads.of(a_leaves[k]) for k in named})
+                opt.step(flat, tape.backward(loss).flat(leaves))
                 losses.append(float(loss.data))
             emit(
                 {
@@ -315,9 +328,7 @@ def search_epoch(
         losses = []
         for bi, feats in enumerate(views):
             try:
-                loss = contrastive_batch_loss(
-                    encoder, head, state.weights, state.arch.named(), feats, ccfg.temperature
-                )
+                loss = contrastive_batch_loss(encoder, head, state.weights, arch, feats, ccfg.temperature)
             except (NonFiniteError, ContrastiveError) as e:
                 raise SearchError(f"{loss_failure(e)} at epoch {epoch} phase eval batch {bi}: {e}") from e
             losses.append(float(loss.data))

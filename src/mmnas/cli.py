@@ -255,6 +255,8 @@ def _run_all_once(cfg: RunConfig, out: Path, genotype_path=None, weights_path=No
     space = cfg.space_config(ds.image_dims, ds.text_dims)
     genotype = _genotype_from_file(genotype_path, space) if genotype_path else None
     pretrained = load_weights(weights_path) if weights_path else None
+    # one run-all per log; the staged commands append to a log they share on purpose
+    (out / "reports.jsonl").unlink(missing_ok=True)
     reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)
     try:
         reports, artifacts = run_pipeline(

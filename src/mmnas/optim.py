@@ -1,8 +1,11 @@
-"""Gradient-step rules for named parameter dicts.
+"""Gradient-step rules for one flat parameter vector.
 
-Both optimizers mutate ``params`` in place and keep per-name state keyed by
-the parameter name, so the same instance must always be stepped with the
-same parameter set.
+Each optimizer steps one float64 vector in place, whole, with the gradient
+vector of the same layout; the named arrays a model reads are views of it
+(``util.flat_views``), so one update moves every parameter. The state is
+one vector per moment, so the same instance must always be stepped with
+the same vector. The rules are element-wise, so stepping the vector gives
+bitwise what stepping each of its views on its own would give.
 
 MomentumSGD:  v <- momentum * v + grad;  p <- p - lr * v
 Adam (bias-corrected, eps = 1e-8):
@@ -22,17 +25,13 @@ class MomentumSGD:
             raise ValueError("lr must be >= 0")
         self.lr = lr
         self.momentum = momentum
-        self._velocity: dict[str, np.ndarray] = {}
+        self._velocity: np.ndarray | None = None
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        for name, p in params.items():
-            g = grads[name]
-            v = self._velocity.get(name)
-            if v is None:
-                v = np.zeros_like(p)
-            v = self.momentum * v + g
-            self._velocity[name] = v
-            p -= self.lr * v
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        if self._velocity is None:
+            self._velocity = np.zeros_like(flat)
+        self._velocity = self.momentum * self._velocity + grad
+        flat -= self.lr * self._velocity
 
 
 class Adam:
@@ -43,23 +42,17 @@ class Adam:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
         self._t = 0
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        if self._m is None:
+            self._m = np.zeros_like(flat)
+            self._v = np.zeros_like(flat)
         self._t += 1
         b1t = 1.0 - self.beta1 ** self._t
         b2t = 1.0 - self.beta2 ** self._t
-        for name, p in params.items():
-            g = grads[name]
-            m = self._m.get(name)
-            v = self._v.get(name)
-            if m is None:
-                m = np.zeros_like(p)
-                v = np.zeros_like(p)
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self._m[name] = m
-            self._v[name] = v
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        self._m = self.beta1 * self._m + (1.0 - self.beta1) * grad
+        self._v = self.beta2 * self._v + (1.0 - self.beta2) * (grad * grad)
+        flat -= self.lr * (self._m / b1t) / (np.sqrt(self._v / b2t) + self.eps)

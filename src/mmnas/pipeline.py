@@ -47,6 +47,7 @@ from .util import (
     TAG_PRETRAIN_EPOCH,
     TAG_PRETRAIN_INIT,
     atomic_open,
+    flat_views,
     seeded_rng,
 )
 
@@ -142,6 +143,7 @@ def pretrain(
         return weights
     if len(train) < 2:
         raise PipelineError(f"pretraining split too small for one batch: {len(train)} samples")
+    flat, weights = flat_views(weights)
     opt = MomentumSGD(lr, momentum)
     epoch_losses = []
     # each epoch's rng shuffles its batches, then augments them
@@ -154,14 +156,13 @@ def pretrain(
             for bi, feats in enumerate(itertools.islice(views, n_batches)):
                 tape = Tape()
                 try:
-                    leaves = {k: tape.leaf(v, k) for k, v in weights.items()}
+                    leaves = tape.leaves(weights, flat)
                     loss = contrastive_batch_loss(encoder, head, leaves, None, feats, ccfg.temperature)
                 except (NonFiniteError, ContrastiveError) as e:
                     raise PipelineError(
                         f"pretrain: {loss_failure(e)} at epoch {epoch + 1} batch {bi}: {e}"
                     ) from e
-                grads = tape.backward(loss)
-                opt.step(weights, {k: grads.of(t) for k, t in leaves.items()})
+                opt.step(flat, tape.backward(loss).flat(leaves))
                 losses.append(float(loss.data))
             epoch_losses.append(float(np.mean(losses)))
             if report is not None:
@@ -252,9 +253,10 @@ def fit_classifier(
     num_labels = targets.shape[1]
     hidden = encoder.config.hidden_dim
     rng = seeded_rng(seed, TAG_CLASSIFIER_INIT)
-    model = dict(encoder_weights) if freeze_encoder else {k: v.copy() for k, v in encoder_weights.items()}
-    model["clf/W"] = rng.standard_normal((hidden, num_labels)) / np.sqrt(hidden)
-    model["clf/b"] = np.zeros(num_labels)
+    clf = {"clf/W": rng.standard_normal((hidden, num_labels)) / np.sqrt(hidden), "clf/b": np.zeros(num_labels)}
+    # the trainables are views of one vector, copied from the encoder's arrays when fine-tuned
+    flat, trainable = flat_views(clf if freeze_encoder else {**encoder_weights, **clf})
+    model = {**encoder_weights, **trainable}
     loss_fn = bce_with_logits if classifier_loss == "bce" else softmax_cross_entropy
     opt = Adam(lr)
     h_frozen = encode_dataset(encoder, model, labeled) if freeze_encoder else None
@@ -267,18 +269,14 @@ def fit_classifier(
         t0 = time.perf_counter()
         for idx in chunks:
             tape = Tape()
+            leaves = tape.leaves(trainable, flat)
             if freeze_encoder:
-                trainable = {k: model[k] for k in ("clf/W", "clf/b")}
-                leaves = {k: tape.leaf(v, k) for k, v in trainable.items()}
                 h = ad.constant(h_frozen[idx])
             else:
-                trainable = model
-                leaves = {k: tape.leaf(v, k) for k, v in trainable.items()}
                 h = encoder.forward(leaves, {src: x[idx] for src, x in labeled.features.items()})
             logits = ad.linear(h, leaves["clf/W"], leaves["clf/b"])
             loss = loss_fn(logits, targets[idx])
-            grads = tape.backward(loss)
-            opt.step(trainable, {k: grads.of(t) for k, t in leaves.items()})
+            opt.step(flat, tape.backward(loss).flat(leaves))
             losses.append(float(loss.data))
         if report is not None:
             report(

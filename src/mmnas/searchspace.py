@@ -67,7 +67,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .util import canonical_json, init_linear, short_hash
+from .util import canonical_json, flat_views, init_linear, short_hash
 
 PRIMITIVES = ("Sum", "ScaledDotAttention", "LinearGLU", "ConcatFC", "Zero")
 
@@ -168,12 +168,27 @@ class ArchParams:
     alpha[c] has length num_cell_candidates(c); beta[c][s] ranges over the
     ordered pairs of the step's pool (slot A, slot B, earlier steps);
     gamma[c][s] ranges over PRIMITIVES.
+
+    Construction validates the logits and copies them into one owned
+    vector, ``flat``, in the order of ``named()``; the alpha, beta and gamma
+    lists then hold views of it. So an in-place write to a logit vector is
+    a write to ``flat`` and the other way round, the architecture optimizer
+    steps ``flat`` whole, and ``copy()`` owns a vector of its own.
     """
 
     config: SearchSpaceConfig
     alpha: list = field(default_factory=list)
     beta: list = field(default_factory=list)
     gamma: list = field(default_factory=list)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.validate()
+        self.flat, views = flat_views(self.named())
+        cells, steps = range(self.config.num_cells), range(self.config.steps_per_cell)
+        self.alpha = [views[f"alpha/c{c}"] for c in cells]
+        self.beta = [[views[f"beta/c{c}/s{s}"] for s in steps] for c in cells]
+        self.gamma = [[views[f"gamma/c{c}/s{s}"] for s in steps] for c in cells]
 
     @classmethod
     def init(cls, config: SearchSpaceConfig, rng: np.random.Generator, scale: float = 1e-3):
@@ -206,7 +221,7 @@ class ArchParams:
                     raise SpaceError(f"gamma[{c}][{s}] has wrong length")
 
     def named(self) -> dict:
-        """name -> array view; optimizers mutate these arrays in place."""
+        """name -> logit vector, each a view of ``flat`` (in ``flat``'s order)."""
         out = {}
         for c in range(self.config.num_cells):
             out[f"alpha/c{c}"] = self.alpha[c]
@@ -216,12 +231,7 @@ class ArchParams:
         return out
 
     def copy(self) -> "ArchParams":
-        return ArchParams(
-            self.config,
-            [a.copy() for a in self.alpha],
-            [[b.copy() for b in bs] for bs in self.beta],
-            [[g.copy() for g in gs] for gs in self.gamma],
-        )
+        return ArchParams(self.config, self.alpha, self.beta, self.gamma)
 
 
 @dataclass(frozen=True)

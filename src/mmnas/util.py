@@ -1,5 +1,5 @@
 """Shared helpers: canonical JSON, short hashes, deterministic RNG streams,
-linear weight initialization, atomic file writes."""
+linear weight initialization, flat parameter storage, atomic file writes."""
 
 from __future__ import annotations
 
@@ -34,6 +34,22 @@ def init_linear(rng: np.random.Generator, shapes: dict) -> dict:
         name: np.zeros(shape) if len(shape) == 1 else rng.standard_normal(shape) / np.sqrt(shape[0])
         for name, shape in shapes.items()
     }
+
+
+def flat_views(arrays: dict) -> tuple:
+    """Copy ``arrays`` into one new float64 vector; return it and a dict of views.
+
+    The views have the keys, key order and shapes of ``arrays`` and lie in
+    the vector in that order, so writing to the vector writes to every view
+    and an optimizer can step all of them with one whole-vector update.
+    """
+    flat = np.concatenate([np.asarray(a, dtype=np.float64) for a in arrays.values()], axis=None)
+    views, offset = {}, 0
+    for name, a in arrays.items():
+        size = np.size(a)
+        views[name] = flat[offset : offset + size].reshape(np.shape(a))
+        offset += size
+    return flat, views
 
 
 @contextlib.contextmanager

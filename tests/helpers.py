@@ -397,3 +397,36 @@ def corruptions(blob: bytes, values=(0x00, 0x01, 0x7F, 0x80, 0xFF)):
 def sign_test_p(wins: int, trials: int) -> float:
     """One-sided exact binomial sign test: P(X >= wins | p = 1/2)."""
     return sum(math.comb(trials, k) for k in range(wins, trials + 1)) / 2.0 ** trials
+
+
+class MomentumSGDOracle:
+    """Per-array momentum SGD over a dict of arrays, each stepped in place:
+    v <- momentum * v + g;  p <- p - lr * v."""
+
+    def __init__(self, lr: float, momentum: float):
+        self.lr, self.momentum, self.velocity = lr, momentum, {}
+
+    def step(self, params: dict, grads: dict) -> None:
+        for name, p in params.items():
+            v = self.momentum * self.velocity.get(name, np.zeros_like(p)) + grads[name]
+            self.velocity[name] = v
+            p -= self.lr * v
+
+
+class AdamOracle:
+    """Per-array bias-corrected Adam over a dict of arrays, each stepped in place."""
+
+    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.m, self.v, self.t = {}, {}, 0
+
+    def step(self, params: dict, grads: dict) -> None:
+        self.t += 1
+        b1t = 1.0 - self.beta1 ** self.t
+        b2t = 1.0 - self.beta2 ** self.t
+        for name, p in params.items():
+            g = grads[name]
+            m = self.beta1 * self.m.get(name, np.zeros_like(p)) + (1.0 - self.beta1) * g
+            v = self.beta2 * self.v.get(name, np.zeros_like(p)) + (1.0 - self.beta2) * (g * g)
+            self.m[name], self.v[name] = m, v
+            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)

@@ -340,3 +340,28 @@ def test_linear_rejects_malformed_operands():
         ad.linear(np.ones((2, 3)), np.ones((3, 2)), np.ones((1, 2)))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="linear"):
         ad.linear(np.full((1, 1), 1e308), np.full((1, 1), 10.0), np.zeros(1))
+
+
+def test_leaves_reject_a_non_finite_view_by_name_and_record_nothing():
+    from mmnas.util import flat_views
+
+    flat, views = flat_views({"a": np.ones(2), "b": np.ones((2, 2)), "c": np.ones(1)})
+    tape = Tape()
+    tape.leaf([1.0], "x")
+    views["b"][1, 0] = np.inf
+    views["c"][0] = np.nan
+    with pytest.raises(NonFiniteError, match=r"^leaf:b: non-finite output$"):
+        tape.leaves(views, flat)
+    assert len(tape) == 1
+
+
+def test_leaves_are_named_leaves_of_the_views():
+    from mmnas.util import flat_views
+
+    flat, views = flat_views({"a": np.arange(2.0), "b": np.arange(4.0).reshape(2, 2)})
+    tape = Tape()
+    leaves = tape.leaves(views, flat)
+    assert list(leaves) == ["a", "b"] and len(tape) == 2
+    assert all(leaves[k].data is views[k] for k in views)
+    grads = tape.backward(ad.tsum(ad.mul(leaves["b"], leaves["b"])))
+    np.testing.assert_array_equal(grads.flat(leaves), [0.0, 0.0, 0.0, 2.0, 4.0, 6.0])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import augment_view_oracle
+from helpers import AdamOracle, MomentumSGDOracle, augment_view_oracle
 
 import mmnas.bilevel as bilevel
 from mmnas.autodiff import Tape
@@ -19,6 +19,7 @@ from mmnas.contrastive import ContrastiveConfig, ContrastiveError, ProjectionHea
 from mmnas.data import SyntheticSpec, generate, split
 from mmnas.optim import Adam, MomentumSGD
 from mmnas.searchspace import CellGene, Genotype, MixedFusionEncoder, SearchSpaceConfig
+from mmnas.util import TAG_AUGMENT, TAG_SHUFFLE, seeded_rng
 
 CCFG = ContrastiveConfig()
 NTXENT_LOSS = bilevel.ntxent_loss
@@ -156,6 +157,35 @@ def test_diverged_weights_raise_search_error_with_their_position():
     assert isinstance(info.value.__cause__, FloatingPointError)
 
 
+class _PoisonAt:
+    """Optimizer stand-in whose k-th step writes NaN into its vector's first entry."""
+
+    def __init__(self, k):
+        self.k, self.calls = k, 0
+
+    def step(self, flat, grad):
+        self.calls += 1
+        if self.calls == self.k:
+            flat[0] = np.nan
+
+
+# a set that one phase steps and the next reads as plain arrays is named as its leaf would be
+@pytest.mark.parametrize(
+    "poisoned, where, leaf",
+    [("weights", "phase valid batch 0", "proj/image:0/W"), ("arch", "phase valid batch 1", "alpha/c0")],
+)
+def test_a_non_finite_entry_is_named_at_the_first_batch_that_reads_it(poisoned, where, leaf):
+    train, valid, space = _setup()  # 7 train and 2 valid batches
+    scfg = SearchConfig(max_epochs=1, batch_size=8)
+    state = init_search_state(scfg, space, CCFG)
+    opt_w = _PoisonAt(7) if poisoned == "weights" else MomentumSGD(scfg.lr_weights, scfg.momentum)
+    opt_arch = _PoisonAt(1) if poisoned == "arch" else Adam(scfg.lr_arch)
+    head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
+    message = rf"^non-finite loss at epoch 1 {where}: leaf:{leaf}: non-finite output$"
+    with pytest.raises(SearchError, match=message):
+        search_epoch(state, train, valid, scfg, CCFG, MixedFusionEncoder(space), head, opt_w, opt_arch)
+
+
 # one epoch on _setup(): 7 train, 2 valid and 2 eval batches, one loss call each
 @pytest.mark.parametrize("failing_call, where", [(3, "phase train batch 2"), (11, "phase eval batch 1")])
 def test_contrastive_errors_raise_search_error_with_their_position(monkeypatch, failing_call, where):
@@ -253,3 +283,63 @@ def test_planted_layers_recovered_quickly():
         SearchConfig(max_epochs=3, batch_size=16, seed=3), space, CCFG, splits.search_train, splits.search_valid
     )
     assert set(genotype.cells[0].inputs) == {"image:0", "text:1"}
+
+
+def test_each_phase_puts_only_what_it_steps_on_the_tape(monkeypatch):
+    train, valid, space = _setup()
+    scfg = SearchConfig(max_epochs=1, batch_size=8, seed=12)
+    state = init_search_state(scfg, space, CCFG)
+    leaf_names = []
+    backward = Tape.backward
+
+    def watch(tape, root):
+        leaf_names.append([n.op[len("leaf:"):] for n in tape._nodes if n.op.startswith("leaf:")])
+        return backward(tape, root)
+
+    monkeypatch.setattr(Tape, "backward", watch)
+    search_epoch(
+        state, train, valid, scfg, CCFG, MixedFusionEncoder(space),
+        ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim),
+        MomentumSGD(scfg.lr_weights, scfg.momentum), Adam(scfg.lr_arch),
+    )
+    n_train = len(batch_indices(len(train), scfg.batch_size))
+    n_valid = len(batch_indices(len(valid), scfg.batch_size))
+    assert len(leaf_names) == n_train + n_valid
+    assert leaf_names[:n_train] == [list(state.weights)] * n_train
+    assert leaf_names[n_train:] == [list(state.arch.named())] * n_valid
+
+
+def _search_with_both_sets_on_the_tape(train, valid, space, scfg):
+    """The bilevel alternation written out with every weight and logit a leaf
+    in both phases, stepped by the per-array optimizer references."""
+    state = init_search_state(scfg, space, CCFG)
+    weights = {k: v.copy() for k, v in state.weights.items()}
+    arch = {k: v.copy() for k, v in state.arch.named().items()}
+    encoder = MixedFusionEncoder(space)
+    head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
+    opts = (
+        (weights, MomentumSGDOracle(scfg.lr_weights, scfg.momentum)),
+        (arch, AdamOracle(scfg.lr_arch, scfg.adam_beta1, scfg.adam_beta2, scfg.adam_eps)),
+    )
+    for epoch in range(scfg.max_epochs):
+        for i, (ds, (stepped, opt)) in enumerate(zip((train, valid), opts)):
+            shuffle = seeded_rng(scfg.seed, TAG_SHUFFLE, epoch, i)
+            augment = seeded_rng(scfg.seed, TAG_AUGMENT, epoch, i)
+            for idx in batch_indices(len(ds), scfg.batch_size, shuffle):
+                feats = stack_view_features(ds, idx, CCFG, augment)
+                tape = Tape()
+                w = {k: tape.leaf(v, k) for k, v in weights.items()}
+                a = {k: tape.leaf(v, k) for k, v in arch.items()}
+                grads = tape.backward(contrastive_batch_loss(encoder, head, w, a, feats, CCFG.temperature))
+                leaves = {**w, **a}
+                opt.step(stepped, {k: grads.of(leaves[k]) for k in stepped})
+    return weights, arch
+
+
+def test_phase_only_tapes_and_flat_steps_are_bitwise_the_full_tape_search():
+    train, valid, space = _setup(n=60, seed=13, hidden=4)
+    scfg = SearchConfig(max_epochs=2, batch_size=8, seed=14)
+    weights, arch = _search_with_both_sets_on_the_tape(train, valid, space, scfg)
+    _, state = run_search(scfg, space, CCFG, train, valid)
+    assert _weights_bytes(state.weights) == _weights_bytes(weights)
+    assert _weights_bytes(state.arch.named()) == _weights_bytes(arch)

@@ -127,6 +127,18 @@ def test_eval_on_perfect_prediction_fixture(tmp_path, tiny_config, capsys):
     assert rows[-1]["metrics"]["weighted_f1"] == 1.0
 
 
+def test_run_all_into_a_used_out_dir_starts_a_fresh_log(tmp_path, tiny_config):
+    out = tmp_path / "r"
+    for _ in range(2):
+        assert main(["run-all", "--config", tiny_config, "--seed", "7", "--out-dir", str(out)]) == 0
+    stages = [r.get("stage") for r in _reports(out)]
+    assert stages.count("run-all") == 1 and stages.count("search") == 1
+    sweep = ["sweep-r", "--config", tiny_config, "--out-dir", str(tmp_path / "s"), "--r-grid", "0.3", "--seeds", "0"]
+    for _ in range(2):
+        assert main(sweep) == 0
+    assert [r.get("stage") for r in _reports(tmp_path / "s" / "r0.3_seed0")].count("run-all") == 1
+
+
 def test_sweep_r_writes_grid_csv(tmp_path, tiny_config):
     out = tmp_path / "sweep"
     code = main(

@@ -710,3 +710,19 @@ def test_apply_primitive_zero_is_exact():
 
 def test_ordered_pairs_lexicographic():
     assert ordered_pairs(3) == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+
+
+def test_arch_logits_are_views_of_one_vector_and_copies_own_theirs():
+    arch = ArchParams.init(CFG, np.random.default_rng(15))
+    named = arch.named()
+    assert arch.flat.size == sum(v.size for v in named.values())
+    assert all(np.shares_memory(v, arch.flat) for v in named.values())
+    arch.flat += 1.0  # a whole-vector step moves every logit list
+    np.testing.assert_array_equal(np.concatenate(list(arch.named().values())), arch.flat)
+    arch.gamma[0][0][1] = 5.0  # and an in-place write to a list entry moves the vector
+    assert 5.0 in arch.flat
+    copied = arch.copy()
+    assert not np.shares_memory(copied.flat, arch.flat)
+    assert not any(np.shares_memory(a, b) for a in copied.named().values() for b in named.values())
+    assert {k: v.tobytes() for k, v in copied.named().items()} == {k: v.tobytes() for k, v in named.items()}
+    assert all(np.shares_memory(v, copied.flat) for v in copied.named().values())
