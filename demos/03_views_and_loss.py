@@ -8,29 +8,27 @@ import math
 import numpy as np
 
 import mmnas.autodiff as ad
-from mmnas.contrastive import ContrastiveConfig, augment_view, ntxent_loss
+from mmnas.contrastive import ContrastiveConfig, augment_views, ntxent_loss
 from mmnas.data import SyntheticSpec, generate
 
 ds = generate(SyntheticSpec(num_samples=8, seed=0))
 cfg = ContrastiveConfig()
-# The dataset is columnar: one n x d matrix per backbone source. Row 0 of
-# each matrix is sample 0.
-image = [ds.features[f"image:{l}"][0] for l in range(len(ds.image_dims))]
-text = [ds.features[f"text:{l}"][0] for l in range(len(ds.text_dims))]
-tokens = ds.tokens[0]
+# The dataset is columnar: one n x d matrix per backbone source. Rows 0:1
+# of each matrix are sample 0 as a one-row batch.
+image = [ds.features[f"image:{l}"][0:1] for l in range(len(ds.image_dims))]
+text = [ds.features[f"text:{l}"][0:1] for l in range(len(ds.text_dims))]
 
 rng = np.random.default_rng(7)
-view_i = augment_view(image, tokens, text, cfg, rng)
-view_j = augment_view(image, tokens, text, cfg, rng)
-print("image layer 0, original    :", np.round(image[0][:8], 2))
-print("image layer 0, view i      :", np.round(view_i[0][0][:8], 2))
-print("image layer 0, view j      :", np.round(view_j[0][0][:8], 2))
-masked = int(np.sum(view_i[1] == cfg.mask_token))
-print(f"text view i masks {masked}/{len(tokens)} tokens "
-      f"(mask id {cfg.mask_token}, p={cfg.mask_prob})")
+view_i = augment_views(image, text, ds.text_len, cfg, rng)
+view_j = augment_views(image, text, ds.text_len, cfg, rng)
+print("image layer 0, original    :", np.round(image[0][0, :8], 2))
+print("image layer 0, view i      :", np.round(view_i[0][0][0, :8], 2))
+print("image layer 0, view j      :", np.round(view_j[0][0][0, :8], 2))
+masked = np.flatnonzero(view_i[1][0])
+print(f"text view i masks {len(masked)}/{ds.text_len} positions {masked.tolist()} (p={cfg.mask_prob})")
 
-# Same seed, same view: augmentation is pure in (row, rng state).
-again = augment_view(image, tokens, text, cfg, np.random.default_rng(7))
+# Same seed, same view: augmentation is pure in (rows, rng state).
+again = augment_views(image, text, ds.text_len, cfg, np.random.default_rng(7))
 print("replay identical:", all((a == b).all() for a, b in zip(view_i[0], again[0])))
 
 # The loss takes 2N projection rows ordered pairwise. With one pair the

@@ -120,7 +120,7 @@ def stack_view_features(ds: Dataset, idx, ccfg: ContrastiveConfig, rng: np.rando
     rows = np.repeat(idx, 2)
     mats = [m[rows] for m in ds.features.values()]
     n_img = len(ds.image_dims)
-    image, _, text = augment_views(mats[:n_img], ds.tokens[rows], mats[n_img:], ccfg, rng)
+    image, _, text = augment_views(mats[:n_img], mats[n_img:], ds.text_len, ccfg, rng)
     return image + text
 
 

@@ -79,7 +79,7 @@ def _out_dir(args) -> Path:
 def _load_dataset(data_path, cfg: RunConfig):
     """The MMNF file at ``data_path``, or the config's synthetic dataset."""
     if data_path:
-        return dataio.load(data_path, text_len=cfg.data.text_len, vocab_size=cfg.data.vocab_size)
+        return dataio.load(data_path, text_len=cfg.data.text_len)
     return dataio.generate(cfg.data)
 
 
@@ -101,7 +101,7 @@ def cmd_gen_data(args) -> int:
     out = _out_dir(args)
     ds = dataio.generate(cfg.data)
     path = out / "dataset.mmnf"
-    dataio.save(ds, path, text_len=cfg.data.text_len, vocab_size=cfg.data.vocab_size)
+    dataio.save(ds, path)
     print(f"wrote {path} ({len(ds)} samples, labels={ds.num_labels})")
     return 0
 

@@ -36,7 +36,10 @@ class ConfigError(ValueError):
     pass
 
 
-def _build(cls, section: dict, path: str):
+def _build(cls, config: dict, path: str):
+    section = config.get(path, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {path!r} must be a JSON object, got {section!r}")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(section) - names)
     if unknown:
@@ -70,20 +73,23 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        known = {"seed", "data", "space", "contrastive", "search", "pipeline"}
-        unknown = sorted(set(d) - known)
+        if not isinstance(d, dict):
+            raise ConfigError("config must be a JSON object")
+        unknown = sorted(set(d) - {"seed", "data", "space", "contrastive", "search", "pipeline"})
         if unknown:
             raise ConfigError(f"unknown top-level config key(s) {unknown}")
-        search_section = dict(d.get("search", {}))
-        if "seed" in search_section:
+        seed = d.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ConfigError(f"config key 'seed' must be an integer, got {seed!r}")
+        if isinstance(d.get("search"), dict) and "seed" in d["search"]:
             raise ConfigError("set the run seed at the top level, not under 'search'")
         return cls(
-            seed=int(d.get("seed", 0)),
-            data=_build(SyntheticSpec, dict(d.get("data", {})), "data"),
-            space=_build(SpaceSection, dict(d.get("space", {})), "space"),
-            contrastive=_build(ContrastiveConfig, dict(d.get("contrastive", {})), "contrastive"),
-            search=_build(SearchConfig, search_section, "search"),
-            pipeline=_build(PipelineConfig, dict(d.get("pipeline", {})), "pipeline"),
+            seed=seed,
+            data=_build(SyntheticSpec, d, "data"),
+            space=_build(SpaceSection, d, "space"),
+            contrastive=_build(ContrastiveConfig, d, "contrastive"),
+            search=_build(SearchConfig, d, "search"),
+            pipeline=_build(PipelineConfig, d, "pipeline"),
         )
 
     @classmethod
@@ -93,8 +99,6 @@ class RunConfig:
                 d = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
-        if not isinstance(d, dict):
-            raise ConfigError("config file must hold a JSON object")
         return cls.from_dict(d)
 
     def with_seed(self, seed: int) -> "RunConfig":

@@ -16,22 +16,20 @@ plus optional additive Gaussian noise (noise_scale). Crop needs a span of at
 least one coordinate, blur a window no wider than the vector, and rotate at
 least two coordinates; otherwise the op leaves the vector as it is.
 
-Text augmentation is token masking: each token independently becomes the
-reserved MASK id (vocab_size - 1) with probability mask_prob. A masked
-position also zeroes the text-feature coordinates assigned to it
-round-robin (coordinate c of a text layer belongs to position c mod
-seq_len), which is the declared feature-space effect of masking when only
-precomputed features exist.
+Text augmentation is token masking: each of seq_len positions is masked
+with probability mask_prob. There are no token ids; a masked position
+zeroes the text-feature coordinates assigned to it round-robin
+(coordinate c of a text layer belongs to position c mod seq_len).
 
 Draw-order contract: ``augment_views`` augments a whole batch, and the
-views it gives are exactly the views that one-row calls
-(``augment_view``) in row order, sharing the rng, would give. Each row
-draws its image layers in layer order, then its text mask. Each image
-layer draws its crop gate (then the span start), flip gate, jitter gate
-(then a scale and a shift per channel), blur gate, rotate gate (then the
-angle) and, when noise_scale > 0, its noise vector. Gates are drawn even
-when the op cannot apply. The batch first draws every parameter row by
-row in this order, then applies each op once to all the rows that drew it.
+views it gives are exactly the views that calls on one row at a time,
+in row order and sharing the rng, would give. Each row draws its image
+layers in layer order, then its text mask. Each image layer draws its
+crop gate (then the span start), flip gate, jitter gate (then a scale
+and a shift per channel), blur gate, rotate gate (then the angle) and,
+when noise_scale > 0, its noise vector. Gates are drawn even when the op
+cannot apply. The batch first draws every parameter row by row in this
+order, then applies each op once to all the rows that drew it.
 
 The loss is the normalized temperature-scaled cross entropy over 2N
 projections ordered pairwise: rows (2k, 2k+1) are the two views of sample
@@ -78,7 +76,6 @@ class ContrastiveConfig:
     noise_scale: float = 0.3
     # text token masking
     mask_prob: float = 0.55
-    text_vocab_size: int = 1000
     # projection head g(.)
     proj_hidden_dim: int = 64
     proj_dim: int = 64
@@ -98,14 +95,8 @@ class ContrastiveConfig:
             raise ContrastiveError("jitter_scale must be >= 0")
         if self.blur_width < 1:
             raise ContrastiveError("blur_width must be >= 1")
-        if self.text_vocab_size < 2:
-            raise ContrastiveError("text_vocab_size must reserve room for the MASK id")
         if self.proj_hidden_dim < 1 or self.proj_dim < 1:
             raise ContrastiveError("projection head dims must be >= 1")
-
-    @property
-    def mask_token(self) -> int:
-        return self.text_vocab_size - 1
 
     def to_dict(self) -> dict:
         from dataclasses import asdict
@@ -170,22 +161,21 @@ def _apply_image_layer(x: np.ndarray, dr: _LayerDraws, cfg: ContrastiveConfig) -
     return out
 
 
-def augment_views(image: list, tokens: np.ndarray, text: list, cfg: ContrastiveConfig, rng: np.random.Generator):
+def augment_views(image: list, text: list, seq_len: int, cfg: ContrastiveConfig, rng: np.random.Generator):
     """One augmented view of every row of a batch: (image views, mask, text views).
 
-    ``image`` and ``text`` hold one ``(n, d)`` matrix per layer and ``tokens``
-    is the ``(n, L)`` token matrix. ``mask`` is the ``(n, L)`` boolean matrix
-    of token positions that became ``cfg.mask_token``. Row r of every output
-    is the view row r gets when the rows are augmented one by one in row
-    order (see the module docstring). Inputs are never written to.
+    ``image`` and ``text`` hold one ``(n, d)`` matrix per layer. ``mask`` is
+    the ``(n, seq_len)`` boolean matrix of masked text positions. Row r of
+    every output is the view row r gets when the rows are augmented one by
+    one in row order (see the module docstring). Inputs are never written to.
     """
-    if tokens.ndim != 2 or tokens.shape[1] == 0:
-        raise ContrastiveError("text view requires a non-empty token sequence")
+    if seq_len < 1:
+        raise ContrastiveError(f"text view requires seq_len >= 1, got {seq_len}")
     if any(f.shape[1] == 0 for f in text + image):
         raise ContrastiveError("empty feature vector")
-    if np.any(tokens >= cfg.text_vocab_size) or np.any(tokens < 0):
-        raise ContrastiveError("token id out of vocabulary range")
-    n, seq_len = tokens.shape
+    n = image[0].shape[0]
+    if any(f.shape[0] != n for f in image + text):
+        raise ContrastiveError(f"every image and text matrix must hold the batch's {n} rows")
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() and rng.normal(0, s)
     # is 0.0 + s * rng.standard_normal(): the same draws, without the per-call
     # argument handling
@@ -229,21 +219,6 @@ def augment_views(image: list, tokens: np.ndarray, text: list, cfg: ContrastiveC
     mask = mask_draws < cfg.mask_prob
     text_view = [np.array(f, dtype=np.float64) * ~mask[:, np.arange(f.shape[1]) % seq_len] for f in text]
     return image_view, mask, text_view
-
-
-def augment_view(image: list, tokens: np.ndarray, text: list, cfg: ContrastiveConfig, rng: np.random.Generator):
-    """One augmented view of one sample row: (image layers, tokens, text layers).
-
-    ``image`` and ``text`` hold one feature vector per layer. This is the
-    one-row case of :func:`augment_views`, with the mask applied to the
-    token ids.
-    """
-    tokens = np.asarray(tokens)
-    image_view, mask, text_view = augment_views(
-        [x[None, :] for x in image], tokens[None, :], [f[None, :] for f in text], cfg, rng
-    )
-    token_view = np.where(mask[0], cfg.mask_token, tokens).astype(np.int64)
-    return [x[0] for x in image_view], token_view, [f[0] for f in text_view]
 
 
 class ProjectionHead:

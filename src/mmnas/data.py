@@ -9,9 +9,9 @@ of the latent with staggered thresholds, so positive rates range from
 common to rare. Features pass through float32 once at creation, making the
 float32 file payload bit-exact under round-trip.
 
-Text token sequences are a deterministic per-sample proxy (they are not
-stored in MMNF, which holds features and labels only): both the generator
-and the loader synthesize tokens from the sample index alone.
+A dataset holds no text token values, only ``text_len``, the length of
+the text mask (see ``contrastive``). MMNF does not store it: the loader
+takes it from its caller.
 
 MMNF layout, all integers little-endian:
 
@@ -25,7 +25,7 @@ MMNF layout, all integers little-endian:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .util import (
     TAG_DATA_LATENT,
     TAG_DATA_MAPS,
     TAG_DATA_NOISE,
-    TAG_DATA_TOKENS,
     TAG_SPLIT,
     atomic_open,
     seeded_rng,
@@ -42,7 +41,6 @@ from .util import (
 
 MMNF_MAGIC = b"MMNF"
 MMNF_VERSION = 1
-_TOKEN_STREAM_KEY = 0x4D4D4E46  # fixed: tokens depend only on the sample index
 
 
 class DataError(ValueError):
@@ -62,7 +60,7 @@ class SyntheticSpec:
     latent_dim: int = 4
     signal_plan: tuple = (("image:0", 10.0), ("text:1", 10.0))
     text_len: int = 16
-    vocab_size: int = 1000
+    vocab_size: int = 1000  # read by the benchmark only; ROADMAP item 7 removes it
     seed: int = 0
 
     def __post_init__(self):
@@ -71,6 +69,8 @@ class SyntheticSpec:
         object.__setattr__(
             self, "signal_plan", tuple((str(s), float(snr)) for s, snr in self.signal_plan)
         )
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise DataError(f"seed must be an integer, got {self.seed!r}")
         if self.num_samples < 1:
             raise DataError("num_samples must be >= 1")
         if self.num_labels < 1:
@@ -100,17 +100,7 @@ class SyntheticSpec:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "num_samples": self.num_samples,
-            "image_layer_dims": list(self.image_layer_dims),
-            "text_layer_dims": list(self.text_layer_dims),
-            "num_labels": self.num_labels,
-            "latent_dim": self.latent_dim,
-            "signal_plan": [[s, snr] for s, snr in self.signal_plan],
-            "text_len": self.text_len,
-            "vocab_size": self.vocab_size,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 class Dataset:
@@ -118,19 +108,21 @@ class Dataset:
 
     ``features`` maps each backbone source ("image:0", ..., "text:0", ...),
     in canonical order, to a C-contiguous ``n x d`` float64 matrix;
-    ``tokens`` is the ``n x text_len`` token matrix; ``labels`` is the
-    ``n x num_labels`` u8 matrix, or None when the data is unlabeled.
+    ``labels`` is the ``n x num_labels`` u8 matrix, or None when the data is
+    unlabeled; ``text_len`` is the number of maskable text positions.
     """
 
-    def __init__(self, features: dict, tokens: np.ndarray, labels: np.ndarray | None = None):
+    def __init__(self, features: dict, labels: np.ndarray | None, text_len: int):
+        if text_len < 1:
+            raise DataError(f"text_len must be >= 1, got {text_len}")
         self.features = {src: _freeze(x) for src, x in features.items()}
-        self.tokens = _freeze(tokens)
         self.labels = None if labels is None else _freeze(labels)
+        self.text_len = int(text_len)
         self.image_dims = tuple(x.shape[1] for src, x in self.features.items() if src.startswith("image:"))
         self.text_dims = tuple(x.shape[1] for src, x in self.features.items() if src.startswith("text:"))
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(next(iter(self.features.values())))
 
     @property
     def labeled(self) -> bool:
@@ -149,22 +141,14 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.intp)
         return Dataset(
             {src: x[idx] for src, x in self.features.items()},
-            self.tokens[idx],
             None if strip_labels or self.labels is None else self.labels[idx],
+            self.text_len,
         )
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
-
-
-def _token_matrix(n: int, text_len: int, vocab_size: int) -> np.ndarray:
-    """Deterministic ``n x text_len`` token matrix; the MASK id (vocab - 1) is
-    never drawn. One fixed stream filled row by row, so row i is the same
-    for every n."""
-    rng = seeded_rng(_TOKEN_STREAM_KEY, TAG_DATA_TOKENS)
-    return rng.integers(0, vocab_size - 1, size=(n, text_len), dtype=np.int64)
 
 
 def generate(spec: SyntheticSpec) -> Dataset:
@@ -195,7 +179,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
     w_lab /= np.linalg.norm(w_lab, axis=0, keepdims=True)
     thresholds = np.linspace(-0.5, 1.5, spec.num_labels)
     labels = (latent @ w_lab > thresholds).astype(np.uint8)
-    return Dataset(features, _token_matrix(n, spec.text_len, spec.vocab_size), labels)
+    return Dataset(features, labels, spec.text_len)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +187,10 @@ def generate(spec: SyntheticSpec) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def save(dataset: Dataset, path, text_len: int = 16, vocab_size: int = 1000) -> None:
-    """Write features (float32) and labels (u8) in MMNF layout."""
+    """Write features (float32) and labels (u8) in MMNF layout.
+
+    text_len, vocab_size: ignored; the benchmark passes them, and ROADMAP item 7 removes them.
+    """
     n = len(dataset)
     per_modality = [dataset.image_dims, dataset.text_dims]
     header = bytearray()
@@ -224,7 +211,10 @@ def save(dataset: Dataset, path, text_len: int = 16, vocab_size: int = 1000) -> 
 
 
 def load(path, text_len: int = 16, vocab_size: int = 1000, expect_dims: tuple | None = None) -> Dataset:
-    """Parse an MMNF file; rejects wrong magic/version and any length drift."""
+    """Parse an MMNF file; rejects wrong magic/version and any length drift.
+
+    vocab_size: ignored; the benchmark passes it, and ROADMAP item 7 removes it.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
 
@@ -283,7 +273,7 @@ def load(path, text_len: int = 16, vocab_size: int = 1000, expect_dims: tuple | 
         labels = np.frombuffer(raw, dtype=np.uint8, count=n * num_labels, offset=off).reshape(n, num_labels).copy()
         if np.any(labels > 1):
             raise FormatError(f"label values other than 0 and 1 at offset {off}")
-    return Dataset(features, _token_matrix(n, text_len, vocab_size), labels)
+    return Dataset(features, labels, text_len)
 
 
 # ---------------------------------------------------------------------------

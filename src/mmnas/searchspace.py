@@ -286,17 +286,19 @@ class Genotype:
     def from_json(cls, text: str) -> "Genotype":
         import json
 
-        return cls.from_dict(json.loads(text))
+        try:
+            return cls.from_dict(json.loads(text))
+        except json.JSONDecodeError as e:
+            raise GenotypeError(f"genotype document is not valid JSON: {e}") from e
 
     def hash(self) -> str:
         return short_hash(self.to_dict())
 
 
 def _names(values) -> tuple:
-    names = tuple(values)
-    if not all(isinstance(v, str) for v in names):
-        raise TypeError(f"sources and ops must be strings, got {list(names)!r}")
-    return names
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise TypeError(f"expected a list of source or op names, got {values!r}")
+    return tuple(values)
 
 
 def _ref_index(src: str, where: str) -> int:

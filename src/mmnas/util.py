@@ -87,5 +87,4 @@ TAG_DATA_LATENT = 10
 TAG_DATA_MAPS = 11
 TAG_DATA_NOISE = 12
 TAG_DATA_LABELS = 13
-TAG_DATA_TOKENS = 14
 

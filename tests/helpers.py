@@ -243,23 +243,22 @@ def augment_image_layer_oracle(x: np.ndarray, cfg, rng: np.random.Generator) -> 
     return out
 
 
-def augment_view_oracle(image: list, tokens: np.ndarray, text: list, cfg, rng: np.random.Generator):
-    """One augmented view of one sample row: (image layers, tokens, text layers).
+def augment_view_oracle(image: list, text: list, seq_len: int, cfg, rng: np.random.Generator):
+    """One augmented view of one sample row: (image layers, mask, text layers).
 
-    Image layers draw from ``rng`` first, in layer order, then the text mask.
+    Image layers draw from ``rng`` first, in layer order, then the
+    ``seq_len`` mask positions.
     """
     from mmnas.contrastive import ContrastiveError
 
-    if tokens.size == 0:
-        raise ContrastiveError("text view requires a non-empty token sequence")
+    if seq_len < 1:
+        raise ContrastiveError("text view requires seq_len >= 1")
     if any(f.size == 0 for f in text):
         raise ContrastiveError("empty feature vector")
-    if np.any(tokens >= cfg.text_vocab_size) or np.any(tokens < 0):
-        raise ContrastiveError("token id out of vocabulary range")
     image_view = [augment_image_layer_oracle(x, cfg, rng) for x in image]
-    mask = rng.random(tokens.shape[0]) < cfg.mask_prob
-    text_view = [np.array(f, dtype=np.float64) * ~mask[np.arange(f.shape[0]) % tokens.shape[0]] for f in text]
-    return image_view, np.where(mask, cfg.mask_token, tokens).astype(np.int64), text_view
+    mask = rng.random(seq_len) < cfg.mask_prob
+    text_view = [np.array(f, dtype=np.float64) * ~mask[np.arange(f.shape[0]) % seq_len] for f in text]
+    return image_view, mask, text_view
 
 
 def mixed_cell_input_oracle(alpha, candidates):

@@ -238,7 +238,7 @@ def test_stack_view_features_interleaves_pairs():
     for r, i in enumerate(idx):
         for v in (2 * r, 2 * r + 1):
             image, _, text = augment_view_oracle(
-                [ds.features["image:0"][i]], ds.tokens[i], [ds.features["text:0"][i]], CCFG, rng
+                [ds.features["image:0"][i]], [ds.features["text:0"][i]], ds.text_len, CCFG, rng
             )
             assert feats[0][v].tobytes() == image[0].tobytes()
             assert feats[1][v].tobytes() == text[0].tobytes()

@@ -172,6 +172,15 @@ def test_bad_config_key_gives_structured_error(tmp_path, capsys):
     assert err["type"] == "ConfigError"
 
 
+def test_wrongly_typed_config_section_gives_structured_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"data": 5}))
+    code = main(["gen-data", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "ConfigError" and "'data'" in err["error"]
+
+
 def test_malformed_genotype_gives_structured_error(tmp_path, tiny_config, capsys):
     space_hash = RunConfig.from_file(tiny_config).space_config((8, 8), (8, 8)).hash()
     path = tmp_path / "genotype.json"

@@ -31,6 +31,27 @@ def test_invalid_value_rejected_with_path():
         RunConfig.from_dict({"contrastive": {"temperature": -1.0}})
 
 
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"data": 5}, "section 'data' must be a JSON object"),
+        ({"search": [1]}, "section 'search' must be a JSON object"),
+        ({"contrastive": None}, "section 'contrastive' must be a JSON object"),
+        ({"seed": None}, "'seed' must be an integer"),
+        ({"seed": "3"}, "'seed' must be an integer"),
+        ({"seed": 2.5}, "'seed' must be an integer"),
+        ({"seed": True}, "'seed' must be an integer"),
+        ({"data": {"seed": None}}, "section 'data'.*seed must be an integer"),
+        ([1, 2], "JSON object"),
+    ],
+    ids=["int-section", "list-section", "null-section", "null-seed", "string-seed", "float-seed", "bool-seed",
+         "null-data-seed", "list-config"],
+)
+def test_wrongly_typed_values_raise_config_error(doc, match):
+    with pytest.raises(ConfigError, match=match):
+        RunConfig.from_dict(doc)
+
+
 def test_seed_lives_at_top_level_only():
     with pytest.raises(ConfigError, match="top level"):
         RunConfig.from_dict({"search": {"seed": 4}})

@@ -11,20 +11,15 @@ from mmnas.contrastive import (
     ContrastiveConfig,
     ContrastiveError,
     ProjectionHead,
-    augment_view,
     augment_views,
     ntxent_loss,
 )
 
 
-def _row(seed=0, img_dims=(8, 6), txt_dims=(7,), text_len=10, vocab=50):
-    """(image layers, tokens, text layers) of one sample row."""
+def _batch(n=12, img_dims=(8, 6), txt_dims=(7,), seed=0):
+    """(image matrices, text matrices) of an n-row batch."""
     rng = np.random.default_rng(seed)
-    return (
-        [rng.standard_normal(d) for d in img_dims],
-        rng.integers(0, vocab - 1, size=text_len),
-        [rng.standard_normal(d) for d in txt_dims],
-    )
+    return [rng.standard_normal((n, d)) for d in img_dims], [rng.standard_normal((n, d)) for d in txt_dims]
 
 
 def _identity_cfg(**kw):
@@ -36,7 +31,6 @@ def _identity_cfg(**kw):
         rotate_prob=0.0,
         noise_scale=0.0,
         mask_prob=0.0,
-        text_vocab_size=50,
         **kw,
     )
 
@@ -46,52 +40,60 @@ def _identity_cfg(**kw):
 # ---------------------------------------------------------------------------
 
 def test_zero_probability_augmentation_is_identity():
-    image, tokens, text = _row()
-    view = augment_view(image, tokens, text, _identity_cfg(), np.random.default_rng(0))
+    image, text = _batch(n=1)
+    view = augment_views(image, text, 10, _identity_cfg(), np.random.default_rng(0))
     for orig, new in zip(image + text, view[0] + view[2]):
         np.testing.assert_array_equal(orig, new)
-    np.testing.assert_array_equal(tokens, view[1])
+    assert view[1].shape == (1, 10) and not view[1].any()
 
 
 def test_near_one_mask_probability_masks_nearly_everything():
-    cfg = ContrastiveConfig(mask_prob=0.999999, text_vocab_size=50)
-    _, tokens, feats = augment_view(*_row(text_len=4000, vocab=50), cfg, np.random.default_rng(1))
-    assert np.mean(tokens == cfg.mask_token) > 0.999
+    cfg = ContrastiveConfig(mask_prob=0.999999)
+    _, mask, feats = augment_views(*_batch(n=1), 4000, cfg, np.random.default_rng(1))
+    assert np.mean(mask) > 0.999
     assert np.mean(feats[0] == 0.0) > 0.99
 
 
 def test_fixed_seed_views_are_byte_identical():
-    row = _row(seed=42)
-    cfg = ContrastiveConfig(text_vocab_size=50)
-    one = augment_view(*row, cfg, np.random.default_rng(42))
-    two = augment_view(*row, cfg, np.random.default_rng(42))
+    image, text = _batch(n=1, seed=42)
+    cfg = ContrastiveConfig()
+    one = augment_views(image, text, 10, cfg, np.random.default_rng(42))
+    two = augment_views(image, text, 10, cfg, np.random.default_rng(42))
     for a, b in zip(one[0] + [one[1]] + one[2], two[0] + [two[1]] + two[2]):
         assert a.tobytes() == b.tobytes()
 
 
 def test_augmentation_does_not_touch_the_input():
-    image, tokens, text = _row(seed=3)
-    before = [x.copy() for x in image + [tokens] + text]
-    augment_view(image, tokens, text, ContrastiveConfig(text_vocab_size=50), np.random.default_rng(7))
-    for orig, kept in zip(image + [tokens] + text, before):
+    image, text = _batch(n=1, seed=3)
+    before = [x.copy() for x in image + text]
+    augment_views(image, text, 10, ContrastiveConfig(), np.random.default_rng(7))
+    for orig, kept in zip(image + text, before):
         np.testing.assert_array_equal(orig, kept)
 
 
 def test_empty_feature_vector_rejected():
-    image, tokens, text = _row()
-    image[0] = np.zeros(0)
+    image, text = _batch(n=1)
+    image[0] = np.zeros((1, 0))
     with pytest.raises(ContrastiveError, match="empty"):
-        augment_view(image, tokens, text, ContrastiveConfig(text_vocab_size=50), np.random.default_rng(0))
+        augment_views(image, text, 10, ContrastiveConfig(), np.random.default_rng(0))
 
 
-def _batch(n=12, img_dims=(8, 6), txt_dims=(7,), text_len=10, vocab=50, seed=0):
-    """(image matrices, token matrix, text matrices) of an n-row batch."""
-    rng = np.random.default_rng(seed)
-    return (
-        [rng.standard_normal((n, d)) for d in img_dims],
-        rng.integers(0, vocab - 1, size=(n, text_len)),
-        [rng.standard_normal((n, d)) for d in txt_dims],
-    )
+def test_zero_length_text_sequence_rejected():
+    for n in (1, 12):
+        image, text = _batch(n=n)
+        with pytest.raises(ContrastiveError, match="seq_len"):
+            augment_views(image, text, 0, ContrastiveConfig(), np.random.default_rng(0))
+
+
+def test_batched_validation_checks_every_row():
+    # a one-row text matrix would otherwise broadcast over the whole batch,
+    # and a short image layer would fail with a bare IndexError
+    for short in ("image", "text"):
+        image, text = _batch()
+        layers = image if short == "image" else text
+        layers[-1] = layers[-1][:1]
+        with pytest.raises(ContrastiveError, match="12 rows"):
+            augment_views(image, text, 10, ContrastiveConfig(), np.random.default_rng(0))
 
 
 GATES = ("crop_prob", "flip_prob", "jitter_prob", "blur_prob", "rotate_prob")
@@ -99,8 +101,8 @@ GATES = ("crop_prob", "flip_prob", "jitter_prob", "blur_prob", "rotate_prob")
 ORACLE_CASES = (
     [pytest.param({"img_dims": (d,)}, {}, id=f"image-dim-{d}") for d in (1, 2, 3, 5, 32)]
     + [
-        pytest.param({"txt_dims": (7, 13), "text_len": 5}, {}, id="text-dims-not-multiple-of-L"),
-        pytest.param({"text_len": 1}, {}, id="L-1"),
+        pytest.param({"txt_dims": (7, 13), "seq_len": 5}, {}, id="text-dims-not-multiple-of-L"),
+        pytest.param({"seq_len": 1}, {}, id="L-1"),
     ]
     + [pytest.param({}, {"crop_fraction": f}, id=f"crop-fraction-{f}") for f in (0.0, 0.3, 1.0)]
     + [
@@ -118,28 +120,22 @@ ORACLE_CASES = (
 
 @pytest.mark.parametrize("shape, overrides", ORACLE_CASES)
 def test_batched_augmentation_matches_the_per_row_oracle(shape, overrides):
-    image, tokens, text = _batch(**shape)
-    cfg = ContrastiveConfig(text_vocab_size=50, **overrides)
+    shape = dict(shape)
+    seq_len = shape.pop("seq_len", 10)
+    image, text = _batch(**shape)
+    cfg = ContrastiveConfig(**overrides)
     batch_rng, row_rng = np.random.default_rng(11), np.random.default_rng(11)
-    image_view, mask, text_view = augment_views(image, tokens, text, cfg, batch_rng)
-    for r in range(tokens.shape[0]):
-        want_image, want_tokens, want_text = augment_view_oracle(
-            [x[r] for x in image], tokens[r], [f[r] for f in text], cfg, row_rng
+    image_view, mask, text_view = augment_views(image, text, seq_len, cfg, batch_rng)
+    assert mask.shape == (len(image[0]), seq_len)
+    for r in range(len(image[0])):
+        want_image, want_mask, want_text = augment_view_oracle(
+            [x[r] for x in image], [f[r] for f in text], seq_len, cfg, row_rng
         )
         for want, got in zip(want_image + want_text, image_view + text_view):
             assert want.tobytes() == got[r].tobytes()
-        assert want_tokens.tobytes() == np.where(mask[r], cfg.mask_token, tokens[r]).tobytes()
+        assert want_mask.tobytes() == mask[r].tobytes()
     # the batch consumed exactly the draws of the per-row calls
     assert batch_rng.bit_generator.state == row_rng.bit_generator.state
-
-
-def test_batched_validation_checks_every_row():
-    image, tokens, text = _batch()
-    tokens[7, 3] = 50
-    with pytest.raises(ContrastiveError, match="vocabulary"):
-        augment_views(image, tokens, text, ContrastiveConfig(text_vocab_size=50), np.random.default_rng(0))
-    with pytest.raises(ContrastiveError, match="non-empty token"):
-        augment_views(image, tokens[:, :0], text, ContrastiveConfig(text_vocab_size=50), np.random.default_rng(0))
 
 
 def test_negative_jitter_scale_rejected():
@@ -150,12 +146,6 @@ def test_negative_jitter_scale_rejected():
 def test_mask_prob_one_rejected():
     with pytest.raises(ContrastiveError, match="mask_prob"):
         ContrastiveConfig(mask_prob=1.0)
-
-
-def test_out_of_vocab_token_rejected():
-    image, _, text = _row(vocab=50)
-    with pytest.raises(ContrastiveError, match="vocabulary"):
-        augment_view(image, np.array([999]), text, ContrastiveConfig(text_vocab_size=50), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-import dataclasses
 
 import numpy as np
 import pytest
 
 from helpers import corruptions
 
+from mmnas.config import RunConfig
 from mmnas.data import (
     DataError,
     Dataset,
@@ -28,10 +28,11 @@ SPEC = SyntheticSpec(
 
 def _matrices(ds):
     """Every matrix of a dataset by name, features in source order."""
-    return {**ds.features, "tokens": ds.tokens, "labels": ds.labels}
+    return {**ds.features, "labels": ds.labels}
 
 
 def _assert_same_bytes(a, b):
+    assert a.text_len == b.text_len
     ma, mb = _matrices(a), _matrices(b)
     assert list(ma) == list(mb)
     for name in ma:
@@ -44,10 +45,7 @@ def test_generation_is_deterministic():
     _assert_same_bytes(a, b)
     assert list(a.features) == ["image:0", "image:1", "text:0", "text:1"]
     assert a.features["text:1"].shape == (120, 11) and a.features["text:1"].flags.c_contiguous
-    assert a.tokens.shape == (120, 16) and a.labels.shape == (120, 5)
-    # tokens depend only on the sample index, not on the dataset size
-    big = generate(dataclasses.replace(SPEC, num_samples=2000))
-    assert a.tokens[17].tobytes() == big.tokens[17].tobytes()
+    assert len(a) == 120 and a.text_len == 16 and a.labels.shape == (120, 5)
 
 
 def test_noiseless_limit_features_are_linear_in_latent():
@@ -108,14 +106,10 @@ def test_signal_plan_validation():
         SyntheticSpec(image_layer_dims=(0, 4))
 
 
-def test_token_matrix_deterministic_and_in_vocab():
-    spec = dataclasses.replace(SPEC, num_samples=2000)
-    a = generate(spec).tokens
-    b = generate(spec).tokens
-    assert a.tobytes() == b.tobytes()
-    assert a.shape == (2000, 16) and a.dtype == np.int64
-    assert a.max() < 999  # MASK id (vocab-1) never emitted
-    assert a.min() >= 0
+def test_dataset_needs_a_positive_text_len():
+    ds = generate(SPEC)
+    with pytest.raises(DataError, match="text_len"):
+        Dataset(ds.features, ds.labels, text_len=0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +257,8 @@ def test_mmnf_dim_mismatch_against_expectation(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _ids(ds):
-    # token rows are a function of the sample index alone, so they identify samples
-    return {row.tobytes() for row in ds.tokens}
+    # continuous feature rows do not collide, so a row's bytes identify its sample
+    return {row.tobytes() for row in ds.features["image:0"]}
 
 
 def test_split_sizes_follow_budget_arithmetic():
@@ -297,6 +291,29 @@ def test_split_is_deterministic_in_seed():
     assert _ids(a.search_train) != _ids(c.search_train)
 
 
+def test_split_and_load_carry_text_len(tmp_path):
+    ds = generate(SyntheticSpec(num_samples=40, text_len=5, seed=3))
+    s = split(ds, 0.5, seed=0)
+    parts = (s.search_train, s.search_valid, s.labeled_train, s.test)
+    assert [p.text_len for p in parts] == [5, 5, 5, 5]
+    save(ds, tmp_path / "d.mmnf")
+    assert load(tmp_path / "d.mmnf", text_len=7).text_len == 7
+
+
+def test_benchmark_call_contract(tmp_path):
+    # the set-up sequence of perfbench/run.py, keyword for keyword: the
+    # benchmark is frozen, so these names must keep working
+    cfg = RunConfig.from_dict({"seed": 2, "data": {"num_samples": 30, "seed": 2}})
+    ds = generate(cfg.data)
+    path, again = tmp_path / "dataset.mmnf", tmp_path / "roundtrip.mmnf"
+    save(ds, path, text_len=cfg.data.text_len, vocab_size=cfg.data.vocab_size)
+    loaded = load(path, text_len=cfg.data.text_len, vocab_size=cfg.data.vocab_size)
+    split(loaded, cfg.pipeline.labeled_ratio, cfg.seed)
+    save(loaded, again, text_len=cfg.data.text_len, vocab_size=cfg.data.vocab_size)
+    assert again.read_bytes() == path.read_bytes()
+    _assert_same_bytes(ds, loaded)
+
+
 def test_unlabeled_splits_expose_no_labels():
     ds = generate(SyntheticSpec(num_samples=50, seed=8))
     s = split(ds, 0.4, seed=0)
@@ -313,7 +330,7 @@ def test_subset_takes_the_same_rows_of_every_matrix():
     sub = ds.subset(idx)
     for name, x in _matrices(ds).items():
         assert _matrices(sub)[name].tobytes() == x[idx].tobytes(), name
-    assert (sub.image_dims, sub.text_dims) == (ds.image_dims, ds.text_dims)
+    assert (sub.image_dims, sub.text_dims, sub.text_len) == (ds.image_dims, ds.text_dims, ds.text_len)
 
 
 def test_split_r_one_empties_unlabeled_pool():

@@ -147,7 +147,7 @@ def test_pretrain_positions_the_zero_norm_projection_of_all_zero_rows():
     # encoder and the head whatever the draws, and their views stay zero:
     # without a jitter scale or noise no augmentation moves a zero
     ds = _dataset(n=200, seed=15)
-    ds = Dataset({src: np.zeros_like(x) for src, x in ds.features.items()}, ds.tokens, ds.labels)
+    ds = Dataset({src: np.zeros_like(x) for src, x in ds.features.items()}, ds.labels, ds.text_len)
     space = _space(ds, hidden=8)
     ccfg = ContrastiveConfig(jitter_scale=0.0, noise_scale=0.0)
     with pytest.raises(
@@ -177,7 +177,7 @@ def test_fit_overfits_one_sample():
 
 def test_fit_all_zero_labels_drives_sigmoids_down():
     ds = _dataset(n=20, seed=2)
-    ds = Dataset(ds.features, ds.tokens, np.zeros_like(ds.labels))
+    ds = Dataset(ds.features, np.zeros_like(ds.labels), ds.text_len)
     space = _space(ds)
     genotype = _genotype(space)
     encoder = instantiate(genotype, space)
@@ -460,7 +460,7 @@ def test_softmax_ce_mode_predicts_one_hot():
     ds = _dataset(n=30, seed=16)
     # collapse labels to a single-label problem
     one_hot = np.eye(ds.num_labels, dtype=np.uint8)[np.arange(len(ds)) % ds.num_labels]
-    ds = Dataset(ds.features, ds.tokens, one_hot)
+    ds = Dataset(ds.features, one_hot, ds.text_len)
     space = _space(ds)
     genotype = _genotype(space)
     encoder = instantiate(genotype, space)

@@ -5,6 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from helpers import (
     check_gradients,
@@ -690,6 +693,12 @@ MALFORMED = {
     "int-pair": lambda d: d["cells"][0]["steps"][0].update(pair=[1, 2]),
     "null-op": lambda d: d["cells"][0]["steps"][0].update(op=None),
     "int-op": lambda d: d["cells"][1]["steps"][1].update(op=3),
+    "one-input": lambda d: d["cells"][0].update(inputs=["image:0"]),
+}
+NOT_A_LIST = {
+    "string-inputs": lambda d: d["cells"][0].update(inputs="image:0"),
+    "string-pair": lambda d: d["cells"][0]["steps"][0].update(pair="image:0"),
+    "object-inputs": lambda d: d["cells"][0].update(inputs={"image:0": 1, "text:1": 2}),
 }
 
 
@@ -700,6 +709,80 @@ def test_malformed_genotype_documents_raise_genotype_error(edit):
     edit(doc)
     with pytest.raises(GenotypeError):
         validate_genotype(Genotype.from_json(json.dumps(doc)), CFG)
+
+
+@pytest.mark.parametrize("edit", NOT_A_LIST.values(), ids=NOT_A_LIST.keys())
+def test_names_that_are_not_a_list_are_rejected_when_parsed(edit):
+    # a bare string would otherwise be split into one-character sources
+    doc = copy.deepcopy(GOOD_DOC)
+    edit(doc)
+    with pytest.raises(GenotypeError, match="list of source or op names"):
+        Genotype.from_dict(doc)
+
+
+def test_genotype_text_that_is_not_json_raises_genotype_error():
+    with pytest.raises(GenotypeError, match="not valid JSON"):
+        Genotype.from_json("{")
+
+
+# source and op names, valid and invalid for CFG
+_NAMES = st.sampled_from(
+    ["", ":", "image:0", "image:1", "image:9", "text:0", "text:1", "cell:0", "cell:1", "cell:x", "cell:",
+     "step:0", "step:1", "step:x", "step:", "Sum", "Zero", "ConcatFC"]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _NAMES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["cells", "inputs", "steps", "pair", "op", "config_hash", "x"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _member_paths(node, prefix=()):
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _member_paths(child, prefix + (key,))
+
+
+@st.composite
+def _edited_good_docs(draw):
+    """GOOD_DOC with one to three members, at any depth, replaced by a name, a
+    list of names or arbitrary JSON.
+
+    Near-valid documents reach every check of validate_genotype past the
+    config hash, which arbitrary JSON almost never does.
+    """
+    doc = copy.deepcopy(GOOD_DOC)
+    paths = draw(st.lists(st.sampled_from(list(_member_paths(GOOD_DOC))), min_size=1, max_size=3, unique=True))
+    for path in sorted(paths, key=len, reverse=True):  # deepest first: every path still exists
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(draw(st.sampled_from([_NAMES, _NAMES, st.lists(_NAMES, max_size=3), _JSON])))
+    return doc
+
+
+def _validate_or_genotype_error(doc):
+    try:
+        validate_genotype(Genotype.from_dict(doc), CFG)
+    except GenotypeError:
+        pass
+
+
+# 100 examples each: deterministic (derandomized, no example database) and cheap
+_PROPERTY = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+def test_any_json_document_raises_only_genotype_error(tmp_path):
+    # hypothesis caches under its home directory, .hypothesis/ in the working
+    # directory unless told otherwise; keep the run's caches in tmp_path
+    set_hypothesis_home_dir(tmp_path)
+    try:
+        _PROPERTY(given(_JSON)(_validate_or_genotype_error))()
+        _PROPERTY(given(_edited_good_docs())(_validate_or_genotype_error))()
+    finally:
+        set_hypothesis_home_dir(None)
 
 
 def test_apply_primitive_zero_is_exact():
