@@ -40,7 +40,7 @@ for seed in (0, 1, 2):
         space,
         scfg,
         ccfg,
-        PipelineConfig(labeled_ratio=r, stage_search=False, stage_pretrain=False),
+        PipelineConfig(labeled_ratio=r, pretrain_epochs=0),
         seed=seed,
         genotype=art["genotype"],
     )

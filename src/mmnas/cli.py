@@ -5,6 +5,13 @@ sweep-r. Every command reads one JSON config (optionally overridden by
 flags), writes JSON-lines reports into the output directory, and marks
 interrupted runs with a ``.incomplete`` file. Exit code 0 means every
 requested stage completed and its sanity screens passed.
+
+search, pretrain, fit and run-all share one runner: each calls
+``pipeline.run_pipeline`` with the artifacts given by ``--genotype`` and
+``--weights``, stops after the stage it names (fit and run-all run to the
+end), and ends the log with one ``command`` row (command, config,
+genotype hash, weighted F1). Each sweep-r cell is a run-all. eval only
+scores a model and runs no stage.
 """
 
 from __future__ import annotations
@@ -19,17 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dataio
-from .checkpoint import load_weights, save_weights
+from .checkpoint import load_weights
 from .config import ConfigError, RunConfig, build_id
-from .pipeline import (
-    StageReport,
-    fit_classifier,
-    predict_bits,
-    pretrain,
-    run_pipeline,
-    weighted_f1,
-)
-from .bilevel import run_search
+from .pipeline import StageReport, predict_bits, run_pipeline, weighted_f1
 from .searchspace import Genotype, instantiate, validate_genotype
 from .util import atomic_open
 
@@ -83,13 +82,6 @@ def _load_dataset(data_path, cfg: RunConfig):
     return dataio.generate(cfg.data)
 
 
-def _stage_report_line(rep: dict):
-    name = rep.get("stage", rep.get("phase", "?"))
-    metrics = rep.get("metrics", {})
-    brief = ", ".join(f"{k}={v}" for k, v in metrics.items()) if metrics else ""
-    print(f"[{name}] {brief}".rstrip())
-
-
 def _genotype_from_file(path, space) -> Genotype:
     genotype = Genotype.from_json(Path(path).read_text())
     validate_genotype(genotype, space)
@@ -121,96 +113,6 @@ def _run_guard(out: Path):
     marker = out / ".incomplete"
     marker.write_text("run in progress\n")
     return marker
-
-
-def cmd_search(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    marker = _run_guard(out)
-    ds = _load_dataset(args.data, cfg)
-    space = cfg.space_config(ds.image_dims, ds.text_dims)
-    splits = dataio.split(ds, cfg.pipeline.labeled_ratio, cfg.seed)
-    reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)
-    t0 = time.perf_counter()
-    genotype, state = run_search(
-        cfg.search_config(), space, cfg.contrastive, splits.search_train, splits.search_valid, report=reporter
-    )
-    with atomic_open(out / "genotype.json") as fh:
-        fh.write(genotype.to_json() + "\n")
-    reporter(
-        StageReport(
-            stage="search",
-            seed=cfg.seed,
-            metrics={"best_valid_loss": state.best_valid_loss, "epochs": state.epoch},
-            genotype_hash=genotype.hash(),
-            duration_s=time.perf_counter() - t0,
-            config_hash=cfg.hash(),
-            build_id=build_id(),
-            extra={"config": cfg.to_dict()},
-        ).to_dict()
-    )
-    reporter.close()
-    print(f"derived genotype {genotype.hash()} -> {out / 'genotype.json'}")
-    marker.unlink()
-    return 0
-
-
-def cmd_pretrain(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    marker = _run_guard(out)
-    ds = _load_dataset(args.data, cfg)
-    space = cfg.space_config(ds.image_dims, ds.text_dims)
-    genotype = _genotype_from_file(args.genotype, space)
-    splits = dataio.split(ds, cfg.pipeline.labeled_ratio, cfg.seed)
-    reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)
-    weights = pretrain(
-        genotype,
-        space,
-        cfg.contrastive,
-        splits.search_train,
-        epochs=cfg.pipeline.pretrain_epochs,
-        lr=cfg.pipeline.pretrain_lr,
-        momentum=cfg.pipeline.pretrain_momentum,
-        batch_size=cfg.pipeline.pretrain_batch_size,
-        seed=cfg.seed,
-        report=reporter,
-    )
-    save_weights(out / "encoder.mmnw", weights)
-    reporter.close()
-    print(f"wrote {out / 'encoder.mmnw'} ({len(weights)} tensors)")
-    marker.unlink()
-    return 0
-
-
-def cmd_fit(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    marker = _run_guard(out)
-    ds = _load_dataset(args.data, cfg)
-    space = cfg.space_config(ds.image_dims, ds.text_dims)
-    genotype = _genotype_from_file(args.genotype, space)
-    encoder = instantiate(genotype, space)
-    weights = load_weights(args.weights)
-    splits = dataio.split(ds, cfg.pipeline.labeled_ratio, cfg.seed)
-    reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)
-    model = fit_classifier(
-        encoder,
-        weights,
-        splits.labeled_train,
-        epochs=cfg.pipeline.clf_epochs,
-        lr=cfg.pipeline.clf_lr,
-        batch_size=cfg.pipeline.clf_batch_size,
-        seed=cfg.seed,
-        freeze_encoder=cfg.pipeline.freeze_encoder,
-        classifier_loss=cfg.pipeline.classifier_loss,
-        report=reporter,
-    )
-    save_weights(out / "model.mmnw", model)
-    reporter.close()
-    print(f"wrote {out / 'model.mmnw'}")
-    marker.unlink()
-    return 0
 
 
 def cmd_eval(args) -> int:
@@ -250,13 +152,21 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _run_all_once(cfg: RunConfig, out: Path, genotype_path=None, weights_path=None, data_path=None):
+def _run_stages(cfg: RunConfig, out: Path, command: str, data_path, last_stage="fit", genotype_path=None,
+                weights_path=None):
+    """``run_pipeline`` up to ``last_stage``, logged to ``out/reports.jsonl``.
+
+    The log ends with one ``command`` row: the command, the effective
+    config, the genotype hash and the test weighted F1 (None before the
+    fit stage or on an empty test split). ``run-all`` and ``sweep-r``
+    cells start a fresh log; the staged commands append to the one they share.
+    """
     ds = _load_dataset(data_path, cfg)
     space = cfg.space_config(ds.image_dims, ds.text_dims)
     genotype = _genotype_from_file(genotype_path, space) if genotype_path else None
     pretrained = load_weights(weights_path) if weights_path else None
-    # one run-all per log; the staged commands append to a log they share on purpose
-    (out / "reports.jsonl").unlink(missing_ok=True)
+    if command in ("run-all", "sweep-r"):
+        (out / "reports.jsonl").unlink(missing_ok=True)
     reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)
     try:
         reports, artifacts = run_pipeline(
@@ -272,38 +182,30 @@ def _run_all_once(cfg: RunConfig, out: Path, genotype_path=None, weights_path=No
             config_hash=cfg.hash(),
             build_id=build_id(),
             report=reporter,
+            last_stage=last_stage,
+        )
+        reporter(
+            {
+                "command": command,
+                "config": cfg.to_dict(),
+                "genotype_hash": artifacts["genotype"].hash(),
+                "weighted_f1": artifacts.get("weighted_f1"),
+            }
         )
     finally:
         reporter.close()
-    # provenance: the effective config rides on the final report line
-    with open(out / "reports.jsonl", "a") as fh:
-        fh.write(
-            json.dumps(
-                {
-                    "stage": "run-all",
-                    "seed": cfg.seed,
-                    "config_hash": cfg.hash(),
-                    "build_id": build_id(),
-                    "config": cfg.to_dict(),
-                    "genotype_hash": artifacts["genotype"].hash(),
-                    "weighted_f1": artifacts.get("weighted_f1"),
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
     return reports, artifacts
 
 
-def cmd_run_all(args) -> int:
+def cmd_run(args) -> int:
+    """search, pretrain, fit and run-all: the pipeline stopped after ``args.last_stage``."""
     cfg = _load_config(args)
     out = _out_dir(args)
     marker = _run_guard(out)
-    reports, artifacts = _run_all_once(
-        cfg, out, genotype_path=args.genotype, weights_path=args.weights, data_path=args.data
-    )
+    genotype, weights = getattr(args, "genotype", None), getattr(args, "weights", None)
+    reports, artifacts = _run_stages(cfg, out, args.command, args.data, args.last_stage, genotype, weights)
     for rep in reports:
-        _stage_report_line(rep.to_dict())
+        print(f"[{rep.stage}] " + ", ".join(f"{k}={v}" for k, v in rep.metrics.items()))
     print(f"genotype {artifacts['genotype'].hash()}")
     if "weighted_f1" in artifacts:
         print(f"weighted_f1 = {artifacts['weighted_f1']:.6f}")
@@ -330,9 +232,13 @@ def cmd_sweep_r(args) -> int:
             cell_dir = out / f"r{r:g}_seed{seed}"
             cell_dir.mkdir(parents=True, exist_ok=True)
             cell_marker = _run_guard(cell_dir)
-            _, artifacts = _run_all_once(cell_cfg, cell_dir, data_path=args.data)
+            reports, artifacts = _run_stages(cell_cfg, cell_dir, "sweep-r", args.data)
             if "weighted_f1" not in artifacts:
-                raise CliError("sweep-r requires the fit stage to be enabled")
+                raise CliError(
+                    f"sweep-r cell r={r:g} seed={seed} has an empty test split: the test split holds "
+                    f"floor(0.1 * floor(n * r)) samples, and floor(n * r) = "
+                    f"{reports[-1].metrics['labeled_samples']} here; raise r or the sample count"
+                )
             rows.append((r, seed, artifacts["weighted_f1"]))
             cell_marker.unlink()
             print(f"r={r:g} seed={seed} weighted_f1={artifacts['weighted_f1']:.6f}")
@@ -372,19 +278,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="stage 1: contrastive architecture search")
     common(p)
-    p.set_defaults(fn=cmd_search)
+    p.set_defaults(fn=cmd_run, last_stage="search")
 
     p = sub.add_parser("pretrain", help="stage 2: contrastive pretraining of a genotype")
     common(p)
     p.add_argument("--genotype", required=True, help="genotype JSON from the search stage")
-    p.set_defaults(fn=cmd_pretrain)
+    p.set_defaults(fn=cmd_run, last_stage="pretrain")
 
     p = sub.add_parser("fit", help="stage 3: fit the classification layer")
     common(p)
     p.add_argument("--genotype", required=True)
     p.add_argument("--weights", required=True, help="encoder MMNW checkpoint")
     p.add_argument("--freeze-encoder", action=argparse.BooleanOptionalAction, default=None)
-    p.set_defaults(fn=cmd_fit)
+    p.set_defaults(fn=cmd_run, last_stage="fit")
 
     p = sub.add_parser("eval", help="score predictions or a fitted model")
     common(p)
@@ -398,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genotype", help="skip the search stage with this genotype")
     p.add_argument("--weights", help="skip the pretraining stage with this checkpoint")
     p.add_argument("--freeze-encoder", action=argparse.BooleanOptionalAction, default=None)
-    p.set_defaults(fn=cmd_run_all)
+    p.set_defaults(fn=cmd_run, last_stage="fit")
 
     p = sub.add_parser("sweep-r", help="run-all across a labeled-ratio grid and seeds")
     common(p)

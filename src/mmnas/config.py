@@ -2,8 +2,9 @@
 
 A run config has five sections plus the seed; unknown keys anywhere are
 rejected so a typo cannot silently fall back to a default. The effective
-(fully defaulted) form is serialized into every stage report, and its hash
-identifies the run.
+(fully defaulted) form is serialized into the ``command`` row that ends
+the log of every pipeline command, and its hash, on every row, identifies
+the run.
 
   {
     "seed": 0,

@@ -69,8 +69,10 @@ class SyntheticSpec:
         object.__setattr__(
             self, "signal_plan", tuple((str(s), float(snr)) for s, snr in self.signal_plan)
         )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise DataError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("seed", "num_samples", "num_labels", "latent_dim", "text_len"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DataError(f"{name} must be an integer, got {value!r}")
         if self.num_samples < 1:
             raise DataError("num_samples must be >= 1")
         if self.num_labels < 1:
@@ -113,8 +115,8 @@ class Dataset:
     """
 
     def __init__(self, features: dict, labels: np.ndarray | None, text_len: int):
-        if text_len < 1:
-            raise DataError(f"text_len must be >= 1, got {text_len}")
+        if isinstance(text_len, bool) or not isinstance(text_len, (int, np.integer)) or text_len < 1:
+            raise DataError(f"text_len must be an integer >= 1, got {text_len!r}")
         self.features = {src: _freeze(x) for src, x in features.items()}
         self.labels = None if labels is None else _freeze(labels)
         self.text_len = int(text_len)

@@ -6,6 +6,10 @@ drops the projection head, adds a linear classification layer and fits it
 on the scarce labeled split (encoder frozen by default). Evaluation
 reports the support-weighted F1 over the held-out test split.
 
+``run_pipeline`` is the only code that runs the stages: every CLI command
+that trains (search, pretrain, fit, run-all, sweep-r) calls it, stopping
+after its last stage and starting from the artifacts it is given.
+
 Pretraining takes the augmented view batches of all its epochs from one
 ``bilevel.view_stream``: a forked worker computes them ahead of training
 when the process may use two or more CPUs, and they are computed inline
@@ -22,7 +26,7 @@ from __future__ import annotations
 import itertools
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,9 +65,6 @@ class PipelineError(RuntimeError):
 @dataclass(frozen=True)
 class PipelineConfig:
     labeled_ratio: float = 0.05
-    stage_search: bool = True
-    stage_pretrain: bool = True
-    stage_fit: bool = True
     pretrain_epochs: int = 8
     pretrain_lr: float = 0.05
     pretrain_momentum: float = 0.9
@@ -101,7 +102,6 @@ class StageReport:
     duration_s: float
     config_hash: str = ""
     build_id: str = ""
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -112,7 +112,6 @@ class StageReport:
             "duration_s": round(self.duration_s, 6),
             "config_hash": self.config_hash,
             "build_id": self.build_id,
-            **({"extra": self.extra} if self.extra else {}),
         }
 
 
@@ -351,64 +350,63 @@ def run_pipeline(
     config_hash: str = "",
     build_id: str = "",
     report=None,
+    last_stage: str = "fit",
 ):
-    """Run stages 1..3 (any prefix replaced by supplied artifacts).
+    """Run the stages in order up to ``last_stage`` ("search", "pretrain" or "fit").
 
-    Returns (reports, artifacts). Artifacts hold the genotype, encoder
-    weights, fitted model and the test weighted F1. When ``out_dir`` is
-    given, genotype JSON and MMNW checkpoints are written there.
+    A supplied ``genotype`` skips the search and supplied ``pretrained``
+    weights skip pretraining; ``pcfg.pretrain_epochs=0`` pretrains to the
+    initialization, the random-encoder baseline. Every stage that runs
+    appends a ``StageReport`` (also passed to ``report``) and, when
+    ``out_dir`` is given, writes its artifact there: ``genotype.json``,
+    ``encoder.mmnw``, ``model.mmnw``. Returns (reports, artifacts);
+    artifacts hold the genotype and, as their stages are reached, the
+    encoder weights, the fitted model and the test weighted F1 (absent
+    when the test split is empty).
     """
     import pathlib
 
+    stages = ("search", "pretrain", "fit")
+    if last_stage not in stages:
+        raise PipelineError(f"last_stage must be one of {stages}, got {last_stage!r}")
     reports: list[StageReport] = []
     splits: SplitSet = split(dataset, pcfg.labeled_ratio, seed)
     out = pathlib.Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    def stamp(stage, metrics, genotype_hash, t0, extra=None):
+    def stamp(stage, metrics, t0):
         rep = StageReport(
             stage=stage,
             seed=seed,
             metrics=metrics,
-            genotype_hash=genotype_hash,
+            genotype_hash=genotype.hash(),
             duration_s=time.perf_counter() - t0,
             config_hash=config_hash,
             build_id=build_id,
-            extra=extra or {},
         )
         reports.append(rep)
         if report is not None:
             report(rep.to_dict())
-        return rep
 
-    scfg = SearchConfig(**{**scfg.to_dict(), "seed": seed})
-
-    if pcfg.stage_search and genotype is None:
+    if genotype is None:
         if len(splits.search_train) == 0 or len(splits.search_valid) == 0:
             raise PipelineError(
                 "architecture search needs unlabeled samples, but the unlabeled pool is empty "
                 f"(labeled_ratio={pcfg.labeled_ratio})"
             )
         t0 = time.perf_counter()
+        scfg = SearchConfig(**{**scfg.to_dict(), "seed": seed})
         genotype, state = run_search(scfg, space, ccfg, splits.search_train, splits.search_valid, report=report)
-        stamp(
-            "search",
-            {"best_valid_loss": state.best_valid_loss, "epochs": state.epoch},
-            genotype.hash(),
-            t0,
-        )
+        stamp("search", {"best_valid_loss": state.best_valid_loss, "epochs": state.epoch}, t0)
         if out is not None:
             with atomic_open(out / "genotype.json") as fh:
                 fh.write(genotype.to_json() + "\n")
-    elif genotype is None:
-        raise PipelineError("search stage disabled and no genotype supplied")
+    artifacts = {"genotype": genotype}
+    if last_stage == "search":
+        return reports, artifacts
 
-    encoder = instantiate(genotype, space)
-
-    if pcfg.stage_pretrain and pretrained is None:
-        if len(splits.search_train) == 0:
-            raise PipelineError("pretraining needs unlabeled samples (labeled_ratio leaves none)")
+    if pretrained is None:
         t0 = time.perf_counter()
         pretrained = pretrain(
             genotype,
@@ -422,40 +420,35 @@ def run_pipeline(
             seed=seed,
             report=report,
         )
-        stamp("pretrain", {"epochs": pcfg.pretrain_epochs}, genotype.hash(), t0)
+        stamp("pretrain", {"epochs": pcfg.pretrain_epochs}, t0)
         if out is not None:
             save_weights(out / "encoder.mmnw", pretrained)
-    elif pretrained is None:
-        # sanctioned baseline: stage 2 skipped without weights = random encoder
-        pretrained = pretrain(genotype, space, ccfg, splits.search_train, epochs=0, lr=pcfg.pretrain_lr, seed=seed)
+    artifacts["encoder_weights"] = pretrained
+    if last_stage == "pretrain":
+        return reports, artifacts
 
-    artifacts = {"genotype": genotype, "encoder_weights": pretrained}
-
-    if pcfg.stage_fit:
-        if len(splits.labeled_train) == 0:
-            raise PipelineError("classifier fitting needs a non-empty labeled split")
-        t0 = time.perf_counter()
-        model = fit_classifier(
-            encoder,
-            pretrained,
-            splits.labeled_train,
-            epochs=pcfg.clf_epochs,
-            lr=pcfg.clf_lr,
-            batch_size=pcfg.clf_batch_size,
-            seed=seed,
-            freeze_encoder=pcfg.freeze_encoder,
-            classifier_loss=pcfg.classifier_loss,
-            report=report,
-        )
-        metrics = {"labeled_samples": len(splits.labeled_train)}
-        if len(splits.test) > 0:
-            preds = predict_bits(encoder, model, splits.test, pcfg.classifier_loss)
-            metrics["weighted_f1"] = weighted_f1(preds, splits.test.labels_matrix())
-            metrics["test_samples"] = len(splits.test)
-            artifacts["weighted_f1"] = metrics["weighted_f1"]
-        stamp("fit", metrics, genotype.hash(), t0)
-        if out is not None:
-            save_weights(out / "model.mmnw", model)
-        artifacts["model_weights"] = model
-
+    encoder = instantiate(genotype, space)
+    t0 = time.perf_counter()
+    model = fit_classifier(
+        encoder,
+        pretrained,
+        splits.labeled_train,
+        epochs=pcfg.clf_epochs,
+        lr=pcfg.clf_lr,
+        batch_size=pcfg.clf_batch_size,
+        seed=seed,
+        freeze_encoder=pcfg.freeze_encoder,
+        classifier_loss=pcfg.classifier_loss,
+        report=report,
+    )
+    metrics = {"labeled_samples": len(splits.labeled_train)}
+    if len(splits.test) > 0:
+        preds = predict_bits(encoder, model, splits.test, pcfg.classifier_loss)
+        metrics["weighted_f1"] = weighted_f1(preds, splits.test.labels_matrix())
+        metrics["test_samples"] = len(splits.test)
+        artifacts["weighted_f1"] = metrics["weighted_f1"]
+    stamp("fit", metrics, t0)
+    if out is not None:
+        save_weights(out / "model.mmnw", model)
+    artifacts["model_weights"] = model
     return reports, artifacts

@@ -292,7 +292,7 @@ def test_criterion_6_ssl_benefit(default_dataset):
     for seed in range(5):
         pcfg = PipelineConfig(labeled_ratio=0.05)
         _, art_full = run_pipeline(ds, space, scfg, ccfg, pcfg, seed=seed)
-        pcfg_base = PipelineConfig(labeled_ratio=0.05, stage_search=False, stage_pretrain=False)
+        pcfg_base = PipelineConfig(labeled_ratio=0.05, pretrain_epochs=0)
         _, art_base = run_pipeline(
             ds, space, scfg, ccfg, pcfg_base, seed=seed, genotype=art_full["genotype"]
         )

@@ -53,11 +53,11 @@ def test_run_all_twice_identical_genotype_hash(tmp_path, tiny_config):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(["run-all", "--config", tiny_config, "--seed", "7", "--out-dir", str(out1)]) == 0
     assert main(["run-all", "--config", tiny_config, "--seed", "7", "--out-dir", str(out2)]) == 0
-    h1 = [r["genotype_hash"] for r in _reports(out1) if r.get("stage") == "run-all"]
-    h2 = [r["genotype_hash"] for r in _reports(out2) if r.get("stage") == "run-all"]
+    h1 = [r["genotype_hash"] for r in _reports(out1) if r.get("command") == "run-all"]
+    h2 = [r["genotype_hash"] for r in _reports(out2) if r.get("command") == "run-all"]
     assert h1 and h1 == h2
-    f1 = [r["weighted_f1"] for r in _reports(out1) if r.get("stage") == "run-all"]
-    f2 = [r["weighted_f1"] for r in _reports(out2) if r.get("stage") == "run-all"]
+    f1 = [r["weighted_f1"] for r in _reports(out1) if r.get("command") == "run-all"]
+    f2 = [r["weighted_f1"] for r in _reports(out2) if r.get("command") == "run-all"]
     assert f1 == f2
     assert not (out1 / ".incomplete").exists()
 
@@ -131,12 +131,13 @@ def test_run_all_into_a_used_out_dir_starts_a_fresh_log(tmp_path, tiny_config):
     out = tmp_path / "r"
     for _ in range(2):
         assert main(["run-all", "--config", tiny_config, "--seed", "7", "--out-dir", str(out)]) == 0
-    stages = [r.get("stage") for r in _reports(out)]
-    assert stages.count("run-all") == 1 and stages.count("search") == 1
+    rows = _reports(out)
+    assert [r.get("command") for r in rows].count("run-all") == 1
+    assert [r.get("stage") for r in rows].count("search") == 1
     sweep = ["sweep-r", "--config", tiny_config, "--out-dir", str(tmp_path / "s"), "--r-grid", "0.3", "--seeds", "0"]
     for _ in range(2):
         assert main(sweep) == 0
-    assert [r.get("stage") for r in _reports(tmp_path / "s" / "r0.3_seed0")].count("run-all") == 1
+    assert [r.get("command") for r in _reports(tmp_path / "s" / "r0.3_seed0")].count("sweep-r") == 1
 
 
 def test_sweep_r_writes_grid_csv(tmp_path, tiny_config):
@@ -233,3 +234,73 @@ def test_freeze_encoder_flag_override(tmp_path, tiny_config):
         )
         == 0
     )
+
+
+def test_float_count_field_gives_structured_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"data": {"num_samples": 20.5}}))
+    code = main(["gen-data", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "ConfigError" and "num_samples must be an integer" in err["error"]
+
+
+def test_sweep_r_names_the_cell_whose_test_split_is_empty(tmp_path, tiny_config, capsys):
+    # n = 60, r = 0.1: floor(n r) = 6 labeled samples, floor(0.6) = 0 of them for testing
+    sweep = ["sweep-r", "--config", tiny_config, "--out-dir", str(tmp_path / "s"), "--r-grid", "0.1", "--seeds", "0"]
+    assert main(sweep) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["type"] == "CliError"
+    assert "r=0.1 seed=0" in err["error"] and "floor(0.1 * floor(n * r))" in err["error"]
+    assert "floor(n * r) = 6" in err["error"]
+    assert not (tmp_path / "s" / "sweep.csv").exists()
+
+
+def test_staged_chain_writes_the_artifacts_of_run_all(tmp_path, tiny_config):
+    staged, full = tmp_path / "staged", tmp_path / "full"
+    common = ["--config", tiny_config, "--seed", "5", "--out-dir", str(staged)]
+    genotype, encoder = str(staged / "genotype.json"), str(staged / "encoder.mmnw")
+    assert main(["search", *common]) == 0
+    assert main(["pretrain", *common, "--genotype", genotype]) == 0
+    assert main(["fit", *common, "--genotype", genotype, "--weights", encoder]) == 0
+    assert main(["run-all", "--config", tiny_config, "--seed", "5", "--out-dir", str(full)]) == 0
+    for name in ("genotype.json", "encoder.mmnw", "model.mmnw"):
+        assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+    rows = [r for r in _reports(staged) if "stage" in r or "command" in r]
+    order = [r.get("stage") or "command " + r["command"] for r in rows]
+    assert order == ["search", "command search", "pretrain", "command pretrain", "fit", "command fit"]
+    assert all(r["duration_s"] > 0.0 for r in rows if "stage" in r)
+    assert not (staged / ".incomplete").exists()
+
+
+def test_run_all_log_holds_what_the_benchmark_reads(tmp_path, tiny_config):
+    """The rows ``perfbench/run.py`` checks after ``run-all --genotype``."""
+    from mmnas.checkpoint import load_weights
+    from mmnas.data import load, split
+    from mmnas.pipeline import predict_bits, weighted_f1
+    from mmnas.searchspace import CellGene, Genotype, StepGene, instantiate
+
+    cfg = RunConfig.from_file(tiny_config)
+    assert main(["gen-data", "--config", tiny_config, "--out-dir", str(tmp_path / "d")]) == 0
+    ds = load(tmp_path / "d" / "dataset.mmnf", text_len=cfg.data.text_len)
+    space = cfg.space_config(ds.image_dims, ds.text_dims)
+    genotype = Genotype(
+        cells=(CellGene(inputs=("image:0", "text:1"), steps=(StepGene(pair=("image:0", "text:1"), op="Sum"),)),),
+        config_hash=space.hash(),
+    )
+    (tmp_path / "genotype.json").write_text(genotype.to_json())
+    out = tmp_path / "o"
+    argv = ["run-all", "--config", tiny_config, "--data", str(tmp_path / "d" / "dataset.mmnf"),
+            "--genotype", str(tmp_path / "genotype.json"), "--out-dir", str(out)]
+    assert main(argv) == 0
+    rows = _reports(out)
+    for stage in ("pretrain", "fit"):
+        durations = [r["duration_s"] for r in rows if r.get("stage") == stage]
+        assert len(durations) == 1 and durations[0] > 0.0, stage
+    assert {r["genotype_hash"] for r in rows if r.get("genotype_hash")} == {genotype.hash()}
+    test = split(ds, cfg.pipeline.labeled_ratio, cfg.seed).test
+    model = load_weights(out / "model.mmnw")
+    f1 = weighted_f1(predict_bits(instantiate(genotype, space), model, test), test.labels_matrix())
+    reported = [h["weighted_f1"] for r in rows for h in (r, r.get("metrics") or {}) if "weighted_f1" in h]
+    assert len(reported) == 2 and all(f == f1 for f in reported)
+    assert not (out / ".incomplete").exists()

@@ -92,3 +92,9 @@ def test_build_id_mentions_version():
 
 def test_build_id_is_computed_once_per_process():
     assert build_id() is build_id()
+
+
+@pytest.mark.parametrize("key", ["stage_search", "stage_pretrain", "stage_fit"])
+def test_removed_stage_switches_are_unknown_keys(key):
+    with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\] in config section 'pipeline'"):
+        RunConfig.from_dict({"pipeline": {key: False}})

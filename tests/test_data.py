@@ -108,8 +108,17 @@ def test_signal_plan_validation():
 
 def test_dataset_needs_a_positive_text_len():
     ds = generate(SPEC)
-    with pytest.raises(DataError, match="text_len"):
-        Dataset(ds.features, ds.labels, text_len=0)
+    for bad in (0, 4.5, 4.0, True, "4"):
+        with pytest.raises(DataError, match="text_len must be an integer >= 1"):
+            Dataset(ds.features, ds.labels, text_len=bad)
+    assert Dataset(ds.features, ds.labels, text_len=np.int64(4)).text_len == 4
+
+
+@pytest.mark.parametrize("name", ["num_samples", "num_labels", "latent_dim", "text_len"])
+@pytest.mark.parametrize("value", [2.0, 3.5, True, "4", None])
+def test_count_fields_must_be_integers(name, value):
+    with pytest.raises(DataError, match=f"{name} must be an integer"):
+        SyntheticSpec(**{name: value})
 
 
 # ---------------------------------------------------------------------------

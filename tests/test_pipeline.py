@@ -7,6 +7,7 @@ import mmnas.autodiff as ad
 from mmnas.contrastive import ContrastiveConfig, ContrastiveError, ProjectionHead
 from mmnas.data import Dataset, SyntheticSpec, generate, split
 from mmnas.bilevel import SearchConfig
+from mmnas.checkpoint import load_weights
 from mmnas.pipeline import (
     PipelineConfig,
     PipelineError,
@@ -364,10 +365,11 @@ SCFG = SearchConfig(max_epochs=1, batch_size=8)
 def test_stage_one_only_emits_genotype_and_search_report(tmp_path):
     ds = _dataset(n=50, seed=10)
     space = _space(ds)
-    pcfg = _pipe_cfgs(stage_pretrain=False, stage_fit=False)
-    reports, artifacts = run_pipeline(ds, space, SCFG, CCFG, pcfg, seed=1, out_dir=tmp_path)
+    pcfg = _pipe_cfgs()
+    reports, artifacts = run_pipeline(ds, space, SCFG, CCFG, pcfg, seed=1, out_dir=tmp_path, last_stage="search")
     assert [r.stage for r in reports] == ["search"]
     assert (tmp_path / "genotype.json").exists()
+    assert not (tmp_path / "encoder.mmnw").exists()
     assert not (tmp_path / "model.mmnw").exists()
     assert "weighted_f1" not in artifacts
 
@@ -383,12 +385,25 @@ def test_full_run_is_deterministic(tmp_path):
     assert (tmp_path / "a" / "genotype.json").read_bytes() == (tmp_path / "b" / "genotype.json").read_bytes()
 
 
-def test_skipped_search_requires_genotype():
+def test_unknown_last_stage_is_rejected():
     ds = _dataset(n=40, seed=12)
+    with pytest.raises(PipelineError, match="last_stage"):
+        run_pipeline(ds, _space(ds), SCFG, CCFG, _pipe_cfgs(), seed=0, last_stage="eval")
+
+
+def test_zero_pretrain_epochs_is_the_random_encoder(tmp_path):
+    ds = _dataset(n=60, seed=12)
     space = _space(ds)
-    pcfg = _pipe_cfgs(stage_search=False)
-    with pytest.raises(PipelineError, match="genotype"):
-        run_pipeline(ds, space, SCFG, CCFG, pcfg, seed=0)
+    genotype = _genotype(space)
+    reports, artifacts = run_pipeline(
+        ds, space, SCFG, CCFG, _pipe_cfgs(pretrain_epochs=0), seed=4, out_dir=tmp_path, genotype=genotype
+    )
+    assert [r.stage for r in reports] == ["pretrain", "fit"]
+    init = pretrain(genotype, space, CCFG, ds, epochs=0, lr=0.0, seed=4)
+    saved = load_weights(tmp_path / "encoder.mmnw")
+    assert saved.keys() == init.keys()
+    assert all(np.array_equal(saved[k], init[k]) for k in init)
+    assert not (tmp_path / "genotype.json").exists()
 
 
 def test_r_equal_one_fails_stage_one_clearly():
