@@ -17,8 +17,11 @@ recorded as one node (the softmax mixtures of the search space).
 ``fused`` records a composite whose caller computes the value and the
 closed-form gradient itself, also as one node: the contrastive loss
 (``contrastive.ntxent_loss``), the classifier's sigmoid cross entropy
-(``pipeline.bce_with_logits``) and the attention and GLU primitives of the
-search space (``searchspace.apply_primitive``). Elementwise ops follow
+(``pipeline.bce_with_logits``) and each step of the derived encoder
+(``searchspace.primitive_node``). ``record`` does the same for a caller
+that lists the parent node ids itself (from ``node_ids``, which reads raw
+operands without wrapping them), one id possibly twice: the search
+space's mixed step (``searchspace.mixed_step``). Elementwise ops follow
 numpy broadcasting; the backward pass sum-reduces gradients over broadcast
 axes. Every op validates that its output is finite and names itself in the
 error when it is not.
@@ -62,7 +65,10 @@ __all__ = [
     "exp",
     "getitem",
     "mix",
+    "weighted_sum",
     "fused",
+    "node_ids",
+    "record",
     "constant",
 ]
 
@@ -540,6 +546,14 @@ def getitem(a, key) -> Tensor:
     return _emit("slice", tape, (ta,), bwd, np.asarray(out, dtype=np.float64))
 
 
+def weighted_sum(parts: list, c) -> np.ndarray:
+    """``sum_p c[p] * parts[p]`` of arrays, summed left to right: ``mix``'s value."""
+    out = parts[0] * c[0]
+    for d, cp in zip(parts[1:], c[1:]):
+        out = out + d * cp
+    return out
+
+
 def mix(w, parts, scatter=None) -> Tensor:
     """Weighted sum ``sum_p c[p] * parts[p]`` of equal-shape parts, one node.
 
@@ -571,9 +585,7 @@ def mix(w, parts, scatter=None) -> Tensor:
     if any(t.shape != shape for t in tparts):
         raise AutodiffError(f"mix: part shapes differ {[t.shape for t in tparts]}")
     datas = [t.data for t in tparts]
-    out = datas[0] * c[0]
-    for d, cp in zip(datas[1:], c[1:]):
-        out = out + d * cp
+    out = weighted_sum(datas, c)
     if tape is None:
         return _emit("mix", None, (), None, out)
     w_on_tape = tw.node_id is not None
@@ -600,3 +612,38 @@ def fused(op: str, inputs, value, backward) -> Tensor:
     """
     tensors, tape = _coerce(inputs)
     return _emit(op, tape, tuple(tensors), backward, _asarray(value))
+
+
+def node_ids(operands) -> tuple:
+    """``(tape, ids)``: the single live tape among ``operands`` (None when
+    none is on one) and each operand's node id on it (None off the tape).
+
+    Raw arrays are off the tape; unlike ``_coerce``, this neither wraps nor
+    scans them, so a caller that reads a set of constant arrays on every
+    call does not pay a finiteness check per array per call.
+    """
+    tape = None
+    ids = []
+    for a in operands:
+        t = a.tape if isinstance(a, Tensor) else None
+        if t is not None:
+            if tape is None:
+                tape = t
+            elif tape is not t:
+                raise AutodiffError("operands live on different tapes")
+        ids.append(None if t is None else a.node_id)
+    return tape, ids
+
+
+def record(op: str, tape, parent_ids, backward, value) -> Tensor:
+    """Record a value computed outside the tape as one node on ``tape``.
+
+    ``parent_ids`` are node ids on ``tape`` (from ``node_ids``); an id may
+    appear more than once, and its gradients then add up in list order.
+    ``backward(g)`` returns one gradient per listed id. With ``tape`` None
+    the value is returned as a constant. Either way the output is checked
+    for finiteness under the name ``op``.
+    """
+    if tape is None:
+        return _emit(op, None, (), None, value)
+    return tape._record(op, tuple(parent_ids), backward, value)

@@ -223,6 +223,16 @@ def cmd_sweep_r(args) -> int:
         raise CliError("sweep-r needs non-empty --r-grid and --seeds")
     import dataclasses
 
+    # the split sizes follow from n and r alone: refuse the grid before any cell trains
+    n = len(_load_dataset(args.data, cfg))
+    for r in grid:
+        labeled, n_test = dataio.split_sizes(n, r)
+        if not n_test:
+            raise CliError(
+                f"sweep-r cell r={r:g} seed={seeds[0]} has an empty test split: the test split holds "
+                f"floor(0.1 * floor(n * r)) samples, and floor(n * r) = {labeled} here; "
+                f"raise r or the sample count"
+            )
     rows = []
     for r in grid:
         for seed in seeds:
@@ -232,13 +242,7 @@ def cmd_sweep_r(args) -> int:
             cell_dir = out / f"r{r:g}_seed{seed}"
             cell_dir.mkdir(parents=True, exist_ok=True)
             cell_marker = _run_guard(cell_dir)
-            reports, artifacts = _run_stages(cell_cfg, cell_dir, "sweep-r", args.data)
-            if "weighted_f1" not in artifacts:
-                raise CliError(
-                    f"sweep-r cell r={r:g} seed={seed} has an empty test split: the test split holds "
-                    f"floor(0.1 * floor(n * r)) samples, and floor(n * r) = "
-                    f"{reports[-1].metrics['labeled_samples']} here; raise r or the sample count"
-                )
+            _, artifacts = _run_stages(cell_cfg, cell_dir, "sweep-r", args.data)
             rows.append((r, seed, artifacts["weighted_f1"]))
             cell_marker.unlink()
             print(f"r={r:g} seed={seed} weighted_f1={artifacts['weighted_f1']:.6f}")

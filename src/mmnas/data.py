@@ -290,6 +290,15 @@ class SplitSet:
     test: Dataset
 
 
+def split_sizes(n: int, r: float) -> tuple:
+    """``(labeled, test)``: how many of n samples ``split`` labels at ratio
+    r, floor(n r), and how many of those it keeps for testing, floor(0.1 floor(n r))."""
+    if not 0.0 < r <= 1.0:
+        raise DataError(f"labeled ratio must lie in (0, 1], got {r}")
+    labeled_total = int(np.floor(n * r))
+    return labeled_total, int(np.floor(0.1 * labeled_total))
+
+
 def split(dataset: Dataset, r: float, seed: int) -> SplitSet:
     """Disjoint deterministic splits under the labeled budget floor(n * r).
 
@@ -297,17 +306,14 @@ def split(dataset: Dataset, r: float, seed: int) -> SplitSet:
     samples; the unlabeled complement is split 80/20 into the search train
     and valid phases with labels stripped.
     """
-    if not 0.0 < r <= 1.0:
-        raise DataError(f"labeled ratio must lie in (0, 1], got {r}")
     n = len(dataset)
+    labeled_total, n_test = split_sizes(n, r)
     if n < 1:
         raise DataError("cannot split an empty dataset")
     rng = seeded_rng(seed, TAG_SPLIT)
     perm = rng.permutation(n)
-    labeled_total = int(np.floor(n * r))
     unlabeled = perm[: n - labeled_total]
     labeled = perm[n - labeled_total :]
-    n_test = int(np.floor(0.1 * labeled_total))
     test_idx = labeled[:n_test]
     labeled_train_idx = labeled[n_test:]
     n_train = int(np.floor(0.8 * len(unlabeled)))

@@ -29,10 +29,9 @@ output):
   ConcatFC            relu(concat(x, y) W + b)
   Zero                exact zeros, no weights
 
-Given cc = concat(x, y), which ``mixed_step`` builds once for both
-primitives that read it, Sum records one ``add`` node, Zero none, ConcatFC
-two (``relu(linear(cc, W, b))``), and attention and GLU one ``fused`` node
-each. Their gradients, for an upstream gradient G:
+Each primitive has one implementation, ``apply_primitive``, a kernel on
+raw arrays that returns its value and its vector-Jacobian product. For an
+upstream gradient G, with cc = concat(x, y):
 
   Sum                 dx = dy = G
   ConcatFC            dZ = G * (cc W + b > 0); dcc = dZ W^T, dW = cc^T dZ,
@@ -48,9 +47,34 @@ each. Their gradients, for an upstream gradient G:
                       da = G * s, db = G * a * s * (1 - s);
                       dcc = da W1^T + db W2^T, dW1 = cc^T da, dW2 = cc^T db
 
-The fused attention and GLU nodes evaluate the same numpy expressions in
-the same order as their unfused op chains did, so their values are
-bitwise unchanged; their backward passes are the closed forms above.
+The derived encoder records each step's kernel as one ``fused`` node
+(``primitive_node``). The search records each mixed step as one node
+(``mixed_step``): wb = softmax(beta), the slot inputs in0 = sum_p c0[p]
+pool_p and in1 likewise (c = scatter @ wb, see ``mixed_step``), the shared
+cc, every primitive's kernel in ``PRIMITIVES`` order, wg = softmax(gamma)
+and out = sum_p wg[p] out_p. Its backward pass is the closed form of that
+chain, for an upstream gradient G:
+
+  G_p    = wg[p] G, into each primitive's vjp
+  gamma  dwg[p] = <G, out_p>; dgamma = (dwg - <dwg, wg>) * wg
+  slots  dcc = dcc_ConcatFC + dcc_LinearGLU;
+         din0 = (dx_attention + G_Sum) + dcc[:, :hidden],
+         din1 = (dy_attention + G_Sum) + dcc[:, hidden:]
+  beta   dwb = S1^T [<din1, pool_p>]_p + S0^T [<din0, pool_p>]_p;
+         dbeta = (dwb - <dwb, wb>) * wb
+  pool   din1 * c1[p], then din0 * c0[p]: every pool entry on the tape is
+         listed twice as a parent, so the tape adds them in that order
+
+The forward pass evaluates the numpy expressions of the generic op chain it
+replaces (two scatter ``mix`` nodes, a concat, ``add``, the fused attention
+and GLU, ``relu(linear(..))``, a constant zero, softmaxes and the gamma
+``mix``) in the same order, and the backward pass adds into each shared
+quantity in the order that chain's tape did, so values and gradients are
+bitwise unchanged. A gradient nobody reads is not computed: the weights'
+in the valid phase, beta's and gamma's in the train phase. Logits and
+weights that are plain arrays are read without a finiteness scan; a
+non-finite output raises ``NonFiniteError`` naming the first non-finite
+slot input or primitive output.
 
 Cell input slots: a cell has one alpha vector but two input slots. Slot A
 is the plain softmax mixture over candidates; slot B is the same mixture
@@ -61,17 +85,21 @@ sources, matching the derived top-2 genotype.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import NonFiniteError, Tensor
 from .util import canonical_json, flat_views, init_linear, short_hash
 
 PRIMITIVES = ("Sum", "ScaledDotAttention", "LinearGLU", "ConcatFC", "Zero")
 
 _MASK_LOGIT = -1e9
+
+# input gradients of each primitive's vjp: (dx, dy), (dcc,) or none
+_VJP_INPUTS = {"Sum": 2, "ScaledDotAttention": 2, "LinearGLU": 1, "ConcatFC": 1, "Zero": 0}
 
 
 class SpaceError(ValueError):
@@ -361,66 +389,116 @@ def primitive_param_shapes(op: str, hidden: int) -> dict:
     raise SpaceError(f"unknown primitive {op!r}")
 
 
-def apply_primitive(op: str, x: Tensor, y: Tensor, params: dict, hidden: int, cc: Tensor | None = None) -> Tensor:
-    """Apply one primitive to (batch x hidden) inputs; see module docstring.
+def apply_primitive(op: str, x: np.ndarray, y: np.ndarray, params: dict, hidden: int, cc=None):
+    """Apply one primitive to raw (batch x hidden) arrays: ``(value, vjp)``.
 
-    ``cc`` is ``concat([x, y], axis=1)`` when the caller already built it.
-    ``params`` values are tape leaves or raw arrays.
+    ``params`` maps the primitive's weight names to raw arrays. LinearGLU
+    and ConcatFC read ``cc = concat([x, y], axis=1)``, built here unless the
+    caller passes it. ``vjp(g, need)`` returns, for an upstream gradient
+    ``g``, the gradient of each operand: ``(dx, dy)`` for Sum and attention,
+    ``(dcc,)`` for LinearGLU and ConcatFC and nothing for Zero, then one per
+    weight in ``primitive_param_shapes`` order. It computes only those whose
+    flag in ``need`` is set and gives None for the rest.
     """
-    if x.shape != y.shape or x.data.ndim != 2 or x.shape[1] != hidden:
+    if x.shape != y.shape or x.ndim != 2 or x.shape[1] != hidden:
         raise SpaceError(f"{op}: inputs must both be batch x {hidden}, got {x.shape} / {y.shape}")
-    if op == "Sum":
-        return x + y
-    if op == "Zero":
-        return ad.constant(np.zeros(x.shape))
     weights = []
     for name, shape in primitive_param_shapes(op, hidden).items():
         w = params[name]
         if w.shape != shape:
             raise SpaceError(f"{op}: weight {name} has shape {w.shape}, expected {shape}")
         weights.append(w)
+    if op == "Sum":
+        return x + y, _sum_vjp
+    if op == "Zero":
+        return np.zeros(x.shape), _zero_vjp
     if op == "ScaledDotAttention":
         return _attention(x, y, *weights, hidden)
     if cc is None:
-        cc = ad.concat([x, y], axis=1)
+        cc = np.concatenate([x, y], axis=1)
     if op == "LinearGLU":
         return _glu(cc, *weights)
-    return ad.relu(ad.linear(cc, *weights))
+    return _concat_fc(cc, *weights)
 
 
-def _array(w) -> np.ndarray:
-    return w.data if isinstance(w, Tensor) else w
+def _sum_vjp(g, need):
+    return tuple(g if n else None for n in need)
 
 
-def _attention(x: Tensor, y: Tensor, wq, wk, wv, hidden: int) -> Tensor:
-    xd, yd = x.data, y.data
-    mq, mk, mv = _array(wq), _array(wk), _array(wv)
-    q, k, v = xd @ mq, yd @ mk, yd @ mv
+def _zero_vjp(g, need):
+    return ()
+
+
+def _attention(x, y, wq, wk, wv, hidden: int):
+    q, k, v = x @ wq, y @ wk, y @ wv
     c = float(1.0 / np.sqrt(hidden))
     scores = (q @ k.T.copy()) * c
     e = np.exp(scores - np.max(scores, axis=1, keepdims=True))
     p = e / np.sum(e, axis=1, keepdims=True)
 
-    def backward(g):
+    def vjp(g, need):
         dp = g @ v.T
         ds = (dp - np.sum(dp * p, axis=1, keepdims=True)) * p * c
         dq, dk, dv = ds @ k, ds.T @ q, p.T @ g
-        return dq @ mq.T, dk @ mk.T + dv @ mv.T, xd.T @ dq, yd.T @ dk, yd.T @ dv
+        nx, ny, nq, nk, nv = need
+        return (
+            dq @ wq.T if nx else None,
+            dk @ wk.T + dv @ wv.T if ny else None,
+            x.T @ dq if nq else None,
+            y.T @ dk if nk else None,
+            y.T @ dv if nv else None,
+        )
 
-    return ad.fused("ScaledDotAttention", [x, y, wq, wk, wv], p @ v, backward)
+    return p @ v, vjp
 
 
-def _glu(cc: Tensor, w1, w2) -> Tensor:
-    cd = cc.data
-    m1, m2 = _array(w1), _array(w2)
-    a = cd @ m1
-    s = ad.stable_sigmoid(cd @ m2)
+def _glu(cc, w1, w2):
+    a = cc @ w1
+    s = ad.stable_sigmoid(cc @ w2)
 
-    def backward(g):
+    def vjp(g, need):
         da, db = g * s, g * a * s * (1.0 - s)
-        return da @ m1.T + db @ m2.T, cd.T @ da, cd.T @ db
+        ncc, n1, n2 = need
+        return (
+            da @ w1.T + db @ w2.T if ncc else None,
+            cc.T @ da if n1 else None,
+            cc.T @ db if n2 else None,
+        )
 
-    return ad.fused("LinearGLU", [cc, w1, w2], a * s, backward)
+    return a * s, vjp
+
+
+def _concat_fc(cc, w, b):
+    z = cc @ w + b
+    mask = z > 0.0
+
+    def vjp(g, need):
+        gz = g * mask
+        ncc, nw, nb = need
+        return (gz @ w.T if ncc else None, cc.T @ gz if nw else None, gz.sum(axis=0) if nb else None)
+
+    return z * mask, vjp
+
+
+def _array(v) -> np.ndarray:
+    return v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
+
+
+def primitive_node(op: str, x: Tensor, y: Tensor, params: dict, hidden: int) -> Tensor:
+    """``apply_primitive`` recorded as one ``fused`` node, as the derived
+    encoder applies a step; ``params`` values are tape leaves or raw arrays."""
+    names = list(primitive_param_shapes(op, hidden))
+    operands = [x, y, *(params[name] for name in names)]
+    need = tuple(i is not None for i in ad.node_ids(operands)[1])
+    value, vjp = apply_primitive(op, _array(x), _array(y), {n: _array(params[n]) for n in names}, hidden)
+    if op in ("LinearGLU", "ConcatFC"):
+        def backward(g):
+            dcc, *dw = vjp(g, (need[0] or need[1], *need[2:]))
+            return (None, None, *dw) if dcc is None else (dcc[:, :hidden], dcc[:, hidden:], *dw)
+    else:
+        def backward(g):
+            return vjp(g, need)
+    return ad.fused(op, operands, value, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +518,25 @@ def mixed_cell_input(alpha: Tensor, candidates: list) -> Tensor:
     return ad.mix(ad.softmax(alpha, axis=0), candidates)
 
 
-def mixed_step(beta: Tensor, gamma: Tensor, pair_candidates: list, prim_params: dict, hidden: int) -> Tensor:
-    """Beta-mixture per input slot, then gamma-mixture over primitives.
+@functools.lru_cache(maxsize=None)
+def _scatter(slots: tuple) -> np.ndarray:
+    """The (2, P, J) 0/1 matrices of a pair list given as pool indices:
+    entry [s, p, j] is 1 iff pair j holds pool entry p in slot s."""
+    scatter = np.zeros((2, 1 + max(max(pair) for pair in slots), len(slots)))
+    for j, (u, v) in enumerate(slots):
+        scatter[0, u, j] = 1.0
+        scatter[1, v, j] = 1.0
+    scatter.flags.writeable = False
+    return scatter
+
+
+def mixed_step(beta, gamma, pair_candidates: list, prim_params: dict, hidden: int) -> Tensor:
+    """Beta-mixture per input slot, then gamma-mixture over primitives, as
+    one tape node (see the module docstring for its backward pass).
 
     ``pair_candidates`` is the ordered-pair list over the step's pool;
-    ``prim_params`` maps primitive name -> {param name -> Tensor leaf}.
+    ``prim_params`` maps primitive name -> {param name -> weight}. Logits,
+    pool entries and weights are tape leaves or plain arrays.
 
     The beta mixture is linear, so it is computed per pool entry rather
     than per pair (the pair-marginal identity): with w = softmax(beta),
@@ -452,29 +544,78 @@ def mixed_step(beta: Tensor, gamma: Tensor, pair_candidates: list, prim_params: 
       in0 = sum_j w_j pair_j[0] = sum_p (sum_{j: pair_j[0] is pool_p} w_j) pool_p
 
     and likewise in1 with pair_j[1]. The pool is recovered from the pairs
-    by identity, in first-seen order, and each slot is one ``mix`` with a
-    0/1 scatter matrix S[p, j] = 1 iff pair j holds pool_p in that slot.
+    by identity, in first-seen order, and each slot's coefficients come
+    from a 0/1 scatter matrix S[p, j] = 1 iff pair j holds pool_p in that
+    slot.
     """
-    if beta.data.ndim != 1 or len(pair_candidates) != beta.data.shape[0]:
+    bd, gd = _array(beta), _array(gamma)
+    if bd.ndim != 1 or len(pair_candidates) != bd.shape[0]:
         raise SpaceError("beta length does not match pair candidate count")
-    if gamma.data.ndim != 1 or gamma.data.shape[0] != len(PRIMITIVES):
+    if gd.ndim != 1 or gd.shape[0] != len(PRIMITIVES):
         raise SpaceError("gamma length does not match primitive count")
-    pool, index = [], {}
-    for pair in pair_candidates:
-        for t in pair:
+    pool, index, slots = [], {}, []
+    for u, v in pair_candidates:
+        for t in (u, v):
             if id(t) not in index:
                 index[id(t)] = len(pool)
                 pool.append(t)
-    scatter = np.zeros((2, len(pool), len(pair_candidates)))
-    for j, (u, v) in enumerate(pair_candidates):
-        scatter[0, index[id(u)], j] = 1.0
-        scatter[1, index[id(v)], j] = 1.0
-    wb = ad.softmax(beta, axis=0)
-    in0 = ad.mix(wb, pool, scatter[0])
-    in1 = ad.mix(wb, pool, scatter[1])
-    cc = ad.concat([in0, in1], axis=1)  # shared by LinearGLU and ConcatFC
-    outs = [apply_primitive(op, in0, in1, prim_params.get(op, {}), hidden, cc) for op in PRIMITIVES]
-    return ad.mix(ad.softmax(gamma, axis=0), outs)
+        slots.append((index[id(u)], index[id(v)]))
+    scatter = _scatter(tuple(slots))
+    datas = [_array(t) for t in pool]
+    if any(d.shape != datas[0].shape for d in datas):
+        raise SpaceError(f"pool entry shapes differ: {[d.shape for d in datas]}")
+    weights = {op: {k: prim_params[op][k] for k in primitive_param_shapes(op, hidden)} for op in PRIMITIVES}
+    tape, ids = ad.node_ids([beta, gamma, *pool, *(w for ws in weights.values() for w in ws.values())])
+    need_beta, need_gamma = ids[0] is not None, ids[1] is not None
+    pool_ids, w_ids = ids[2:2 + len(pool)], ids[2 + len(pool):]
+    pool_on = [p for p, i in enumerate(pool_ids) if i is not None]
+    need_in = need_beta or bool(pool_on)
+    w_on = iter([i is not None for i in w_ids])
+
+    wb = _softmax_np(bd)
+    c0, c1 = scatter[0] @ wb, scatter[1] @ wb
+    in0, in1 = ad.weighted_sum(datas, c0), ad.weighted_sum(datas, c1)
+    cc = np.concatenate([in0, in1], axis=1)  # shared by LinearGLU and ConcatFC
+    outs, vjps, needs = [], [], []
+    for op in PRIMITIVES:
+        value, vjp = apply_primitive(op, in0, in1, {k: _array(w) for k, w in weights[op].items()}, hidden, cc)
+        outs.append(value)
+        vjps.append(vjp)
+        needs.append((need_in,) * _VJP_INPUTS[op] + tuple(next(w_on) for _ in weights[op]))
+    wg = _softmax_np(gd)
+    out = ad.weighted_sum(outs, wg)
+    parents = [i for i in (ids[0], ids[1], *w_ids) if i is not None] + [pool_ids[p] for p in pool_on] * 2
+
+    def backward(g):
+        gsum, att, glu, fc, _ = (
+            vjp(g * wg[p], need) if any(need) else (None,) * len(need)
+            for p, (vjp, need) in enumerate(zip(vjps, needs))
+        )
+        grads = []
+        if need_in:
+            dcc = fc[0] + glu[0]
+            d_in0 = (att[0] + gsum[0]) + dcc[:, :hidden]
+            d_in1 = (att[1] + gsum[1]) + dcc[:, hidden:]
+        if need_beta:
+            gc0 = np.array([np.vdot(d_in0, d) for d in datas])
+            gc1 = np.array([np.vdot(d_in1, d) for d in datas])
+            dwb = scatter[1].T @ gc1 + scatter[0].T @ gc0
+            grads.append((dwb - np.sum(dwb * wb, axis=0, keepdims=True)) * wb)
+        if need_gamma:
+            gc = np.array([np.vdot(g, o) for o in outs])
+            grads.append((gc - np.sum(gc * wg, axis=0, keepdims=True)) * wg)
+        grads.extend(dw for dw in (*att[2:], *glu[1:], *fc[1:]) if dw is not None)
+        grads.extend(d_in1 * c1[p] for p in pool_on)
+        grads.extend(d_in0 * c0[p] for p in pool_on)
+        return grads
+
+    try:
+        return ad.record("mixed_step", tape, parents, backward, out)
+    except NonFiniteError:
+        parts = [("slot input 0", in0), ("slot input 1", in1)]
+        parts += [(f"{op} output", o) for op, o in zip(PRIMITIVES, outs)]
+        bad = next((name for name, v in parts if not np.isfinite(v).all()), "output")
+        raise NonFiniteError(f"mixed_step: non-finite {bad}") from None
 
 
 class _FusionEncoder:
@@ -715,7 +856,7 @@ class DerivedFusionEncoder(_FusionEncoder):
             for s, step in enumerate(cell.steps):
                 x, y = (refs[src] for src in step.pair)
                 params = self._step_params(weights, c, s)[step.op]
-                refs[f"step:{s}"] = apply_primitive(step.op, x, y, params, self.config.hidden_dim)
+                refs[f"step:{s}"] = primitive_node(step.op, x, y, params, self.config.hidden_dim)
             env[f"cell:{c}"] = self._cell_output(weights, c, [refs[f"step:{s}"] for s in range(len(cell.steps))])
         return env[f"cell:{len(self.genotype.cells) - 1}"]
 

@@ -286,7 +286,7 @@ def linear_oracle(x, w, b):
 def primitive_oracle(op, x, y, params, hidden):
     """The original op chain of each primitive, one tape node per array op.
 
-    Kept as the reference for the fused ``apply_primitive``: attention
+    Kept as the reference for the kernels of ``apply_primitive``: attention
     recorded 8 nodes, GLU 4 plus the concat, ConcatFC 3 plus the concat.
     """
     import mmnas.autodiff as ad
@@ -333,6 +333,78 @@ def mixed_step_oracle(beta, gamma, pair_candidates, prim_params, hidden):
         term = ad.mul(primitive_oracle(op, in0, in1, prim_params.get(op, {}), hidden), wg[(p,)])
         out = term if out is None else out + term
     return out
+
+
+def mixed_step_composed(beta, gamma, pair_candidates, prim_params, hidden):
+    """The mixed step as generic tape nodes: softmax, two scatter ``mix``
+    nodes for the slots, one shared concat, ``add`` for Sum, one ``fused``
+    node each for attention and GLU, ``relu(linear(..))`` for ConcatFC, a
+    constant for Zero, then the gamma softmax and ``mix``.
+
+    Kept as the bitwise reference for the one-node ``mixed_step``: the tape
+    adds this chain's gradients in the order the closed form must keep.
+    """
+    import mmnas.autodiff as ad
+    from mmnas.searchspace import PRIMITIVES
+
+    pool, index = [], {}
+    for pair in pair_candidates:
+        for t in pair:
+            if id(t) not in index:
+                index[id(t)] = len(pool)
+                pool.append(t)
+    scatter = np.zeros((2, len(pool), len(pair_candidates)))
+    for j, (u, v) in enumerate(pair_candidates):
+        scatter[0, index[id(u)], j] = 1.0
+        scatter[1, index[id(v)], j] = 1.0
+    wb = ad.softmax(beta, axis=0)
+    in0 = ad.mix(wb, pool, scatter[0])
+    in1 = ad.mix(wb, pool, scatter[1])
+    cc = ad.concat([in0, in1], axis=1)
+    outs = [_composed_primitive(op, in0, in1, prim_params.get(op, {}), hidden, cc) for op in PRIMITIVES]
+    return ad.mix(ad.softmax(gamma, axis=0), outs)
+
+
+def _composed_primitive(op, x, y, params, hidden, cc):
+    import mmnas.autodiff as ad
+
+    def data(w):
+        return w.data if isinstance(w, ad.Tensor) else w
+
+    if op == "Sum":
+        return x + y
+    if op == "Zero":
+        return ad.constant(np.zeros(x.shape))
+    if op == "ConcatFC":
+        return ad.relu(ad.linear(cc, params["W"], params["b"]))
+    if op == "ScaledDotAttention":
+        wq, wk, wv = params["Wq"], params["Wk"], params["Wv"]
+        xd, yd, mq, mk, mv = x.data, y.data, data(wq), data(wk), data(wv)
+        q, k, v = xd @ mq, yd @ mk, yd @ mv
+        c = float(1.0 / np.sqrt(hidden))
+        scores = (q @ k.T.copy()) * c
+        e = np.exp(scores - np.max(scores, axis=1, keepdims=True))
+        p = e / np.sum(e, axis=1, keepdims=True)
+
+        def attention_backward(g):
+            dp = g @ v.T
+            ds = (dp - np.sum(dp * p, axis=1, keepdims=True)) * p * c
+            dq, dk, dv = ds @ k, ds.T @ q, p.T @ g
+            return dq @ mq.T, dk @ mk.T + dv @ mv.T, xd.T @ dq, yd.T @ dk, yd.T @ dv
+
+        return ad.fused(op, [x, y, wq, wk, wv], p @ v, attention_backward)
+    if op == "LinearGLU":
+        w1, w2 = params["W1"], params["W2"]
+        cd, m1, m2 = cc.data, data(w1), data(w2)
+        a = cd @ m1
+        s = ad.stable_sigmoid(cd @ m2)
+
+        def glu_backward(g):
+            da, db = g * s, g * a * s * (1.0 - s)
+            return da @ m1.T + db @ m2.T, cd.T @ da, cd.T @ db
+
+        return ad.fused(op, [cc, w1, w2], a * s, glu_backward)
+    raise AssertionError(f"no composed form of primitive {op!r}")
 
 
 def derived_forward_oracle(genotype, weights: dict, features: dict) -> np.ndarray:

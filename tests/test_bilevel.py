@@ -18,7 +18,7 @@ from mmnas.bilevel import (
 from mmnas.contrastive import ContrastiveConfig, ContrastiveError, ProjectionHead
 from mmnas.data import SyntheticSpec, generate, split
 from mmnas.optim import Adam, MomentumSGD
-from mmnas.searchspace import CellGene, Genotype, MixedFusionEncoder, SearchSpaceConfig
+from mmnas.searchspace import PRIMITIVES, CellGene, Genotype, MixedFusionEncoder, SearchSpaceConfig
 from mmnas.util import TAG_AUGMENT, TAG_SHUFFLE, seeded_rng
 
 CCFG = ContrastiveConfig()
@@ -245,12 +245,12 @@ def test_stack_view_features_interleaves_pairs():
 
 
 @pytest.mark.parametrize(
-    "cells, steps, nodes", [(1, 2, 70), (2, 3, 160)], ids=["default-1x2", "deep-2x3"]
+    "cells, steps, nodes", [(1, 2, 50), (2, 3, 100)], ids=["default-1x2", "deep-2x3"]
 )
 def test_search_batch_tape_size(cells, steps, nodes):
-    # one node per softmax mixture, affine layer, attention, GLU and loss,
-    # one concat per mixed step; a per-pair mixture with unfused layers
-    # recorded 193 nodes on the default space and 554 on the deep one
+    # one node per mixed step, cell-input softmax and mixture, affine layer
+    # and loss; a mixed step of generic nodes recorded 70 and 160, and a
+    # per-pair mixture with unfused layers 193 and 554
     ds = generate(SyntheticSpec(num_samples=8, seed=0))
     space = SearchSpaceConfig(
         features_per_modality=(ds.image_dims, ds.text_dims), num_cells=cells, steps_per_cell=steps
@@ -263,6 +263,50 @@ def test_search_batch_tape_size(cells, steps, nodes):
     a = {k: tape.leaf(v, k) for k, v in state.arch.named().items()}
     contrastive_batch_loss(MixedFusionEncoder(space), head, w, a, feats, CCFG.temperature)
     assert len(tape) == nodes
+
+
+@pytest.mark.parametrize("phase", ["train", "valid"])
+def test_search_batch_reaches_the_boundaries_the_benchmark_traces(phase, monkeypatch):
+    # perfbench/spans.py times these three functions by replacing the module
+    # attribute, and names each primitive span after apply_primitive's first
+    # argument; the per-primitive metrics exist only while the mixed step
+    # calls it once per primitive, in PRIMITIVES order, Zero included
+    import mmnas.searchspace as searchspace
+
+    calls = []
+
+    def traced(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(("enter", name, args[0] if name == "apply_primitive" else None))
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                calls.append(("exit", name, None))
+
+        return wrapper
+
+    for name in ("apply_primitive", "mixed_step", "mixed_cell_input"):
+        monkeypatch.setattr(searchspace, name, traced(name, getattr(searchspace, name)))
+    ds = generate(SyntheticSpec(num_samples=8, seed=0))
+    space = SearchSpaceConfig(features_per_modality=(ds.image_dims, ds.text_dims), num_cells=2, steps_per_cell=3)
+    state = init_search_state(SearchConfig(), space, CCFG)
+    head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
+    feats = stack_view_features(ds, np.arange(4), CCFG, np.random.default_rng(0))
+    tape = Tape()
+    w, a = state.weights, state.arch.named()
+    if phase == "train":
+        w = {k: tape.leaf(v, k) for k, v in w.items()}
+    else:
+        a = {k: tape.leaf(v, k) for k, v in a.items()}
+    loss = contrastive_batch_loss(MixedFusionEncoder(space), head, w, a, feats, CCFG.temperature)
+    tape.backward(loss)
+
+    slot = [("enter", "mixed_cell_input", None), ("exit", "mixed_cell_input", None)]
+    step = [("enter", "mixed_step", None)]
+    for op in PRIMITIVES:
+        step += [("enter", "apply_primitive", op), ("exit", "apply_primitive", None)]
+    step += [("exit", "mixed_step", None)]
+    assert calls == (2 * slot + 3 * step) * 2
 
 
 def test_search_config_validation():

@@ -254,6 +254,8 @@ def test_sweep_r_names_the_cell_whose_test_split_is_empty(tmp_path, tiny_config,
     assert "r=0.1 seed=0" in err["error"] and "floor(0.1 * floor(n * r))" in err["error"]
     assert "floor(n * r) = 6" in err["error"]
     assert not (tmp_path / "s" / "sweep.csv").exists()
+    # the grid is refused before any cell trains
+    assert not list((tmp_path / "s").glob("*/genotype.json"))
 
 
 def test_staged_chain_writes_the_artifacts_of_run_all(tmp_path, tiny_config):

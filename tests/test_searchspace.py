@@ -14,6 +14,7 @@ from helpers import (
     derive_oracle,
     derived_forward_oracle,
     mixed_cell_input_oracle,
+    mixed_step_composed,
     mixed_step_oracle,
     primitive_oracle,
 )
@@ -30,13 +31,13 @@ from mmnas.searchspace import (
     SearchSpaceConfig,
     SpaceError,
     StepGene,
-    apply_primitive,
     cell_candidate_names,
     derive_genotype,
     instantiate,
     mixed_cell_input,
     mixed_step,
     ordered_pairs,
+    primitive_node,
     primitive_param_shapes,
     random_genotype,
     saturate_toward,
@@ -254,13 +255,104 @@ def test_mixed_step_matches_the_per_pair_oracle(pool_size):
         _assert_matches_oracle(build(mixed_step), build(mixed_step_oracle), params, (5, hidden))
 
 
+# which operand groups are tape leaves; the rest are plain arrays
+TAPE_CONFIGS = {
+    "everything": ("logits", "weights", "pool"),
+    "train-phase": ("weights", "pool"),
+    "valid-phase": ("logits", "pool"),
+    "logits-and-weights": ("logits", "weights"),
+    "weights-only": ("weights",),
+    "logits-only": ("logits",),
+    "pool-only": ("pool",),
+    "no-tape": (),
+}
+
+
+def _step_operands(pool_size, hidden, seed):
+    rng = np.random.default_rng(seed)
+    return {
+        "beta": rng.standard_normal(len(ordered_pairs(pool_size))),
+        "gamma": rng.standard_normal(len(PRIMITIVES)),
+        **{f"pool{p}": rng.standard_normal((5, hidden)) for p in range(pool_size)},
+        **{f"{op}/{k}": v for op, d in _step_params(hidden, seed).items() for k, v in d.items()},
+    }
+
+
+def _run_step(step, operands, pool_size, hidden, on_tape):
+    """Value and every leaf's gradient of a root that reads the step's
+    output and, after it, each pool entry (so pool gradients accumulate)."""
+    tape = Tape()
+    group = {"beta": "logits", "gamma": "logits", **{f"pool{p}": "pool" for p in range(pool_size)}}
+    lv = {k: tape.leaf(v, k) if group.get(k, "weights") in on_tape else v for k, v in operands.items()}
+    pool = [lv[f"pool{p}"] for p in range(pool_size)]
+    pairs = [(pool[i], pool[j]) for i, j in ordered_pairs(pool_size)]
+    pp = {op: {k: lv[f"{op}/{k}"] for k in primitive_param_shapes(op, hidden)} for op in PRIMITIVES}
+    before = len(tape)
+    out = step(lv["beta"], lv["gamma"], pairs, pp, hidden)
+    nodes = len(tape) - before
+    if out.tape is None:
+        return out.data, {}, nodes
+    weighting = ad.constant(np.linspace(0.2, 1.4, out.data.size).reshape(out.shape))
+    root = ad.tsum(ad.mul(out, weighting))
+    for p, t in enumerate(pool):
+        root = ad.add(root, ad.tsum(ad.mul(t, ad.constant(np.full(t.shape, 0.5 + p)))))
+    grads = tape.backward(root)
+    return out.data, {k: grads.of(t) for k, t in lv.items() if isinstance(t, ad.Tensor)}, nodes
+
+
+@pytest.mark.parametrize("config", TAPE_CONFIGS)
+@pytest.mark.parametrize("pool_size", [2, 3, 4])
+def test_mixed_step_is_bitwise_the_composed_chain(pool_size, config):
+    """One node whose value and gradients equal, bit for bit, those of the
+    chain of generic nodes it replaces."""
+    hidden = 4
+    for seed in range(3):
+        operands = _step_operands(pool_size, hidden, 60 + 10 * pool_size + seed)
+        value, grads, nodes = _run_step(mixed_step, operands, pool_size, hidden, TAPE_CONFIGS[config])
+        ref_value, ref_grads, _ = _run_step(mixed_step_composed, operands, pool_size, hidden, TAPE_CONFIGS[config])
+        assert nodes == (1 if TAPE_CONFIGS[config] else 0)
+        assert np.array_equal(value, ref_value)
+        assert grads.keys() == ref_grads.keys()
+        for k in grads:
+            assert np.array_equal(grads[k], ref_grads[k]), k
+
+
+def test_mixed_step_tape_is_freed_without_the_cycle_collector():
+    # the closed-form backward holds arrays, never tensors (see autodiff)
+    gc.disable()
+    try:
+        tape = Tape()
+        operands = _step_operands(3, 4, 0)
+        lv = {k: tape.leaf(v, k) for k, v in operands.items()}
+        pool = [lv[f"pool{p}"] for p in range(3)]
+        pp = {op: {k: lv[f"{op}/{k}"] for k in primitive_param_shapes(op, 4)} for op in PRIMITIVES}
+        out = mixed_step(lv["beta"], lv["gamma"], [(pool[i], pool[j]) for i, j in ordered_pairs(3)], pp, 4)
+        tape.backward(ad.tsum(out))
+        ref = weakref.ref(tape)
+        del tape, lv, pool, pp, out
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "operand, part",
+    [("LinearGLU/W1", "LinearGLU output"), ("ScaledDotAttention/Wv", "ScaledDotAttention output"),
+     ("pool1", "slot input 0")],
+)
+def test_mixed_step_names_its_first_non_finite_part(operand, part):
+    operands = _step_operands(2, 4, 1)
+    operands[operand] = operands[operand].copy()
+    operands[operand][0, 1] = np.nan
+    with pytest.raises(ad.NonFiniteError, match=f"^mixed_step: non-finite {part}$"):
+        _run_step(mixed_step, operands, 2, 4, ("logits",))
+
+
 # ---------------------------------------------------------------------------
 # fused primitives
 # ---------------------------------------------------------------------------
 
 WEIGHTED_OPS = ("ScaledDotAttention", "LinearGLU", "ConcatFC")
-# nodes each primitive records given a prebuilt concat of its inputs
-FUSED_NODES = {"ScaledDotAttention": 1, "LinearGLU": 1, "ConcatFC": 2}
 
 
 def _primitive_inputs(op, hidden, rows, seed):
@@ -283,10 +375,9 @@ def test_fused_primitive_matches_the_unfused_oracle(op, leaf_weights, rows):
             x, y = tape.leaf(x0, "x"), tape.leaf(y0, "y")
             params = {k: tape.leaf(v, k) for k, v in p0.items()} if leaf_weights else p0
             if fused:
-                cc = ad.concat([x, y], axis=1)
                 before = len(tape)
-                out = apply_primitive(op, x, y, params, hidden, cc)
-                assert len(tape) - before == FUSED_NODES[op]
+                out = primitive_node(op, x, y, params, hidden)
+                assert len(tape) - before == 1
             else:
                 out = primitive_oracle(op, x, y, params, hidden)
             grads = tape.backward(ad.tsum(ad.mul(out, weighting)))
@@ -296,7 +387,7 @@ def test_fused_primitive_matches_the_unfused_oracle(op, leaf_weights, rows):
         assert value.tobytes() == ref_value.tobytes()
         for k in grads:
             np.testing.assert_allclose(grads[k], ref_grads[k], rtol=1e-12, atol=1e-12, err_msg=k)
-        off = apply_primitive(op, ad.constant(x0), ad.constant(y0), p0, hidden)
+        off = primitive_node(op, ad.constant(x0), ad.constant(y0), p0, hidden)
         assert off.tape is None and off.data.tobytes() == value.tobytes()
 
 
@@ -310,7 +401,7 @@ def test_fused_primitive_gradients_match_finite_differences(op, rows):
 
         def build(lv, weights=None):
             params = {k: lv[k] for k in p0} if weights is None else weights
-            return ad.tsum(ad.mul(apply_primitive(op, lv["x"], lv["y"], params, hidden), weighting))
+            return ad.tsum(ad.mul(primitive_node(op, lv["x"], lv["y"], params, hidden), weighting))
 
         check_gradients(build, {"x": x0, "y": y0, **p0}, tol=1e-6)
         check_gradients(lambda lv: build(lv, p0), {"x": x0, "y": y0}, tol=1e-6)
@@ -324,7 +415,7 @@ def test_fused_primitive_tape_is_freed_without_the_cycle_collector():
         x0, y0, _ = _primitive_inputs("Sum", 4, 3, 0)
         x, y = tape.leaf(x0, "x"), tape.leaf(y0, "y")
         params = {op: {k: tape.leaf(v, k) for k, v in d.items()} for op, d in _step_params(4).items()}
-        root = ad.tsum(ad.concat([apply_primitive(op, x, y, params[op], 4) for op in WEIGHTED_OPS], axis=1))
+        root = ad.tsum(ad.concat([primitive_node(op, x, y, params[op], 4) for op in WEIGHTED_OPS], axis=1))
         tape.backward(root)
         ref = weakref.ref(tape)
         del tape, x, y, params, root
@@ -340,7 +431,7 @@ def test_apply_primitive_rejects_misshapen_weights(op):
     name = next(iter(params))
     params[name] = np.ones((3, 3))
     with pytest.raises(SpaceError, match=f"{op}: weight {name} has shape"):
-        apply_primitive(op, x, x, params, 4)
+        primitive_node(op, x, x, params, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +878,7 @@ def test_any_json_document_raises_only_genotype_error(tmp_path):
 
 def test_apply_primitive_zero_is_exact():
     x = ad.constant(np.ones((2, 3)))
-    out = apply_primitive("Zero", x, x, {}, 3)
+    out = primitive_node("Zero", x, x, {}, 3)
     assert np.all(out.data == 0.0)
 
 
