@@ -31,6 +31,7 @@ from mmnas.searchspace import (
     SearchSpaceConfig,
     SpaceError,
     StepGene,
+    apply_primitive,
     cell_candidate_names,
     derive_genotype,
     instantiate,
@@ -422,6 +423,24 @@ def test_fused_primitive_tape_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("op", PRIMITIVES)
+def test_apply_primitive_vjp_computes_only_the_gradients_asked_for(op):
+    # a phase that leaves the weights (or the inputs) off the tape pays for no
+    # gradient of them; what it does ask for is bitwise the full vjp's
+    x, y, params = _primitive_inputs(op, 4, 3, 0)
+    value, vjp = apply_primitive(op, x, y, params, 4)
+    g = np.linspace(-1.0, 1.0, value.size).reshape(value.shape)
+    inputs = {"Sum": 2, "ScaledDotAttention": 2, "LinearGLU": 1, "ConcatFC": 1, "Zero": 0}[op]
+    slots = inputs + len(params)  # (dx, dy) or (dcc,), then one per weight
+    full = vjp(g, (True,) * slots)
+    assert len(full) == slots
+    assert all(d is not None for d in full)
+    for mask in range(2 ** slots):
+        need = tuple(bool(mask >> i & 1) for i in range(slots))
+        for want, got, ref in zip(need, vjp(g, need), full):
+            assert (got is None) if not want else np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("op", WEIGHTED_OPS)
