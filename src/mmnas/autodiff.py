@@ -28,7 +28,8 @@ error when it is not.
 
 Parameters enter a tape as named leaves: ``Tape.leaf`` registers one array,
 and ``Tape.leaves`` registers every view of one flat parameter vector
-(``util.flat_views``) with one finiteness check of the vector.
+(``util.flat_views``) with one finiteness check of the vector;
+``constants`` wraps such views off the tape the same way.
 ``Gradients.flat`` gathers their gradients back into one vector of the
 same layout, which an optimizer steps whole (``optim``).
 """
@@ -70,6 +71,7 @@ __all__ = [
     "node_ids",
     "record",
     "constant",
+    "constants",
 ]
 
 
@@ -217,11 +219,10 @@ class Tape:
         One finiteness check of ``flat`` stands for the per-leaf checks of
         ``leaf``. On failure it raises the ``NonFiniteError`` that ``leaf``
         raises for the first non-finite view, and records no node.
-        Returns name -> leaf, in the order of ``views``.
+        Returns name -> leaf, in the order of ``views``; each leaf's data is
+        its view itself, not a copy.
         """
-        if not np.isfinite(flat).all():
-            bad = next(k for k, v in views.items() if not np.isfinite(v).all())
-            raise NonFiniteError(f"leaf:{bad}: non-finite output")
+        _check_views(views, flat)
         out = {}
         for name, v in views.items():
             out[name] = _checked_tensor(v, self, len(self._nodes))
@@ -251,6 +252,22 @@ class Tape:
                 acc = grads.get(pid)
                 grads[pid] = pg if acc is None else acc + pg
         return Gradients(grads, self)
+
+
+def _check_views(views: dict, flat: np.ndarray) -> None:
+    if not np.isfinite(flat).all():
+        bad = next(k for k, v in views.items() if not np.isfinite(v).all())
+        raise NonFiniteError(f"leaf:{bad}: non-finite output")
+
+
+def constants(views: dict, flat: np.ndarray) -> dict:
+    """Every view of ``flat`` as an off-tape constant, name -> tensor.
+
+    Like ``Tape.leaves``, one finiteness check of ``flat`` names the first
+    non-finite view; no op then scans the views again when it reads them.
+    """
+    _check_views(views, flat)
+    return {name: _checked_tensor(v) for name, v in views.items()}
 
 
 def _coerce(args) -> tuple[list[Tensor], Tape | None]:
@@ -548,9 +565,10 @@ def getitem(a, key) -> Tensor:
 
 def weighted_sum(parts: list, c) -> np.ndarray:
     """``sum_p c[p] * parts[p]`` of arrays, summed left to right: ``mix``'s value."""
+    c = c.tolist()  # python floats: the same float64 products, with less call overhead
     out = parts[0] * c[0]
     for d, cp in zip(parts[1:], c[1:]):
-        out = out + d * cp
+        out += d * cp
     return out
 
 

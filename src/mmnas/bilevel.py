@@ -13,6 +13,13 @@ phases, a no-update evaluation pass over the valid split scores the
 current architecture, and the best (lowest) validation loss snapshots the
 logits. The returned genotype is derived from that best snapshot.
 
+Each phase, the eval pass included, builds a plan at its first batch and
+runs every batch from it: ``autodiff.constants`` wraps the plain set with
+the phase's one finiteness check, and ``MixedFusionEncoder.plan`` fixes
+what that set determines (the logit softmaxes in the train phase and eval
+pass, the weight arrays in the valid phase and eval pass). A plan lives for
+one phase of one epoch, since the next phase steps the set this one read.
+
 Augmentation reads no model state, so each epoch's augmented view
 batches (train, then valid, then the evaluation pass) come from one
 ``view_stream``. When the process may use two or more CPUs, the ``fork``
@@ -38,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NonFiniteError, Tape
+from .autodiff import NonFiniteError, Tape, constants
 from .contrastive import ContrastiveConfig, ContrastiveError, ProjectionHead, augment_views, ntxent_loss
 from .data import Dataset
 from .optim import Adam, MomentumSGD
@@ -50,7 +57,7 @@ from .searchspace import (
     derive_genotype,
     validate_genotype,
 )
-from .util import TAG_ARCH_INIT, TAG_AUGMENT, TAG_SHUFFLE, TAG_WEIGHT_INIT, flat_views, seeded_rng
+from .util import TAG_ARCH_INIT, TAG_AUGMENT, TAG_SHUFFLE, TAG_WEIGHT_INIT, flat_views, integer, seeded_rng
 
 
 class SearchError(RuntimeError):
@@ -71,6 +78,8 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_epochs", "batch_size", "seed"):
+            integer(getattr(self, name), name)
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.batch_size < 2:
@@ -250,9 +259,10 @@ def _check_compatible(space: SearchSpaceConfig, ds: Dataset) -> None:
         )
 
 
-def contrastive_batch_loss(encoder, head, weights, arch, feats, temperature):
-    """Forward pass to the scalar loss; weights/arch may be leaves or arrays."""
-    h = encoder.forward(weights, arch, feats) if arch is not None else encoder.forward(weights, feats)
+def contrastive_batch_loss(encoder, head, weights, arch, feats, temperature, plan=None):
+    """Forward pass to the scalar loss; weights/arch may be leaves or arrays,
+    and ``plan`` is a mixed encoder's plan for them (``MixedFusionEncoder.plan``)."""
+    h = encoder.forward(weights, arch, feats, plan) if arch is not None else encoder.forward(weights, feats)
     z = head.forward(weights, h)
     return ntxent_loss(z, temperature)
 
@@ -278,10 +288,14 @@ def search_epoch(
             report(rec)
 
     epoch = state.epoch + 1
-    arch = state.arch.named()
-    w_set, a_set = (state.weights, state.flat_weights), (arch, state.arch.flat)
-    # (phase, split, the set it differentiates and steps, the set it reads as plain arrays)
-    phases = (("train", train, w_set, a_set, opt_w), ("valid", valid, a_set, w_set, opt_arch))
+    sets = {"weights": (state.weights, state.flat_weights), "arch": (state.arch.named(), state.arch.flat)}
+    # (phase, split, the set it differentiates and steps, its optimizer and rate); a phase
+    # reads the other sets as plain arrays, and the checkpoint pass steps none
+    phases = (
+        ("train", train, "weights", opt_w, scfg.lr_weights),
+        ("valid", valid, "arch", opt_arch, scfg.lr_arch),
+        ("eval", valid, None, None, 0.0),
+    )
     sections = [
         (ds, *(seeded_rng(scfg.seed, tag, state.epoch, i) for tag in (TAG_SHUFFLE, TAG_AUGMENT)))
         for i, ds in enumerate((train, valid))
@@ -289,7 +303,7 @@ def search_epoch(
     # checkpoint pass: the valid split in order, with its own augmentation stream
     sections.append((valid, None, seeded_rng(scfg.seed, TAG_AUGMENT, state.epoch, 2)))
     with view_stream(sections, scfg.batch_size, ccfg) as views:
-        for phase, ds, (stepped, flat), frozen, opt in phases:
+        for phase, ds, stepped, opt, lr in phases:
             # the batch count does not depend on the shuffle
             n_batches = len(batch_indices(len(ds), scfg.batch_size))
             if not n_batches:
@@ -300,52 +314,36 @@ def search_epoch(
                 tape = Tape()
                 try:
                     if bi == 0:
-                        # the plain set is constant all phase: one check names a
+                        # a plain set is constant all phase: one check names a
                         # non-finite entry as its leaf would
-                        Tape().leaves(*frozen)
-                    leaves = tape.leaves(stepped, flat)
-                    w, a = (leaves, arch) if phase == "train" else (state.weights, leaves)
-                    loss = contrastive_batch_loss(encoder, head, w, a, feats, ccfg.temperature)
+                        operands = {k: constants(*s) for k, s in sets.items() if k != stepped}
+                    if stepped:
+                        leaves = operands[stepped] = tape.leaves(*sets[stepped])
+                    w, a = operands["weights"], operands["arch"]
+                    if bi == 0:
+                        plan = encoder.plan(w, a)
+                    loss = contrastive_batch_loss(encoder, head, w, a, feats, ccfg.temperature, plan)
                 except (NonFiniteError, ContrastiveError) as e:
                     raise SearchError(
                         f"{loss_failure(e)} at epoch {epoch} phase {phase} batch {bi}: {e}"
                     ) from e
-                opt.step(flat, tape.backward(loss).flat(leaves))
+                if stepped:
+                    opt.step(sets[stepped][1], tape.backward(loss).flat(leaves))
                 losses.append(float(loss.data))
+            mean_loss = float(np.mean(losses))
+            if phase == "eval" and mean_loss < state.best_valid_loss:
+                state.best_valid_loss = mean_loss
+                state.best_arch = state.arch.copy()
             emit(
                 {
                     "epoch": epoch,
                     "phase": phase,
-                    "mean_loss": float(np.mean(losses)),
-                    "lr": scfg.lr_weights if phase == "train" else scfg.lr_arch,
+                    "mean_loss": mean_loss,
+                    "lr": lr,
                     "wallclock_ms": round(1000.0 * (time.perf_counter() - t0), 3),
                     "best_so_far": None if np.isinf(state.best_valid_loss) else state.best_valid_loss,
                 }
             )
-
-        # checkpoint pass: score the post-update architecture, no updates
-        t0 = time.perf_counter()
-        losses = []
-        for bi, feats in enumerate(views):
-            try:
-                loss = contrastive_batch_loss(encoder, head, state.weights, arch, feats, ccfg.temperature)
-            except (NonFiniteError, ContrastiveError) as e:
-                raise SearchError(f"{loss_failure(e)} at epoch {epoch} phase eval batch {bi}: {e}") from e
-            losses.append(float(loss.data))
-    eval_loss = float(np.mean(losses))
-    if eval_loss < state.best_valid_loss:
-        state.best_valid_loss = eval_loss
-        state.best_arch = state.arch.copy()
-    emit(
-        {
-            "epoch": epoch,
-            "phase": "eval",
-            "mean_loss": eval_loss,
-            "lr": 0.0,
-            "wallclock_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-            "best_so_far": state.best_valid_loss,
-        }
-    )
     state.epoch = epoch
     state.history.extend(records)
     return records

@@ -30,7 +30,7 @@ from .contrastive import ContrastiveConfig
 from .data import SyntheticSpec
 from .pipeline import PipelineConfig
 from .searchspace import SearchSpaceConfig
-from .util import canonical_json, short_hash
+from .util import canonical_json, integer, short_hash
 
 
 class ConfigError(ValueError):
@@ -58,6 +58,10 @@ class SpaceSection:
     num_cells: int = 1
     steps_per_cell: int = 2
     hidden_dim: int = 16
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            integer(getattr(self, f.name), f.name)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

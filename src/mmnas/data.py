@@ -36,6 +36,7 @@ from .util import (
     TAG_DATA_NOISE,
     TAG_SPLIT,
     atomic_open,
+    integer,
     seeded_rng,
 )
 
@@ -70,9 +71,7 @@ class SyntheticSpec:
             self, "signal_plan", tuple((str(s), float(snr)) for s, snr in self.signal_plan)
         )
         for name in ("seed", "num_samples", "num_labels", "latent_dim", "text_len"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise DataError(f"{name} must be an integer, got {value!r}")
+            integer(getattr(self, name), name, DataError)
         if self.num_samples < 1:
             raise DataError("num_samples must be >= 1")
         if self.num_labels < 1:

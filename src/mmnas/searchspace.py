@@ -80,7 +80,18 @@ Cell input slots: a cell has one alpha vector but two input slots. Slot A
 is the plain softmax mixture over candidates; slot B is the same mixture
 with the current argmax logit masked to -1e9 (renormalized by the softmax),
 so saturating the top-2 logits drives slot A and slot B onto two distinct
-sources, matching the derived top-2 genotype.
+sources, matching the derived top-2 genotype. Each slot is one node
+(``mixed_cell_input``) with the closed-form backward of the softmax, mask
+and ``mix`` nodes it replaces; alpha receives slot B's part first.
+
+Plans: within a search phase one set (weights or logits) is constant, so
+``MixedFusionEncoder.plan`` builds once per phase what every batch would
+rebuild: per step the scatter matrices of its pairs, its shape-checked
+weight arrays and which operands are on the tape; for logits off the tape
+(train phase, eval pass) the softmax of each cell slot (slot B masked),
+c0 = S0 @ softmax(beta), c1 and softmax(gamma). ``forward`` hands each part
+to ``mixed_cell_input`` and ``mixed_step``; called without a plan, each of
+the three plans on the spot and runs the same code.
 """
 
 from __future__ import annotations
@@ -92,7 +103,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError, Tensor
-from .util import canonical_json, flat_views, init_linear, short_hash
+from .util import canonical_json, flat_views, init_linear, integer, short_hash
 
 PRIMITIVES = ("Sum", "ScaledDotAttention", "LinearGLU", "ConcatFC", "Zero")
 
@@ -127,7 +138,9 @@ class SearchSpaceConfig:
 
     def __post_init__(self):
         names = tuple(self.modality_names)
-        feats = tuple(tuple(int(d) for d in layer_dims) for layer_dims in self.features_per_modality)
+        feats = tuple(tuple(integer(d, "layer dim", SpaceError) for d in dims) for dims in self.features_per_modality)
+        for name in ("num_cells", "steps_per_cell", "hidden_dim"):
+            integer(getattr(self, name), name, SpaceError)
         object.__setattr__(self, "modality_names", names)
         object.__setattr__(self, "features_per_modality", feats)
         if len(names) != len(feats) or not names:
@@ -389,25 +402,22 @@ def primitive_param_shapes(op: str, hidden: int) -> dict:
     raise SpaceError(f"unknown primitive {op!r}")
 
 
-def apply_primitive(op: str, x: np.ndarray, y: np.ndarray, params: dict, hidden: int, cc=None):
+def apply_primitive(op: str, x: np.ndarray, y: np.ndarray, params, hidden: int, cc=None):
     """Apply one primitive to raw (batch x hidden) arrays: ``(value, vjp)``.
 
-    ``params`` maps the primitive's weight names to raw arrays. LinearGLU
-    and ConcatFC read ``cc = concat([x, y], axis=1)``, built here unless the
-    caller passes it. ``vjp(g, need)`` returns, for an upstream gradient
-    ``g``, the gradient of each operand: ``(dx, dy)`` for Sum and attention,
-    ``(dcc,)`` for LinearGLU and ConcatFC and nothing for Zero, then one per
-    weight in ``primitive_param_shapes`` order. It computes only those whose
-    flag in ``need`` is set and gives None for the rest.
+    ``params`` maps the primitive's weight names to raw arrays, or is the
+    tuple of them in ``primitive_param_shapes`` order that ``_weights_of``
+    has already checked (a step plan's). LinearGLU and ConcatFC read
+    ``cc = concat([x, y], axis=1)``, built here unless the caller passes it.
+    ``vjp(g, need)`` returns, for an upstream gradient ``g``, the gradient
+    of each operand: ``(dx, dy)`` for Sum and attention, ``(dcc,)`` for
+    LinearGLU and ConcatFC and nothing for Zero, then one per weight in
+    ``primitive_param_shapes`` order. It computes only those whose flag in
+    ``need`` is set and gives None for the rest.
     """
     if x.shape != y.shape or x.ndim != 2 or x.shape[1] != hidden:
         raise SpaceError(f"{op}: inputs must both be batch x {hidden}, got {x.shape} / {y.shape}")
-    weights = []
-    for name, shape in primitive_param_shapes(op, hidden).items():
-        w = params[name]
-        if w.shape != shape:
-            raise SpaceError(f"{op}: weight {name} has shape {w.shape}, expected {shape}")
-        weights.append(w)
+    weights = params if type(params) is tuple else _weights_of(op, params, hidden)
     if op == "Sum":
         return x + y, _sum_vjp
     if op == "Zero":
@@ -419,6 +429,17 @@ def apply_primitive(op: str, x: np.ndarray, y: np.ndarray, params: dict, hidden:
     if op == "LinearGLU":
         return _glu(cc, *weights)
     return _concat_fc(cc, *weights)
+
+
+def _weights_of(op: str, params: dict, hidden: int) -> tuple:
+    """The raw weights of ``op`` in ``primitive_param_shapes`` order, shape-checked."""
+    weights = []
+    for name, shape in primitive_param_shapes(op, hidden).items():
+        w = params[name]
+        if w.shape != shape:
+            raise SpaceError(f"{op}: weight {name} has shape {w.shape}, expected {shape}")
+        weights.append(w)
+    return tuple(weights)
 
 
 def _sum_vjp(g, need):
@@ -505,17 +526,61 @@ def primitive_node(op: str, x: Tensor, y: Tensor, params: dict, hidden: int) -> 
 # mixed (continuous) operations
 # ---------------------------------------------------------------------------
 
-def mixed_cell_input(alpha: Tensor, candidates: list) -> Tensor:
-    """Softmax(alpha)-weighted sum of candidate tensors."""
-    if alpha.data.ndim != 1 or len(candidates) != alpha.data.shape[0]:
-        raise SpaceError(
-            f"alpha length {alpha.data.shape} does not match {len(candidates)} candidates"
-        )
-    shape = candidates[0].shape
-    for cand in candidates:
-        if cand.shape != shape:
-            raise SpaceError(f"candidate shapes differ: {cand.shape} vs {shape}")
-    return ad.mix(ad.softmax(alpha, axis=0), candidates)
+def _on_tape(v) -> bool:
+    return isinstance(v, Tensor) and v.tape is not None
+
+
+class _SlotPlan:
+    """A cell-input slot for one phase: slot A mixes by softmax(alpha), slot
+    B by the softmax after masking alpha's argmax; ``w`` is fixed when alpha
+    is off the tape."""
+
+    __slots__ = ("alpha", "masked", "need_alpha", "w")
+
+    def __init__(self, alpha, count: int, masked: bool):
+        self.alpha, self.masked, self.need_alpha = _array(alpha), masked, _on_tape(alpha)
+        if self.alpha.ndim != 1 or self.alpha.shape[0] != count:
+            raise SpaceError(f"alpha length {self.alpha.shape} does not match {count} candidates")
+        self.w = None if self.need_alpha else self.weights()
+
+    def weights(self) -> np.ndarray:
+        logits = self.alpha
+        if self.masked:
+            mask = np.zeros(logits.shape)
+            mask[int(np.argmax(logits))] = _MASK_LOGIT
+            logits = logits + mask
+        return _softmax_np(logits)
+
+
+def mixed_cell_input(alpha, candidates: list, plan: _SlotPlan | None = None) -> Tensor:
+    """Softmax(alpha)-weighted sum of candidate tensors, as one tape node.
+
+    ``plan`` is a cell slot of ``MixedFusionEncoder.plan``; without one the
+    call plans slot A. For slot weights w and upstream gradient G, the
+    backward pass gives candidate p ``w[p] G`` and alpha ``(dw - <dw, w>) w``
+    with ``dw[p] = <G, cand_p>``, as the softmax and ``mix`` nodes did.
+    """
+    if plan is None:
+        plan = _SlotPlan(alpha, len(candidates), masked=False)
+    datas = [_array(t) for t in candidates]
+    shape = datas[0].shape
+    for d in datas:
+        if d.shape != shape:
+            raise SpaceError(f"candidate shapes differ: {d.shape} vs {shape}")
+    need_alpha = plan.need_alpha
+    w = plan.weights() if need_alpha else plan.w
+    tape, ids = ad.node_ids([alpha, *candidates])
+    on = [p for p, i in enumerate(ids[1:]) if i is not None]
+    parents = ([ids[0]] if need_alpha else []) + [ids[1 + p] for p in on]
+
+    def backward(g):
+        grads = [g * w[p] for p in on]
+        if need_alpha:
+            gw = np.array([np.vdot(g, d) for d in datas])
+            grads.insert(0, (gw - np.sum(gw * w, axis=0, keepdims=True)) * w)
+        return grads
+
+    return ad.record("mixed_cell_input", tape, parents, backward, ad.weighted_sum(datas, w))
 
 
 @functools.lru_cache(maxsize=None)
@@ -530,61 +595,96 @@ def _scatter(slots: tuple) -> np.ndarray:
     return scatter
 
 
-def mixed_step(beta, gamma, pair_candidates: list, prim_params: dict, hidden: int) -> Tensor:
+class _StepPlan:
+    """A mixed step for one phase: the scatter matrices of its pairs' pool
+    indices (``slots``), each primitive's shape-checked weights, the names
+    of those on the tape (``names`` maps each primitive to {param name ->
+    key of ``operands``}), and ``coef`` (wb, c0, c1) and ``wg`` when beta
+    and gamma are off the tape."""
+
+    __slots__ = ("beta", "gamma", "scatter", "need_beta", "need_gamma", "coef", "wg", "weights", "taped", "needs")
+
+    def __init__(self, beta, gamma, slots: tuple, names: dict, operands: dict, hidden: int):
+        self.beta, self.gamma = _array(beta), _array(gamma)
+        if self.beta.ndim != 1 or len(slots) != self.beta.shape[0]:
+            raise SpaceError("beta length does not match pair candidate count")
+        if self.gamma.ndim != 1 or self.gamma.shape[0] != len(PRIMITIVES):
+            raise SpaceError("gamma length does not match primitive count")
+        self.scatter = _scatter(slots)
+        self.need_beta, self.need_gamma = _on_tape(beta), _on_tape(gamma)
+        self.coef = None if self.need_beta else self.beta_coefficients()
+        self.wg = None if self.need_gamma else _softmax_np(self.gamma)
+        self.weights = [_weights_of(op, {k: _array(operands[n]) for k, n in names[op].items()}, hidden)
+                        for op in PRIMITIVES]
+        on = {op: tuple(_on_tape(operands[n]) for n in names[op].values()) for op in PRIMITIVES}
+        self.taped = [n for op in PRIMITIVES for n, t in zip(names[op].values(), on[op]) if t]
+        # per primitive, which vjp gradients a batch needs, by whether it needs the slot inputs'
+        self.needs = {b: [(b,) * _VJP_INPUTS[op] + on[op] for op in PRIMITIVES] for b in (False, True)}
+
+    def beta_coefficients(self) -> tuple:
+        wb = _softmax_np(self.beta)
+        return wb, self.scatter[0] @ wb, self.scatter[1] @ wb
+
+
+def mixed_step(beta, gamma, pair_candidates: list, prim_params: dict, hidden: int,
+               plan: _StepPlan | None = None) -> Tensor:
     """Beta-mixture per input slot, then gamma-mixture over primitives, as
     one tape node (see the module docstring for its backward pass).
 
     ``pair_candidates`` is the ordered-pair list over the step's pool;
     ``prim_params`` maps primitive name -> {param name -> weight}. Logits,
-    pool entries and weights are tape leaves or plain arrays.
+    pool entries and weights are tape leaves or plain arrays. A caller that
+    runs the step for a whole phase passes its ``plan`` (one step of
+    ``MixedFusionEncoder.plan``), and then the pool itself in place of the
+    pairs and, in place of ``prim_params``, the name -> weight map the plan
+    was built from.
 
     The beta mixture is linear, so it is computed per pool entry rather
     than per pair (the pair-marginal identity): with w = softmax(beta),
 
       in0 = sum_j w_j pair_j[0] = sum_p (sum_{j: pair_j[0] is pool_p} w_j) pool_p
 
-    and likewise in1 with pair_j[1]. The pool is recovered from the pairs
-    by identity, in first-seen order, and each slot's coefficients come
-    from a 0/1 scatter matrix S[p, j] = 1 iff pair j holds pool_p in that
-    slot.
+    and likewise in1 with pair_j[1]. Without a plan the pool is recovered
+    from the pairs by identity, in first-seen order, and each slot's
+    coefficients come from a 0/1 scatter matrix S[p, j] = 1 iff pair j
+    holds pool_p in that slot.
     """
-    bd, gd = _array(beta), _array(gamma)
-    if bd.ndim != 1 or len(pair_candidates) != bd.shape[0]:
-        raise SpaceError("beta length does not match pair candidate count")
-    if gd.ndim != 1 or gd.shape[0] != len(PRIMITIVES):
-        raise SpaceError("gamma length does not match primitive count")
-    pool, index, slots = [], {}, []
-    for u, v in pair_candidates:
-        for t in (u, v):
-            if id(t) not in index:
-                index[id(t)] = len(pool)
-                pool.append(t)
-        slots.append((index[id(u)], index[id(v)]))
-    scatter = _scatter(tuple(slots))
+    if plan is None:
+        pool, index, slots = [], {}, []
+        for u, v in pair_candidates:
+            for t in (u, v):
+                if id(t) not in index:
+                    index[id(t)] = len(pool)
+                    pool.append(t)
+            slots.append((index[id(u)], index[id(v)]))
+        names = {op: {k: (op, k) for k in primitive_param_shapes(op, hidden)} for op in PRIMITIVES}
+        prim_params = {n: prim_params[op][k] for op in PRIMITIVES for k, n in names[op].items()}
+        plan = _StepPlan(beta, gamma, tuple(slots), names, prim_params, hidden)
+    else:
+        pool = pair_candidates
     datas = [_array(t) for t in pool]
-    if any(d.shape != datas[0].shape for d in datas):
-        raise SpaceError(f"pool entry shapes differ: {[d.shape for d in datas]}")
-    weights = {op: {k: prim_params[op][k] for k in primitive_param_shapes(op, hidden)} for op in PRIMITIVES}
-    tape, ids = ad.node_ids([beta, gamma, *pool, *(w for ws in weights.values() for w in ws.values())])
-    need_beta, need_gamma = ids[0] is not None, ids[1] is not None
-    pool_ids, w_ids = ids[2:2 + len(pool)], ids[2 + len(pool):]
+    for d in datas:
+        if d.shape != datas[0].shape:
+            raise SpaceError(f"pool entry shapes differ: {[d.shape for d in datas]}")
+    need_beta, need_gamma, scatter = plan.need_beta, plan.need_gamma, plan.scatter
+    tape, ids = ad.node_ids([beta, gamma, *pool, *(prim_params[n] for n in plan.taped)])
+    pool_ids = ids[2:2 + len(pool)]
     pool_on = [p for p, i in enumerate(pool_ids) if i is not None]
     need_in = need_beta or bool(pool_on)
-    w_on = iter([i is not None for i in w_ids])
 
-    wb = _softmax_np(bd)
-    c0, c1 = scatter[0] @ wb, scatter[1] @ wb
+    wb, c0, c1 = plan.beta_coefficients() if need_beta else plan.coef
     in0, in1 = ad.weighted_sum(datas, c0), ad.weighted_sum(datas, c1)
     cc = np.concatenate([in0, in1], axis=1)  # shared by LinearGLU and ConcatFC
-    outs, vjps, needs = [], [], []
-    for op in PRIMITIVES:
-        value, vjp = apply_primitive(op, in0, in1, {k: _array(w) for k, w in weights[op].items()}, hidden, cc)
+    outs, vjps = [], []
+    for op, weights in zip(PRIMITIVES, plan.weights):
+        value, vjp = apply_primitive(op, in0, in1, weights, hidden, cc)
         outs.append(value)
         vjps.append(vjp)
-        needs.append((need_in,) * _VJP_INPUTS[op] + tuple(next(w_on) for _ in weights[op]))
-    wg = _softmax_np(gd)
+    wg = _softmax_np(plan.gamma) if need_gamma else plan.wg
     out = ad.weighted_sum(outs, wg)
-    parents = [i for i in (ids[0], ids[1], *w_ids) if i is not None] + [pool_ids[p] for p in pool_on] * 2
+    needs = plan.needs[need_in]
+    logit_ids = [i for i, need in zip(ids, (need_beta, need_gamma)) if need]
+    parents = logit_ids + ids[2 + len(pool):] + [pool_ids[p] for p in pool_on] * 2
 
     def backward(g):
         gsum, att, glu, fc, _ = (
@@ -667,13 +767,10 @@ class _FusionEncoder:
             projected[src] = ad.linear(features[src], weights[f"proj/{src}/W"], weights[f"proj/{src}/b"])
         return projected
 
-    def _step_params(self, weights: dict, c: int, s: int) -> dict:
-        """Primitive name -> {param name -> weight} for step s of cell c."""
+    def _step_names(self, c: int, s: int) -> dict:
+        """Primitive name -> {param name -> weight name} for step s of cell c."""
         return {
-            op: {
-                pname: weights[f"cell{c}/step{s}/{op}/{pname}"]
-                for pname in primitive_param_shapes(op, self.config.hidden_dim)
-            }
+            op: {pname: f"cell{c}/step{s}/{op}/{pname}" for pname in primitive_param_shapes(op, self.config.hidden_dim)}
             for op in self.cell_ops[c][s]
         }
 
@@ -694,27 +791,38 @@ class MixedFusionEncoder(_FusionEncoder):
     def __init__(self, config: SearchSpaceConfig):
         super().__init__(config, config.sources(), [[PRIMITIVES] * config.steps_per_cell] * config.num_cells)
 
-    def forward(self, weights: dict, arch: dict, features: list) -> Tensor:
-        """weights/arch map names to tape leaves, or raw arrays when frozen."""
+    def plan(self, weights: dict, arch: dict) -> list:
+        """Per cell, the plans of its two input slots and of its steps, for
+        batches that pass ``weights`` and ``arch`` as given here (tape leaves
+        or plain operands). A plan holds arrays, never tensors: those batches
+        pass the same plain operands, unchanged, and leaves of the same
+        arrays (``Tape.leaves`` of the same views, stepped in place).
+        """
         cfg = self.config
+        cells = []
+        for c in range(cfg.num_cells):
+            alpha, count = arch[f"alpha/c{c}"], cfg.num_cell_candidates(c)
+            steps = [
+                _StepPlan(arch[f"beta/c{c}/s{s}"], arch[f"gamma/c{c}/s{s}"], tuple(ordered_pairs(2 + s)),
+                          self._step_names(c, s), weights, cfg.hidden_dim)
+                for s in range(cfg.steps_per_cell)
+            ]
+            cells.append(((_SlotPlan(alpha, count, False), _SlotPlan(alpha, count, True)), steps))
+        return cells
+
+    def forward(self, weights: dict, arch: dict, features: list, plan: list | None = None) -> Tensor:
+        """weights/arch map names to tape leaves, or raw arrays when frozen;
+        ``plan`` is ``self.plan(weights, arch)``, built here when not given."""
+        if plan is None:
+            plan = self.plan(weights, arch)
+        hidden = self.config.hidden_dim
         base = list(self._project(weights, features).values())
         cell_outs = []
-        for c in range(cfg.num_cells):
-            candidates = base + cell_outs
-            alpha = arch[f"alpha/c{c}"]
-            if not isinstance(alpha, Tensor):
-                alpha = ad.constant(alpha)
-            slot_a = mixed_cell_input(alpha, candidates)
-            mask = np.zeros(alpha.data.shape)
-            mask[int(np.argmax(alpha.data))] = _MASK_LOGIT
-            slot_b = mixed_cell_input(ad.add(alpha, ad.constant(mask)), candidates)
-            pool = [slot_a, slot_b]
-            for s in range(cfg.steps_per_cell):
-                pairs = [(pool[i], pool[j]) for i, j in ordered_pairs(len(pool))]
-                pool.append(mixed_step(
-                    arch[f"beta/c{c}/s{s}"], arch[f"gamma/c{c}/s{s}"], pairs,
-                    self._step_params(weights, c, s), cfg.hidden_dim,
-                ))
+        for c, (slots, steps) in enumerate(plan):
+            alpha, candidates = arch[f"alpha/c{c}"], base + cell_outs
+            pool = [mixed_cell_input(alpha, candidates, slot) for slot in slots]
+            for s, step in enumerate(steps):
+                pool.append(mixed_step(arch[f"beta/c{c}/s{s}"], arch[f"gamma/c{c}/s{s}"], pool, weights, hidden, step))
             cell_outs.append(self._cell_output(weights, c, pool[2:]))
         return cell_outs[-1]
 
@@ -855,7 +963,7 @@ class DerivedFusionEncoder(_FusionEncoder):
             refs = {src: env[src] for src in cell.inputs}  # gains "step:k" -> output of step k
             for s, step in enumerate(cell.steps):
                 x, y = (refs[src] for src in step.pair)
-                params = self._step_params(weights, c, s)[step.op]
+                params = {k: weights[n] for k, n in self._step_names(c, s)[step.op].items()}
                 refs[f"step:{s}"] = primitive_node(step.op, x, y, params, self.config.hidden_dim)
             env[f"cell:{c}"] = self._cell_output(weights, c, [refs[f"step:{s}"] for s in range(len(cell.steps))])
         return env[f"cell:{len(self.genotype.cells) - 1}"]

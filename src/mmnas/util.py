@@ -27,6 +27,13 @@ def seeded_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, *map(int, tags)]))
 
 
+def integer(value, name: str, error=ValueError):
+    """``value`` if it is an int (a bool is not one); else ``error`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def init_linear(rng: np.random.Generator, shapes: dict) -> dict:
     """Zeros for vectors (biases), N(0, 1) / sqrt(fan_in) for matrices, drawn
     from ``rng`` in the key order of ``shapes``."""

@@ -407,6 +407,51 @@ def _composed_primitive(op, x, y, params, hidden, cc):
     raise AssertionError(f"no composed form of primitive {op!r}")
 
 
+def mixed_cell_slots_composed(alpha, candidates):
+    """Both input slots of a search cell as generic tape nodes: slot A is
+    ``mix(softmax(alpha), candidates)``, slot B the same after an ``add`` of
+    the constant mask that sends alpha's argmax logit to -1e9.
+
+    Kept as the bitwise reference for the one-node ``mixed_cell_input``: the
+    tape adds slot B's gradient into alpha and the candidates before slot A's.
+    """
+    import mmnas.autodiff as ad
+
+    alpha = alpha if isinstance(alpha, ad.Tensor) else ad.constant(alpha)
+    mask = np.zeros(alpha.shape)
+    mask[int(np.argmax(alpha.data))] = -1e9
+    slot_a = ad.mix(ad.softmax(alpha, axis=0), candidates)
+    return slot_a, ad.mix(ad.softmax(ad.add(alpha, ad.constant(mask)), axis=0), candidates)
+
+
+def mixed_forward_composed(config, weights: dict, arch: dict, features: list):
+    """The search encoder's forward pass as generic tape nodes: projections,
+    ``mixed_cell_slots_composed``, ``mixed_step_composed`` over the ordered
+    pairs of each step's pool, and the cell-output layer.
+
+    Kept as the bitwise reference for ``MixedFusionEncoder.forward`` and
+    the plans it runs from; operands are tape leaves or plain arrays.
+    """
+    import mmnas.autodiff as ad
+    from mmnas.searchspace import PRIMITIVES, ordered_pairs, primitive_param_shapes
+
+    h = config.hidden_dim
+    base = [ad.linear(f, weights[f"proj/{s}/W"], weights[f"proj/{s}/b"]) for s, f in zip(config.sources(), features)]
+    cell_outs = []
+    for c in range(config.num_cells):
+        pool = list(mixed_cell_slots_composed(arch[f"alpha/c{c}"], base + cell_outs))
+        for s in range(config.steps_per_cell):
+            pairs = [(pool[i], pool[j]) for i, j in ordered_pairs(len(pool))]
+            pp = {
+                op: {k: weights[f"cell{c}/step{s}/{op}/{k}"] for k in primitive_param_shapes(op, h)}
+                for op in PRIMITIVES
+            }
+            pool.append(mixed_step_composed(arch[f"beta/c{c}/s{s}"], arch[f"gamma/c{c}/s{s}"], pairs, pp, h))
+        merged = ad.concat(pool[2:], axis=1) if len(pool) > 3 else pool[2]
+        cell_outs.append(ad.linear(merged, weights[f"cell{c}/out/W"], weights[f"cell{c}/out/b"]))
+    return cell_outs[-1]
+
+
 def derived_forward_oracle(genotype, weights: dict, features: dict) -> np.ndarray:
     """The derived network in plain numpy: one explicit loop per cell and step.
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import AdamOracle, MomentumSGDOracle, augment_view_oracle
+from helpers import AdamOracle, MomentumSGDOracle, augment_view_oracle, mixed_forward_composed
 
+import mmnas.autodiff as ad
 import mmnas.bilevel as bilevel
-from mmnas.autodiff import Tape
+from mmnas.autodiff import Tape, Tensor
 from mmnas.bilevel import (
     SearchConfig,
     SearchError,
@@ -15,7 +16,7 @@ from mmnas.bilevel import (
     search_epoch,
     stack_view_features,
 )
-from mmnas.contrastive import ContrastiveConfig, ContrastiveError, ProjectionHead
+from mmnas.contrastive import ContrastiveConfig, ContrastiveError, ProjectionHead, ntxent_loss
 from mmnas.data import SyntheticSpec, generate, split
 from mmnas.optim import Adam, MomentumSGD
 from mmnas.searchspace import PRIMITIVES, CellGene, Genotype, MixedFusionEncoder, SearchSpaceConfig
@@ -23,6 +24,7 @@ from mmnas.util import TAG_AUGMENT, TAG_SHUFFLE, seeded_rng
 
 CCFG = ContrastiveConfig()
 NTXENT_LOSS = bilevel.ntxent_loss
+BATCH_LOSS = bilevel.contrastive_batch_loss
 
 
 def _setup(n=80, seed=0, hidden=6):
@@ -245,12 +247,14 @@ def test_stack_view_features_interleaves_pairs():
 
 
 @pytest.mark.parametrize(
-    "cells, steps, nodes", [(1, 2, 50), (2, 3, 100)], ids=["default-1x2", "deep-2x3"]
+    "cells, steps, nodes", [(1, 2, (47, 42, 15)), (2, 3, (94, 80, 32))], ids=["default-1x2", "deep-2x3"]
 )
 def test_search_batch_tape_size(cells, steps, nodes):
-    # one node per mixed step, cell-input softmax and mixture, affine layer
-    # and loss; a mixed step of generic nodes recorded 70 and 160, and a
-    # per-pair mixture with unfused layers 193 and 554
+    # one node per mixed step, cell-input slot, affine layer and loss, with
+    # every weight and logit a leaf, with the weights only (a train batch) and
+    # with the logits only (a valid batch); with every leaf, generic slot
+    # nodes recorded 50 and 100, generic step nodes 70 and 160, and per-pair
+    # mixtures with unfused layers 193 and 554
     ds = generate(SyntheticSpec(num_samples=8, seed=0))
     space = SearchSpaceConfig(
         features_per_modality=(ds.image_dims, ds.text_dims), num_cells=cells, steps_per_cell=steps
@@ -258,19 +262,36 @@ def test_search_batch_tape_size(cells, steps, nodes):
     state = init_search_state(SearchConfig(), space, CCFG)
     head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
     feats = stack_view_features(ds, np.arange(4), CCFG, np.random.default_rng(0))
-    tape = Tape()
-    w = {k: tape.leaf(v, k) for k, v in state.weights.items()}
-    a = {k: tape.leaf(v, k) for k, v in state.arch.named().items()}
-    contrastive_batch_loss(MixedFusionEncoder(space), head, w, a, feats, CCFG.temperature)
-    assert len(tape) == nodes
+    counts = []
+    for leaves in (("weights", "arch"), ("weights",), ("arch",)):
+        tape = Tape()
+        w, a = state.weights, state.arch.named()
+        w = {k: tape.leaf(v, k) for k, v in w.items()} if "weights" in leaves else w
+        a = {k: tape.leaf(v, k) for k, v in a.items()} if "arch" in leaves else a
+        contrastive_batch_loss(MixedFusionEncoder(space), head, w, a, feats, CCFG.temperature)
+        counts.append(len(tape))
+    assert tuple(counts) == nodes
 
 
-@pytest.mark.parametrize("phase", ["train", "valid"])
+def _deep_epoch_setup(n):
+    """An n-sample dataset, a 2 x 3 space and what one search epoch over it needs."""
+    ds = generate(SyntheticSpec(num_samples=n, seed=0))
+    space = SearchSpaceConfig(features_per_modality=(ds.image_dims, ds.text_dims), num_cells=2, steps_per_cell=3)
+    scfg = SearchConfig(max_epochs=1, batch_size=8)
+    state = init_search_state(scfg, space, CCFG)
+    head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
+    optimizers = (MomentumSGD(scfg.lr_weights, scfg.momentum), Adam(scfg.lr_arch))
+    return ds, space, scfg, state, head, optimizers
+
+
+@pytest.mark.parametrize("phase", ["train", "valid", "eval"])
 def test_search_batch_reaches_the_boundaries_the_benchmark_traces(phase, monkeypatch):
     # perfbench/spans.py times these three functions by replacing the module
     # attribute, and names each primitive span after apply_primitive's first
-    # argument; the per-primitive metrics exist only while the mixed step
-    # calls it once per primitive, in PRIMITIVES order, Zero included
+    # argument; the per-primitive metrics exist only while every batch of
+    # search_epoch, which runs from its phase's plan, calls both slots of a
+    # cell, then each mixed step with every primitive in PRIMITIVES order,
+    # Zero included
     import mmnas.searchspace as searchspace
 
     calls = []
@@ -287,26 +308,65 @@ def test_search_batch_reaches_the_boundaries_the_benchmark_traces(phase, monkeyp
 
     for name in ("apply_primitive", "mixed_step", "mixed_cell_input"):
         monkeypatch.setattr(searchspace, name, traced(name, getattr(searchspace, name)))
-    ds = generate(SyntheticSpec(num_samples=8, seed=0))
-    space = SearchSpaceConfig(features_per_modality=(ds.image_dims, ds.text_dims), num_cells=2, steps_per_cell=3)
-    state = init_search_state(SearchConfig(), space, CCFG)
-    head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
-    feats = stack_view_features(ds, np.arange(4), CCFG, np.random.default_rng(0))
-    tape = Tape()
-    w, a = state.weights, state.arch.named()
-    if phase == "train":
-        w = {k: tape.leaf(v, k) for k, v in w.items()}
-    else:
-        a = {k: tape.leaf(v, k) for k, v in a.items()}
-    loss = contrastive_batch_loss(MixedFusionEncoder(space), head, w, a, feats, CCFG.temperature)
-    tape.backward(loss)
+    ds, space, scfg, state, head, (opt_w, opt_arch) = _deep_epoch_setup(8)  # one batch per phase
+    search_epoch(state, ds, ds, scfg, CCFG, MixedFusionEncoder(space), head, opt_w, opt_arch)
 
     slot = [("enter", "mixed_cell_input", None), ("exit", "mixed_cell_input", None)]
     step = [("enter", "mixed_step", None)]
     for op in PRIMITIVES:
         step += [("enter", "apply_primitive", op), ("exit", "apply_primitive", None)]
     step += [("exit", "mixed_step", None)]
-    assert calls == (2 * slot + 3 * step) * 2
+    batch = (2 * slot + 3 * step) * 2
+    assert len(calls) == 3 * len(batch)
+    at = ("train", "valid", "eval").index(phase) * len(batch)
+    assert calls[at:at + len(batch)] == batch
+
+
+def test_no_batch_scans_the_set_its_phase_reads_as_plain_arrays(monkeypatch):
+    # each phase checks its plain set once, as it builds its plan; a batch
+    # wraps only its own feature arrays (the parent wrapped 8, 22 and 24
+    # arrays per train, valid and eval batch, 4 of them the features)
+    inits, per_batch = [], []
+    tensor_init = Tensor.__init__
+
+    def counting_init(self, data, *args, **kwargs):
+        inits.append(data)
+        tensor_init(self, data, *args, **kwargs)
+
+    def batch_loss(encoder, head, weights, arch, feats, *rest):
+        start = len(inits)
+        loss = BATCH_LOSS(encoder, head, weights, arch, feats, *rest)
+        per_batch.append(sum(not any(d is f for f in feats) for d in inits[start:]))
+        return loss
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    monkeypatch.setattr(bilevel, "contrastive_batch_loss", batch_loss)
+    ds, space, scfg, state, head, (opt_w, opt_arch) = _deep_epoch_setup(16)  # two batches per phase
+    search_epoch(state, ds, ds, scfg, CCFG, MixedFusionEncoder(space), head, opt_w, opt_arch)
+    assert per_batch == [0] * 6
+
+
+def test_every_trace_point_of_the_benchmark_resolves():
+    # perfbench/spans.py skips a boundary it cannot find, so a renamed
+    # function would silently drop its metric; read its table without
+    # importing it and resolve each entry as its tracer does
+    import ast
+    import importlib
+    from pathlib import Path
+
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "spans.py").read_text()
+    table = next(
+        node.value for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "BOUNDARIES" for t in node.targets)
+    )
+    missing = []
+    for _, module, attr in ast.literal_eval(table):
+        owner = importlib.import_module(f"mmnas.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attr}")
+    assert missing == ["pipeline.raw_features"]  # gone since the columnar dataset
 
 
 def test_search_config_validation():
@@ -355,35 +415,105 @@ def test_each_phase_puts_only_what_it_steps_on_the_tape(monkeypatch):
 
 def _search_with_both_sets_on_the_tape(train, valid, space, scfg):
     """The bilevel alternation written out with every weight and logit a leaf
-    in both phases, stepped by the per-array optimizer references."""
+    in both phases and the chain of generic nodes as the forward pass,
+    stepped by the per-array optimizer references, then the checkpoint pass
+    and its best snapshot. Returns the weights, the logits, the mean loss of
+    every phase in order and the best logits."""
     state = init_search_state(scfg, space, CCFG)
     weights = {k: v.copy() for k, v in state.weights.items()}
     arch = {k: v.copy() for k, v in state.arch.named().items()}
-    encoder = MixedFusionEncoder(space)
     head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
+
+    def loss_of(w, a, feats):
+        return ntxent_loss(head.forward(w, mixed_forward_composed(space, w, a, feats)), CCFG.temperature)
+
     opts = (
         (weights, MomentumSGDOracle(scfg.lr_weights, scfg.momentum)),
         (arch, AdamOracle(scfg.lr_arch, scfg.adam_beta1, scfg.adam_beta2, scfg.adam_eps)),
     )
+    mean_losses, best, best_arch = [], float("inf"), None
     for epoch in range(scfg.max_epochs):
         for i, (ds, (stepped, opt)) in enumerate(zip((train, valid), opts)):
             shuffle = seeded_rng(scfg.seed, TAG_SHUFFLE, epoch, i)
             augment = seeded_rng(scfg.seed, TAG_AUGMENT, epoch, i)
+            losses = []
             for idx in batch_indices(len(ds), scfg.batch_size, shuffle):
                 feats = stack_view_features(ds, idx, CCFG, augment)
                 tape = Tape()
                 w = {k: tape.leaf(v, k) for k, v in weights.items()}
                 a = {k: tape.leaf(v, k) for k, v in arch.items()}
-                grads = tape.backward(contrastive_batch_loss(encoder, head, w, a, feats, CCFG.temperature))
+                loss = loss_of(w, a, feats)
+                grads = tape.backward(loss)
                 leaves = {**w, **a}
                 opt.step(stepped, {k: grads.of(leaves[k]) for k in stepped})
-    return weights, arch
+                losses.append(float(loss.data))
+            mean_losses.append(float(np.mean(losses)))
+        augment = seeded_rng(scfg.seed, TAG_AUGMENT, epoch, 2)
+        losses = [
+            float(loss_of(weights, arch, stack_view_features(valid, idx, CCFG, augment)).data)
+            for idx in batch_indices(len(valid), scfg.batch_size)
+        ]
+        mean_losses.append(float(np.mean(losses)))
+        if mean_losses[-1] < best:
+            best, best_arch = mean_losses[-1], {k: v.copy() for k, v in arch.items()}
+    return weights, arch, mean_losses, best_arch
 
 
 def test_phase_only_tapes_and_flat_steps_are_bitwise_the_full_tape_search():
+    # every phase of every epoch runs from a plan of its own: a plan reused
+    # across phases or epochs reads stale logits or weights
     train, valid, space = _setup(n=60, seed=13, hidden=4)
     scfg = SearchConfig(max_epochs=2, batch_size=8, seed=14)
-    weights, arch = _search_with_both_sets_on_the_tape(train, valid, space, scfg)
+    weights, arch, mean_losses, best_arch = _search_with_both_sets_on_the_tape(train, valid, space, scfg)
     _, state = run_search(scfg, space, CCFG, train, valid)
     assert _weights_bytes(state.weights) == _weights_bytes(weights)
     assert _weights_bytes(state.arch.named()) == _weights_bytes(arch)
+    assert [r["mean_loss"] for r in state.history] == mean_losses
+    assert _weights_bytes(state.best_arch.named()) == _weights_bytes(best_arch)
+
+
+@pytest.mark.parametrize("phase", ["train", "valid", "eval"])
+@pytest.mark.parametrize("cells, steps", [(1, 2), (2, 3)], ids=["1x2", "2x3"])
+def test_a_phase_plan_is_bitwise_the_per_call_path_and_the_generic_chain(cells, steps, phase):
+    """One plan serves every batch of a phase while the set the phase steps
+    changes in place between batches: each batch's loss and gradient equal,
+    bit for bit, those of a forward that plans on the spot and those of the
+    chain of generic nodes that the one-node slots and steps replace."""
+    ds = generate(SyntheticSpec(num_samples=24, seed=1))
+    space = SearchSpaceConfig(
+        features_per_modality=(ds.image_dims, ds.text_dims), num_cells=cells, steps_per_cell=steps
+    )
+    state = init_search_state(SearchConfig(seed=3), space, CCFG)
+    rng = np.random.default_rng(4)
+    state.arch.flat[:] = rng.standard_normal(state.arch.flat.shape)  # away from the near-uniform init
+    encoder = MixedFusionEncoder(space)
+    head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
+    sets = {"weights": (state.weights, state.flat_weights), "arch": (state.arch.named(), state.arch.flat)}
+    stepped = {"train": "weights", "valid": "arch", "eval": None}[phase]
+    plain = {k: ad.constants(*s) for k, s in sets.items() if k != stepped}
+    plan = None
+    for batch in range(3):
+        feats = stack_view_features(ds, np.arange(8 * batch, 8 * batch + 8), CCFG, rng)
+        results = []
+        for path in ("plan", "per-call", "generic"):
+            tape = Tape()
+            operands = dict(plain) if path == "plan" else {k: s[0] for k, s in sets.items()}
+            if stepped:
+                leaves = operands[stepped] = tape.leaves(*sets[stepped])
+            w, a = operands["weights"], operands["arch"]
+            if path == "plan":
+                plan = plan or encoder.plan(w, a)
+                h = encoder.forward(w, a, feats, plan)
+            elif path == "per-call":
+                h = encoder.forward(w, a, feats)
+            else:
+                h = mixed_forward_composed(space, w, a, feats)
+            loss = ntxent_loss(head.forward(w, h), CCFG.temperature)
+            results.append((loss.data, tape.backward(loss).flat(leaves) if stepped else None))
+        (loss, grad), *others = results
+        for other_loss, other_grad in others:
+            assert np.array_equal(other_loss, loss)
+            assert np.array_equal(other_grad, grad)
+        if stepped:
+            flat = sets[stepped][1]
+            flat -= 0.5 * grad  # in place, as the optimizers step

@@ -245,6 +245,24 @@ def test_float_count_field_gives_structured_error(tmp_path, capsys):
     assert err["type"] == "ConfigError" and "num_samples must be an integer" in err["error"]
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("search", "batch_size", 2.5), ("search", "max_epochs", True), ("space", "hidden_dim", 2.5)],
+)
+def test_non_integer_search_field_gives_structured_error(tmp_path, tiny_config, capsys, section, key, value):
+    doc = json.loads(open(tiny_config).read())
+    doc[section][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["search", "--config", str(path), "--out-dir", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["type"] == "ConfigError"
+    assert f"section '{section}'" in err["error"] and f"{key} must be an integer" in err["error"]
+
+
 def test_sweep_r_names_the_cell_whose_test_split_is_empty(tmp_path, tiny_config, capsys):
     # n = 60, r = 0.1: floor(n r) = 6 labeled samples, floor(0.6) = 0 of them for testing
     sweep = ["sweep-r", "--config", tiny_config, "--out-dir", str(tmp_path / "s"), "--r-grid", "0.1", "--seeds", "0"]

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from mmnas.bilevel import SearchConfig
 from mmnas.config import ConfigError, RunConfig, build_id
+from mmnas.searchspace import SearchSpaceConfig, SpaceError
 
 
 def test_defaults_materialize_and_hash_is_stable():
@@ -43,13 +45,39 @@ def test_invalid_value_rejected_with_path():
         ({"seed": True}, "'seed' must be an integer"),
         ({"data": {"seed": None}}, "section 'data'.*seed must be an integer"),
         ([1, 2], "JSON object"),
+        ({"search": {"batch_size": 2.5}}, "section 'search'.*batch_size must be an integer"),
+        ({"search": {"max_epochs": 1.5}}, "section 'search'.*max_epochs must be an integer"),
+        ({"search": {"max_epochs": True}}, "section 'search'.*max_epochs must be an integer"),
+        ({"space": {"hidden_dim": 2.5}}, "section 'space'.*hidden_dim must be an integer"),
+        ({"space": {"num_cells": 1.5}}, "section 'space'.*num_cells must be an integer"),
+        ({"space": {"steps_per_cell": False}}, "section 'space'.*steps_per_cell must be an integer"),
     ],
     ids=["int-section", "list-section", "null-section", "null-seed", "string-seed", "float-seed", "bool-seed",
-         "null-data-seed", "list-config"],
+         "null-data-seed", "list-config", "float-batch-size", "float-max-epochs", "bool-max-epochs",
+         "float-hidden-dim", "float-num-cells", "bool-steps-per-cell"],
 )
 def test_wrongly_typed_values_raise_config_error(doc, match):
     with pytest.raises(ConfigError, match=match):
         RunConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "make, kwargs, error, match",
+    [
+        (SearchConfig, {"max_epochs": 1.5}, ValueError, "max_epochs must be an integer"),
+        (SearchConfig, {"max_epochs": True}, ValueError, "max_epochs must be an integer"),
+        (SearchConfig, {"batch_size": 16.0}, ValueError, "batch_size must be an integer"),
+        (SearchConfig, {"seed": "3"}, ValueError, "seed must be an integer"),
+        (SearchSpaceConfig, {"num_cells": 1.5}, SpaceError, "num_cells must be an integer"),
+        (SearchSpaceConfig, {"steps_per_cell": True}, SpaceError, "steps_per_cell must be an integer"),
+        (SearchSpaceConfig, {"hidden_dim": 2.5}, SpaceError, "hidden_dim must be an integer"),
+        (SearchSpaceConfig, {"features_per_modality": ((32, 32.5), (32,))}, SpaceError, "layer dim must be an integer"),
+        (SearchSpaceConfig, {"features_per_modality": ((32,), (True,))}, SpaceError, "layer dim must be an integer"),
+    ],
+)
+def test_count_fields_must_be_integers_when_constructed(make, kwargs, error, match):
+    with pytest.raises(error, match=match):
+        make(**kwargs)
 
 
 def test_seed_lives_at_top_level_only():

@@ -14,6 +14,7 @@ from helpers import (
     derive_oracle,
     derived_forward_oracle,
     mixed_cell_input_oracle,
+    mixed_cell_slots_composed,
     mixed_step_composed,
     mixed_step_oracle,
     primitive_oracle,
@@ -126,6 +127,61 @@ def test_mixed_cell_input_gradient():
             {"alpha": logits.copy(), "c0": cands[0].copy(), "c1": cands[1].copy(), "c2": cands[2].copy()},
             tol=1e-6,
         )
+
+
+# which operands of the two cell-input slots are tape leaves
+SLOT_TAPE_CONFIGS = {
+    "everything": ("alpha", "candidates"),
+    "valid-phase": ("alpha",),
+    "train-phase": ("candidates",),
+    "no-tape": (),
+}
+
+
+@pytest.mark.parametrize("config", SLOT_TAPE_CONFIGS)
+@pytest.mark.parametrize("dims", [((3,), (3,)), ((3, 3), (3,)), ((3, 3, 3), (3, 3))], ids=["2", "3", "5"])
+def test_cell_input_slots_are_bitwise_the_composed_chain(dims, config):
+    """Each slot is one node whose value and gradients equal, bit for bit,
+    those of softmax and mix (slot B: add, softmax and mix); the root reads
+    every candidate again, so their gradients accumulate over both slots."""
+    on_tape = SLOT_TAPE_CONFIGS[config]
+    cfg = SearchSpaceConfig(features_per_modality=dims, num_cells=1, steps_per_cell=1, hidden_dim=4)
+    encoder = MixedFusionEncoder(cfg)
+    weights = encoder.init_weights(np.random.default_rng(0))
+    count = cfg.num_cell_candidates(0)
+    rng = np.random.default_rng(count)
+    for trial in range(4):
+        alpha = rng.standard_normal(count) * (1.0, 30.0, 1e-3, 0.0)[trial]  # the last ties every logit
+        cands = [rng.standard_normal((5, 4)) for _ in range(count)]
+        results = []
+        for chain in ("node", "composed"):
+            tape = Tape()
+            a = tape.leaf(alpha, "alpha") if "alpha" in on_tape else alpha
+            cs = [tape.leaf(c, f"c{p}") if "candidates" in on_tape else c for p, c in enumerate(cands)]
+            arch = {**_random_arch(cfg, rng).named(), "alpha/c0": a}
+            before = len(tape)
+            if chain == "node":
+                slots, _ = encoder.plan(weights, arch)[0]
+                outs = [mixed_cell_input(a, cs, slot) for slot in slots]
+            else:
+                outs = mixed_cell_slots_composed(a, cs)
+            nodes = len(tape) - before
+            if not on_tape:
+                results.append(([o.data for o in outs], [], nodes))
+                continue
+            root = ad.tsum(ad.mul(outs[0], ad.constant(np.full((5, 4), 0.7))))
+            root = ad.add(root, ad.tsum(ad.mul(outs[1], outs[1])))
+            for p, c in enumerate(cs):
+                if isinstance(c, ad.Tensor):
+                    root = ad.add(root, ad.tsum(ad.mul(c, ad.constant(np.full((5, 4), 0.3 + p)))))
+            grads = tape.backward(root)
+            leaves = ([a] if "alpha" in on_tape else []) + [c for c in cs if isinstance(c, ad.Tensor)]
+            results.append(([o.data for o in outs], [grads.of(t) for t in leaves], nodes))
+        (values, grads, nodes), (ref_values, ref_grads, ref_nodes) = results
+        assert all(np.array_equal(v, r) for v, r in zip(values, ref_values))
+        assert len(grads) == len(ref_grads) and all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+        assert nodes == (2 if on_tape else 0)
+        assert ref_nodes == (5 if "alpha" in on_tape else 2 if on_tape else 0)
 
 
 # ---------------------------------------------------------------------------

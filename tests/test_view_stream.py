@@ -79,9 +79,9 @@ def _run(stage, mode, monkeypatch, seen, **kwargs):
     """Run a stage on ``mode``, appending each batch its losses see to ``seen``."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(CPUS[mode]))
 
-    def batch_loss(encoder, head, weights, arch, feats, temperature):
+    def batch_loss(encoder, head, weights, arch, feats, *rest):
         seen.append([f.tobytes() for f in feats])
-        return BATCH_LOSS(encoder, head, weights, arch, feats, temperature)
+        return BATCH_LOSS(encoder, head, weights, arch, feats, *rest)
 
     monkeypatch.setattr(bilevel, "contrastive_batch_loss", batch_loss)
     monkeypatch.setattr(pipeline, "contrastive_batch_loss", batch_loss)
