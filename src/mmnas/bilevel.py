@@ -118,23 +118,28 @@ def batch_indices(n: int, batch_size: int, rng: np.random.Generator | None = Non
     return [c for c in chunks if len(c) >= 2]
 
 
-def stack_view_features(ds: Dataset, idx, ccfg: ContrastiveConfig, rng: np.random.Generator) -> list:
-    """Augment rows ``idx`` of ``ds`` twice into per-source ``(2B, d)`` matrices.
+def stack_view_features(ds: Dataset, idx, ccfg: ContrastiveConfig, rng: np.random.Generator, sources) -> list:
+    """Augment rows ``idx`` of ``ds`` twice into ``(2B, d)`` matrices of ``sources``.
 
     Output rows are interleaved (view_i of row idx[0], view_j of row idx[0],
     view_i of row idx[1], ...), matching the loss's pairing convention; the
-    returned list is aligned with the canonical source order (image layers
-    then text layers).
+    returned list is aligned with ``sources``. Every image layer is drawn,
+    so the views of a source do not depend on which others are read, but
+    only the layers in ``sources`` are gathered and augmented.
     """
+    unknown = set(sources) - ds.features.keys()
+    if unknown:
+        raise ContrastiveError(f"the dataset has no source(s) {sorted(unknown)}")
     rows = np.repeat(idx, 2)
-    mats = [m[rows] for m in ds.features.values()]
-    n_img = len(ds.image_dims)
-    image, _, text = augment_views(mats[:n_img], mats[n_img:], ds.text_len, ccfg, rng)
-    return image + text
+    image = {s: m[rows] if s in sources else m.shape[1] for s, m in ds.features.items() if s.startswith("image:")}
+    text = {s: m[rows] for s, m in ds.features.items() if s.startswith("text:") and s in sources}
+    image_views, _, text_views = augment_views(list(image.values()), list(text.values()), ds.text_len, ccfg, rng)
+    views = {**dict(zip(image, image_views)), **dict(zip(text, text_views))}
+    return [views[s] for s in sources]
 
 
-def _view_batches(sections, batch_size: int, ccfg: ContrastiveConfig):
-    """Two-view features of every batch of every section, in training order.
+def _view_batches(sections, batch_size: int, ccfg: ContrastiveConfig, sources):
+    """Two-view features of ``sources`` for every batch of every section, in training order.
 
     A section is ``(ds, shuffle_rng, augment_rng)``: its batches are
     ``batch_indices(len(ds), batch_size, shuffle_rng)``, each augmented by
@@ -142,7 +147,7 @@ def _view_batches(sections, batch_size: int, ccfg: ContrastiveConfig):
     """
     for ds, shuffle_rng, augment_rng in sections:
         for idx in batch_indices(len(ds), batch_size, shuffle_rng):
-            yield stack_view_features(ds, idx, ccfg, augment_rng)
+            yield stack_view_features(ds, idx, ccfg, augment_rng, sources)
 
 
 class _RemoteTraceback(Exception):
@@ -211,10 +216,10 @@ def _worker_allowed() -> bool:
 
 
 @contextlib.contextmanager
-def view_stream(sections, batch_size: int, ccfg: ContrastiveConfig):
-    """Iterator over the two-view features of every batch of ``sections``.
+def view_stream(sections, batch_size: int, ccfg: ContrastiveConfig, sources):
+    """Iterator over the two-view features of ``sources`` for every batch of ``sections``.
 
-    Sections are as in ``_view_batches``. Where ``_worker_allowed``, a
+    Sections and batches are as in ``_view_batches``. Where ``_worker_allowed``, a
     forked worker computes the batches and sends them over a pipe, at most
     a few batches ahead of the reader (a full pipe blocks it); it makes no
     BLAS call. Otherwise each batch is computed inline when asked for.
@@ -225,7 +230,7 @@ def view_stream(sections, batch_size: int, ccfg: ContrastiveConfig):
     ``RuntimeError`` naming it). Leaving the block ends the worker, and a
     worker whose parent dies ends at its next write to the pipe.
     """
-    batches = _view_batches(sections, batch_size, ccfg)
+    batches = _view_batches(sections, batch_size, ccfg, sources)
     if not _worker_allowed():
         with contextlib.closing(batches):
             yield batches
@@ -302,7 +307,8 @@ def search_epoch(
     ]
     # checkpoint pass: the valid split in order, with its own augmentation stream
     sections.append((valid, None, seeded_rng(scfg.seed, TAG_AUGMENT, state.epoch, 2)))
-    with view_stream(sections, scfg.batch_size, ccfg) as views:
+    # the mixed encoder reads every source
+    with view_stream(sections, scfg.batch_size, ccfg, encoder.sources) as views:
         for phase, ds, stepped, opt, lr in phases:
             # the batch count does not depend on the shuffle
             n_batches = len(batch_indices(len(ds), scfg.batch_size))

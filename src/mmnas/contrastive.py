@@ -31,6 +31,12 @@ when noise_scale > 0, its noise vector. Gates are drawn even when the op
 cannot apply. The batch first draws every parameter row by row in this
 order, then applies each op once to all the rows that drew it.
 
+A caller that reads only some layers passes an unread image layer as its
+width and leaves an unread text layer out (text layers draw nothing of
+their own). An unread image layer is drawn, call for call, as a read one
+is, so the rng ends where it would and every read view is the same; its
+draws are not kept, applied or returned.
+
 The loss is the normalized temperature-scaled cross entropy over 2N
 projections ordered pairwise: rows (2k, 2k+1) are the two views of sample
 k. Cosine similarities, the positive-pair term in the numerator, every
@@ -46,6 +52,8 @@ partner matrix:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,16 +124,43 @@ def _flip_pattern(dim: int) -> np.ndarray:
 
 
 class _LayerDraws:
-    """Random parameters one image layer drew, gathered over the batch rows."""
+    """Random parameters one image layer drew, gathered over the batch rows.
 
-    __slots__ = ("crop_rows", "crop_starts", "flip_rows", "jitter_rows", "jitter", "blur_rows",
-                 "rotate_rows", "angles", "noise")
+    A uniform draw is kept as its raw word (see ``_raw_words``)."""
+
+    __slots__ = ("crop_rows", "crop_starts", "flip_rows", "jitter_rows", "jitter_words", "jitter_normals",
+                 "blur_rows", "rotate_rows", "angle_words", "noise")
 
     def __init__(self, n: int, d: int, noise: bool):
         self.crop_rows, self.crop_starts, self.flip_rows = [], [], []
-        self.jitter_rows, self.jitter = [], []  # jitter: (scale, shift) per channel, flat
-        self.blur_rows, self.rotate_rows, self.angles = [], [], []
+        self.jitter_rows, self.jitter_words, self.jitter_normals = [], [], []  # one of each per channel
+        self.blur_rows, self.rotate_rows, self.angle_words = [], [], []
         self.noise = np.empty((n, d)) if noise else None
+
+
+# Generator.random() is (next64 >> 11) * 2**-53 for these bit generators, so
+# a uniform draw can be read as the raw 64-bit word it comes from: u < p
+# exactly when word < ceil(p * 2**53) << 11
+_WORD_BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
+_UNIT = 1.0 / 9007199254740992.0  # 2**-53
+
+
+def _raw_words(rng: np.random.Generator):
+    """A callable that draws what ``rng.random()`` draws, as a word w with
+    ``(w >> 11) * 2**-53 == rng.random()``."""
+    if type(rng.bit_generator) in _WORD_BIT_GENERATORS:
+        return rng.bit_generator.random_raw
+    random = rng.random
+    return lambda: int(random() * 9007199254740992.0) << 11  # exact for 53-bit doubles
+
+
+def _below(p: float) -> int:
+    """The word bound w < _below(p) of the uniform gate u < p."""
+    return math.ceil(p * 9007199254740992.0) << 11
+
+
+def _uniforms(words: list) -> np.ndarray:
+    return (np.array(words, dtype=np.uint64) >> np.uint64(11)) * _UNIT
 
 
 def _apply_image_layer(x: np.ndarray, dr: _LayerDraws, cfg: ContrastiveConfig) -> np.ndarray:
@@ -140,84 +175,109 @@ def _apply_image_layer(x: np.ndarray, dr: _LayerDraws, cfg: ContrastiveConfig) -
     if dr.flip_rows:
         out[dr.flip_rows] *= _flip_pattern(d)
     if dr.jitter_rows:
-        # contiguous channels sized as np.array_split(range(d), k) sizes them
+        # contiguous channels sized as np.array_split(range(d), k) sizes them;
+        # rng.uniform(1 - s, 1 + s) is (1 - s) + ((1 + s) - (1 - s)) * u and
+        # rng.normal(0, s) is 0.0 + s * z, here for every draw at once
+        s = cfg.jitter_scale
         k = min(4, d)
         channel = np.repeat(np.arange(k), [d // k + (c < d % k) for c in range(k)])
-        ab = np.array(dr.jitter).reshape(len(dr.jitter_rows), k, 2)[:, channel]
-        out[dr.jitter_rows] = out[dr.jitter_rows] * ab[..., 0] + ab[..., 1]
+        scale = (1.0 - s) + ((1.0 + s) - (1.0 - s)) * _uniforms(dr.jitter_words).reshape(-1, k)
+        shift = 0.0 + s * np.array(dr.jitter_normals).reshape(-1, k)
+        out[dr.jitter_rows] = out[dr.jitter_rows] * scale[:, channel] + shift[:, channel]
     if dr.blur_rows:
         kernel = np.full(cfg.blur_width, 1.0 / cfg.blur_width)
         for r in dr.blur_rows:
             out[r] = np.convolve(out[r], kernel, mode="same")
     if dr.rotate_rows:
-        theta = np.array(dr.angles)[:, None]
+        a = cfg.rotate_max_angle
+        theta = (-a + (a - -a) * _uniforms(dr.angle_words))[:, None]
         c, s = np.cos(theta), np.sin(theta)
         pairs = slice(0, 2 * (d // 2), 2), slice(1, 2 * (d // 2), 2)
         even, odd = out[dr.rotate_rows, pairs[0]], out[dr.rotate_rows, pairs[1]]
         out[dr.rotate_rows, pairs[0]] = c * even - s * odd
         out[dr.rotate_rows, pairs[1]] = s * even + c * odd
     if dr.noise is not None:
-        out += dr.noise
+        # rng.normal(0, s, d) is 0.0 + s * z element by element
+        noise = np.multiply(dr.noise, cfg.noise_scale, out=dr.noise)
+        noise += 0.0
+        out += noise
     return out
 
 
 def augment_views(image: list, text: list, seq_len: int, cfg: ContrastiveConfig, rng: np.random.Generator):
     """One augmented view of every row of a batch: (image views, mask, text views).
 
-    ``image`` and ``text`` hold one ``(n, d)`` matrix per layer. ``mask`` is
-    the ``(n, seq_len)`` boolean matrix of masked text positions. Row r of
+    ``image`` and ``text`` hold one ``(n, d)`` matrix per layer; an image
+    layer the caller does not read may be given as its width ``d`` instead,
+    and its view is None (see the module docstring). ``mask`` is the
+    ``(n, seq_len)`` boolean matrix of masked text positions. Row r of
     every output is the view row r gets when the rows are augmented one by
-    one in row order (see the module docstring). Inputs are never written to.
+    one in row order. Inputs are never written to.
     """
     if seq_len < 1:
         raise ContrastiveError(f"text view requires seq_len >= 1, got {seq_len}")
-    if any(f.shape[1] == 0 for f in text + image):
+    read = [x for x in image if not isinstance(x, numbers.Integral)] + list(text)
+    if not read:
+        raise ContrastiveError("a batch needs at least one matrix to augment")
+    dims = [int(x) if isinstance(x, numbers.Integral) else x.shape[1] for x in image]
+    if min(dims + [f.shape[1] for f in text]) < 1:
         raise ContrastiveError("empty feature vector")
-    n = image[0].shape[0]
-    if any(f.shape[0] != n for f in image + text):
+    n = read[0].shape[0]
+    if any(f.shape[0] != n for f in read):
         raise ContrastiveError(f"every image and text matrix must hold the batch's {n} rows")
-    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() and rng.normal(0, s)
-    # is 0.0 + s * rng.standard_normal(): the same draws, without the per-call
-    # argument handling
-    s = cfg.jitter_scale
-    scale_lo, scale_range = 1.0 - s, (1.0 + s) - (1.0 - s)
-    angle_lo, angle_range = -cfg.rotate_max_angle, cfg.rotate_max_angle - -cfg.rotate_max_angle
-    noise_scale = cfg.noise_scale
+    crop, flip, jitter = _below(cfg.crop_prob), _below(cfg.flip_prob), _below(cfg.jitter_prob)
+    blur_gate, rotate, noise = _below(cfg.blur_prob), _below(cfg.rotate_prob), cfg.noise_scale > 0
     layers = []
-    for x in image:
-        d = x.shape[1]
+    for x, d in zip(image, dims):
         span = int(round(cfg.crop_fraction * d))
-        blur = 1 < cfg.blur_width <= d
-        layers.append((_LayerDraws(n, d, noise_scale > 0), d, span, d - span + 1, min(4, d), blur))
-    uniform, normal, integers = rng.random, rng.standard_normal, rng.integers
+        # an unread layer draws its noise into one scratch row
+        dr = None if isinstance(x, numbers.Integral) else _LayerDraws(n, d, noise)
+        scratch = np.empty(d) if dr is None else None
+        layers.append((dr, scratch, d >= 2, span, d - span + 1, min(4, d), 1 < cfg.blur_width <= d))
+    word, normal, integers = _raw_words(rng), rng.standard_normal, rng.integers
     mask_draws = np.empty((n, seq_len))
-    # draw pass: row by row, every parameter in the order a single row draws it
+    # draw pass: row by row, every parameter in the order a single row draws
+    # it; gates are drawn unconditionally so the rng stream does not depend on
+    # the config, only on the draw order
     for r in range(n):
-        for dr, d, span, crop_end, channels, blur in layers:
-            # gates are drawn unconditionally so the rng stream does not
-            # depend on the config, only on the draw order
-            if uniform() < cfg.crop_prob and span > 0:
+        for dr, scratch, pair, span, crop_end, channels, blur in layers:
+            if dr is None:  # an unread layer: the same calls, nothing kept
+                if word() < crop and span > 0:
+                    integers(0, crop_end)
+                word()
+                if word() < jitter:
+                    for _ in range(channels):
+                        word()
+                        normal()
+                word()
+                if word() < rotate and pair:
+                    word()
+                if noise:
+                    normal(out=scratch)
+                continue
+            if word() < crop and span > 0:
                 dr.crop_rows.append(r)
                 dr.crop_starts.append(int(integers(0, crop_end)))
-            if uniform() < cfg.flip_prob:
+            if word() < flip:
                 dr.flip_rows.append(r)
-            if uniform() < cfg.jitter_prob:
+            if word() < jitter:
                 dr.jitter_rows.append(r)
                 for _ in range(channels):
-                    dr.jitter.append(scale_lo + scale_range * uniform())
-                    dr.jitter.append(0.0 + s * normal())
-            if uniform() < cfg.blur_prob and blur:
+                    dr.jitter_words.append(word())
+                    dr.jitter_normals.append(normal())
+            if word() < blur_gate and blur:
                 dr.blur_rows.append(r)
-            if uniform() < cfg.rotate_prob and d >= 2:
+            if word() < rotate and pair:
                 dr.rotate_rows.append(r)
-                dr.angles.append(angle_lo + angle_range * uniform())
-            if noise_scale > 0:
-                dr.noise[r] = rng.normal(0.0, noise_scale, d)
-        mask_draws[r] = uniform(seq_len)
+                dr.angle_words.append(word())
+            if noise:
+                normal(out=dr.noise[r])
+        rng.random(out=mask_draws[r])
     # apply pass: each op once over all the rows that drew it
-    image_view = [_apply_image_layer(x, dr, cfg) for x, (dr, *_) in zip(image, layers)]
+    image_view = [None if dr is None else _apply_image_layer(x, dr, cfg) for x, (dr, *_) in zip(image, layers)]
     mask = mask_draws < cfg.mask_prob
-    text_view = [np.array(f, dtype=np.float64) * ~mask[:, np.arange(f.shape[1]) % seq_len] for f in text]
+    keep = ~mask
+    text_view = [np.asarray(f, dtype=np.float64) * keep[:, np.arange(f.shape[1]) % seq_len] for f in text]
     return image_view, mask, text_view
 
 

@@ -13,7 +13,10 @@ after its last stage and starting from the artifacts it is given.
 Pretraining takes the augmented view batches of all its epochs from one
 ``bilevel.view_stream``: a forked worker computes them ahead of training
 when the process may use two or more CPUs, and they are computed inline
-otherwise, with identical results.
+otherwise, with identical results. A batch holds views of only the sources
+the derived encoder reads (``DerivedFusionEncoder.sources``); the other
+image layers are drawn and dropped, so the views are those of a batch of
+every source.
 
 The classification loss is per-label sigmoid binary cross entropy (the
 benchmark is multilabel); a mutually exclusive softmax cross entropy mode
@@ -148,7 +151,7 @@ def pretrain(
     # each epoch's rng shuffles its batches, then augments them
     rngs = [seeded_rng(seed, TAG_PRETRAIN_EPOCH, epoch) for epoch in range(epochs)]
     n_batches = len(batch_indices(len(train), batch_size))  # the same for every shuffle
-    with view_stream([(train, rng, rng) for rng in rngs], batch_size, ccfg) as views:
+    with view_stream([(train, rng, rng) for rng in rngs], batch_size, ccfg, encoder.sources) as views:
         for epoch in range(epochs):
             losses = []
             t0 = time.perf_counter()

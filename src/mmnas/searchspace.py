@@ -754,12 +754,11 @@ class _FusionEncoder:
 
     def _project(self, weights: dict, features) -> dict:
         """Source name -> projected tensor; ``features`` is a list aligned
-        with ``config.sources()`` or a source -> array map (extras ignored)."""
+        with ``self.sources`` or a source -> array map (extras ignored)."""
         if isinstance(features, (list, tuple)):
-            srcs = self.config.sources()
-            if len(features) != len(srcs):
-                raise SpaceError(f"expected {len(srcs)} feature arrays, got {len(features)}")
-            features = dict(zip(srcs, features))
+            if len(features) != len(self.sources):
+                raise SpaceError(f"expected {len(self.sources)} feature arrays, got {len(features)}")
+            features = dict(zip(self.sources, features))
         projected = {}
         for src in self.sources:
             if src not in features:
@@ -953,11 +952,9 @@ class DerivedFusionEncoder(_FusionEncoder):
             [[(step.op,) for step in cell.steps] for cell in genotype.cells],
         )
 
-    def used_sources(self) -> list:
-        return list(self.sources)
-
     def forward(self, weights: dict, features) -> Tensor:
-        """``features`` maps source name -> raw array (extra sources ignored)."""
+        """``features`` maps source name -> raw array (extra sources ignored),
+        or is a list aligned with ``self.sources``."""
         env = self._project(weights, features)  # gains "cell:k" -> output of cell k
         for c, cell in enumerate(self.genotype.cells):
             refs = {src: env[src] for src in cell.inputs}  # gains "step:k" -> output of step k

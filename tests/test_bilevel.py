@@ -233,7 +233,7 @@ def test_stack_view_features_interleaves_pairs():
         )
     )
     idx = np.array([2, 0, 3])
-    feats = stack_view_features(ds, idx, CCFG, np.random.default_rng(0))
+    feats = stack_view_features(ds, idx, CCFG, np.random.default_rng(0), list(ds.features))
     assert [f.shape for f in feats] == [(6, 6), (6, 5)]
     # rows are both views of idx[0], then both of idx[1], ... in draw order
     rng = np.random.default_rng(0)
@@ -261,7 +261,7 @@ def test_search_batch_tape_size(cells, steps, nodes):
     )
     state = init_search_state(SearchConfig(), space, CCFG)
     head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
-    feats = stack_view_features(ds, np.arange(4), CCFG, np.random.default_rng(0))
+    feats = stack_view_features(ds, np.arange(4), CCFG, np.random.default_rng(0), space.sources())
     counts = []
     for leaves in (("weights", "arch"), ("weights",), ("arch",)):
         tape = Tape()
@@ -438,7 +438,7 @@ def _search_with_both_sets_on_the_tape(train, valid, space, scfg):
             augment = seeded_rng(scfg.seed, TAG_AUGMENT, epoch, i)
             losses = []
             for idx in batch_indices(len(ds), scfg.batch_size, shuffle):
-                feats = stack_view_features(ds, idx, CCFG, augment)
+                feats = stack_view_features(ds, idx, CCFG, augment, space.sources())
                 tape = Tape()
                 w = {k: tape.leaf(v, k) for k, v in weights.items()}
                 a = {k: tape.leaf(v, k) for k, v in arch.items()}
@@ -450,7 +450,7 @@ def _search_with_both_sets_on_the_tape(train, valid, space, scfg):
             mean_losses.append(float(np.mean(losses)))
         augment = seeded_rng(scfg.seed, TAG_AUGMENT, epoch, 2)
         losses = [
-            float(loss_of(weights, arch, stack_view_features(valid, idx, CCFG, augment)).data)
+            float(loss_of(weights, arch, stack_view_features(valid, idx, CCFG, augment, space.sources())).data)
             for idx in batch_indices(len(valid), scfg.batch_size)
         ]
         mean_losses.append(float(np.mean(losses)))
@@ -493,7 +493,7 @@ def test_a_phase_plan_is_bitwise_the_per_call_path_and_the_generic_chain(cells, 
     plain = {k: ad.constants(*s) for k, s in sets.items() if k != stepped}
     plan = None
     for batch in range(3):
-        feats = stack_view_features(ds, np.arange(8 * batch, 8 * batch + 8), CCFG, rng)
+        feats = stack_view_features(ds, np.arange(8 * batch, 8 * batch + 8), CCFG, rng, space.sources())
         results = []
         for path in ("plan", "per-call", "generic"):
             tape = Tape()

@@ -94,10 +94,10 @@ def _run(stage, mode, monkeypatch, seen, **kwargs):
 def _log_pids(monkeypatch, log):
     """Make every augmentation call write the id of the process it runs in to ``log``."""
 
-    def logged(ds, idx, ccfg, rng):
+    def logged(ds, idx, ccfg, rng, sources):
         with open(log, "a") as fh:
             fh.write(f"{os.getpid()}\n")
-        return STACK_VIEW_FEATURES(ds, idx, ccfg, rng)
+        return STACK_VIEW_FEATURES(ds, idx, ccfg, rng, sources)
 
     monkeypatch.setattr(bilevel, "stack_view_features", logged)
 
@@ -128,11 +128,11 @@ def test_an_augmentation_error_surfaces_at_its_batch(stage, mode, monkeypatch):
     k = 8  # pretrain: epoch 2 batch 3; search: valid batch 1
     calls = []
 
-    def failing(ds, idx, ccfg, rng):
+    def failing(ds, idx, ccfg, rng, sources):
         calls.append(1)
         if len(calls) == k + 1:
             raise ContrastiveError(f"injected at batch {k}")
-        return STACK_VIEW_FEATURES(ds, idx, ccfg, rng)
+        return STACK_VIEW_FEATURES(ds, idx, ccfg, rng, sources)
 
     monkeypatch.setattr(bilevel, "stack_view_features", failing)
     seen = []
@@ -163,7 +163,7 @@ class HoldsALambda(Exception):
 
 @pytest.mark.parametrize("error", [lambda: NeedsTwoArgs(1, 2), HoldsALambda], ids=["unrebuildable", "unpicklable"])
 def test_an_error_that_cannot_be_sent_still_surfaces(error, monkeypatch):
-    def failing(ds, idx, ccfg, rng):
+    def failing(ds, idx, ccfg, rng, sources):
         raise error()
 
     monkeypatch.setattr(bilevel, "stack_view_features", failing)
@@ -191,11 +191,11 @@ def test_a_training_error_ends_a_busy_worker(stage, monkeypatch):
     # the worker is still augmenting batch 2 when batch 1's loss fails
     calls = []
 
-    def slow(ds, idx, ccfg, rng):
+    def slow(ds, idx, ccfg, rng, sources):
         calls.append(1)
         if len(calls) == 3:
             time.sleep(60)
-        return STACK_VIEW_FEATURES(ds, idx, ccfg, rng)
+        return STACK_VIEW_FEATURES(ds, idx, ccfg, rng, sources)
 
     monkeypatch.setattr(bilevel, "stack_view_features", slow)
     _, _, error = STAGES[stage]
