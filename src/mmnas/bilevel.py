@@ -22,7 +22,9 @@ one phase of one epoch, since the next phase steps the set this one read.
 
 Augmentation reads no model state, so each epoch's augmented view
 batches (train, then valid, then the evaluation pass) come from one
-``view_stream``. When the process may use two or more CPUs, the ``fork``
+``view_stream``, with views of every source, since the mixed encoder reads
+them all (pretraining asks for only the sources its derived encoder
+reads). When the process may use two or more CPUs, the ``fork``
 start method exists and the process is not itself a daemonic
 multiprocessing worker, a forked worker computes them ahead of training
 and sends them over a pipe; the pipe's buffer holds only a few batches,
@@ -57,7 +59,7 @@ from .searchspace import (
     derive_genotype,
     validate_genotype,
 )
-from .util import TAG_ARCH_INIT, TAG_AUGMENT, TAG_SHUFFLE, TAG_WEIGHT_INIT, flat_views, integer, seeded_rng
+from .util import TAG_ARCH_INIT, TAG_AUGMENT, TAG_SHUFFLE, TAG_WEIGHT_INIT, flat_views, integer, real, seeded_rng
 
 
 class SearchError(RuntimeError):
@@ -80,6 +82,8 @@ class SearchConfig:
     def __post_init__(self):
         for name in ("max_epochs", "batch_size", "seed"):
             integer(getattr(self, name), name)
+        for name in ("lr_weights", "momentum", "lr_arch", "adam_beta1", "adam_beta2", "adam_eps", "arch_init_scale"):
+            real(getattr(self, name), name)
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if self.batch_size < 2:

@@ -35,7 +35,9 @@ A caller that reads only some layers passes an unread image layer as its
 width and leaves an unread text layer out (text layers draw nothing of
 their own). An unread image layer is drawn, call for call, as a read one
 is, so the rng ends where it would and every read view is the same; its
-draws are not kept, applied or returned.
+draws are not kept, applied or returned. A uniform draw is read as the raw
+64-bit word it comes from where the bit generator allows (``_raw_words``):
+the same draw and value, without the per-call argument handling.
 
 The loss is the normalized temperature-scaled cross entropy over 2N
 projections ordered pairwise: rows (2k, 2k+1) are the two views of sample
@@ -54,13 +56,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .util import init_linear
+from .util import init_linear, integer, real
 
 
 class ContrastiveError(ValueError):
@@ -89,6 +91,9 @@ class ContrastiveConfig:
     proj_dim: int = 64
 
     def __post_init__(self):
+        counts = ("blur_width", "proj_hidden_dim", "proj_dim")
+        for f in fields(self):  # every other field is real-valued
+            (integer if f.name in counts else real)(getattr(self, f.name), f.name, ContrastiveError)
         if self.temperature <= 0:
             raise ContrastiveError("temperature must be > 0")
         if not 0.0 <= self.mask_prob < 1.0:

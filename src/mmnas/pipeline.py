@@ -55,6 +55,8 @@ from .util import (
     TAG_PRETRAIN_INIT,
     atomic_open,
     flat_views,
+    integer,
+    real,
     seeded_rng,
 )
 
@@ -79,6 +81,12 @@ class PipelineConfig:
     classifier_loss: str = "bce"
 
     def __post_init__(self):
+        for name in ("pretrain_epochs", "pretrain_batch_size", "clf_epochs", "clf_batch_size"):
+            integer(getattr(self, name), name)
+        for name in ("labeled_ratio", "pretrain_lr", "pretrain_momentum", "clf_lr"):
+            real(getattr(self, name), name)
+        if not isinstance(self.freeze_encoder, bool):
+            raise ValueError(f"freeze_encoder must be true or false, got {self.freeze_encoder!r}")
         if not 0.0 < self.labeled_ratio <= 1.0:
             raise ValueError("labeled_ratio must lie in (0, 1]")
         if self.pretrain_epochs < 0 or self.clf_epochs < 0:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -31,6 +32,13 @@ def integer(value, name: str, error=ValueError):
     """``value`` if it is an int (a bool is not one); else ``error`` naming it."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def real(value, name: str, error=ValueError):
+    """``value`` if it is a finite int or float (a bool is not one); else ``error`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise error(f"{name} must be a finite number, got {value!r}")
     return value
 
 

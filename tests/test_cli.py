@@ -263,6 +263,33 @@ def test_non_integer_search_field_gives_structured_error(tmp_path, tiny_config, 
     assert f"section '{section}'" in err["error"] and f"{key} must be an integer" in err["error"]
 
 
+@pytest.mark.parametrize(
+    "key, value, match",
+    [("pretrain_epochs", 1.5, "pretrain_epochs must be an integer"),
+     ("freeze_encoder", "no", "freeze_encoder must be true or false")],
+)
+def test_a_mistyped_pipeline_field_fails_before_any_stage_runs(tmp_path, tiny_config, capsys, monkeypatch, key, value, match):
+    # it used to run the whole search, then die in pretrain with a TypeError
+    # (or silently fit a frozen encoder)
+    import mmnas.pipeline
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(mmnas.pipeline, "run_search", no_search)
+    doc = json.loads(open(tiny_config).read())
+    doc["pipeline"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["run-all", "--config", str(path), "--out-dir", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["type"] == "ConfigError" and "section 'pipeline'" in err["error"] and match in err["error"]
+    assert not (out / "reports.jsonl").exists()
+
+
 def test_sweep_r_names_the_cell_whose_test_split_is_empty(tmp_path, tiny_config, capsys):
     # n = 60, r = 0.1: floor(n r) = 6 labeled samples, floor(0.6) = 0 of them for testing
     sweep = ["sweep-r", "--config", tiny_config, "--out-dir", str(tmp_path / "s"), "--r-grid", "0.1", "--seeds", "0"]

@@ -4,6 +4,8 @@ import pytest
 
 from mmnas.bilevel import SearchConfig
 from mmnas.config import ConfigError, RunConfig, build_id
+from mmnas.contrastive import ContrastiveConfig, ContrastiveError
+from mmnas.pipeline import PipelineConfig
 from mmnas.searchspace import SearchSpaceConfig, SpaceError
 
 
@@ -51,10 +53,24 @@ def test_invalid_value_rejected_with_path():
         ({"space": {"hidden_dim": 2.5}}, "section 'space'.*hidden_dim must be an integer"),
         ({"space": {"num_cells": 1.5}}, "section 'space'.*num_cells must be an integer"),
         ({"space": {"steps_per_cell": False}}, "section 'space'.*steps_per_cell must be an integer"),
+        ({"pipeline": {"pretrain_epochs": 1.5}}, "section 'pipeline'.*pretrain_epochs must be an integer"),
+        ({"pipeline": {"clf_batch_size": 2.5}}, "section 'pipeline'.*clf_batch_size must be an integer"),
+        ({"contrastive": {"blur_width": 2.5}}, "section 'contrastive'.*blur_width must be an integer"),
+        ({"contrastive": {"proj_dim": 3.0}}, "section 'contrastive'.*proj_dim must be an integer"),
+        ({"pipeline": {"freeze_encoder": "no"}}, "section 'pipeline'.*freeze_encoder must be true or false"),
+        ({"contrastive": {"temperature": True}}, "section 'contrastive'.*temperature must be a finite number"),
+        ({"pipeline": {"pretrain_lr": True}}, "section 'pipeline'.*pretrain_lr must be a finite number"),
+        ({"contrastive": {"noise_scale": float("nan")}}, "section 'contrastive'.*noise_scale must be a finite number"),
+        ({"search": {"lr_weights": float("inf")}}, "section 'search'.*lr_weights must be a finite number"),
+        ({"contrastive": {"crop_prob": "0.5"}}, "section 'contrastive'.*crop_prob must be a finite number"),
+        ({"search": {"lr_arch": None}}, "section 'search'.*lr_arch must be a finite number"),
     ],
     ids=["int-section", "list-section", "null-section", "null-seed", "string-seed", "float-seed", "bool-seed",
          "null-data-seed", "list-config", "float-batch-size", "float-max-epochs", "bool-max-epochs",
-         "float-hidden-dim", "float-num-cells", "bool-steps-per-cell"],
+         "float-hidden-dim", "float-num-cells", "bool-steps-per-cell", "float-pretrain-epochs",
+         "float-clf-batch-size", "float-blur-width", "float-proj-dim", "string-freeze-encoder",
+         "bool-temperature", "bool-pretrain-lr", "nan-noise-scale", "inf-lr-weights", "string-crop-prob",
+         "null-lr-arch"],
 )
 def test_wrongly_typed_values_raise_config_error(doc, match):
     with pytest.raises(ConfigError, match=match):
@@ -73,11 +89,31 @@ def test_wrongly_typed_values_raise_config_error(doc, match):
         (SearchSpaceConfig, {"hidden_dim": 2.5}, SpaceError, "hidden_dim must be an integer"),
         (SearchSpaceConfig, {"features_per_modality": ((32, 32.5), (32,))}, SpaceError, "layer dim must be an integer"),
         (SearchSpaceConfig, {"features_per_modality": ((32,), (True,))}, SpaceError, "layer dim must be an integer"),
+        (PipelineConfig, {"pretrain_epochs": 1.5}, ValueError, "pretrain_epochs must be an integer"),
+        (PipelineConfig, {"pretrain_batch_size": True}, ValueError, "pretrain_batch_size must be an integer"),
+        (PipelineConfig, {"clf_epochs": 80.0}, ValueError, "clf_epochs must be an integer"),
+        (PipelineConfig, {"freeze_encoder": 1}, ValueError, "freeze_encoder must be true or false"),
+        (PipelineConfig, {"labeled_ratio": float("nan")}, ValueError, "labeled_ratio must be a finite number"),
+        (PipelineConfig, {"pretrain_momentum": "0.9"}, ValueError, "pretrain_momentum must be a finite number"),
+        (PipelineConfig, {"clf_lr": float("-inf")}, ValueError, "clf_lr must be a finite number"),
+        (ContrastiveConfig, {"proj_hidden_dim": 64.0}, ContrastiveError, "proj_hidden_dim must be an integer"),
+        (ContrastiveConfig, {"mask_prob": False}, ContrastiveError, "mask_prob must be a finite number"),
+        (ContrastiveConfig, {"rotate_max_angle": float("inf")}, ContrastiveError, "rotate_max_angle must be a finite"),
+        (SearchConfig, {"momentum": None}, ValueError, "momentum must be a finite number"),
+        (SearchConfig, {"adam_eps": float("nan")}, ValueError, "adam_eps must be a finite number"),
     ],
 )
 def test_count_fields_must_be_integers_when_constructed(make, kwargs, error, match):
     with pytest.raises(error, match=match):
         make(**kwargs)
+
+
+def test_valid_numbers_keep_their_type_and_the_hash():
+    # an int where a float is declared is a valid number, stored as given
+    doc = {"contrastive": {"temperature": 1, "noise_scale": 0}, "search": {"lr_arch": 0}}
+    cfg = RunConfig.from_dict(doc)
+    assert cfg.contrastive.temperature == 1 and type(cfg.contrastive.temperature) is int
+    assert cfg.hash() == RunConfig.from_dict(cfg.to_dict()).hash()
 
 
 def test_seed_lives_at_top_level_only():

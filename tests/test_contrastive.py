@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -136,6 +137,53 @@ def test_batched_augmentation_matches_the_per_row_oracle(shape, overrides):
         assert want_mask.tobytes() == mask[r].tobytes()
     # the batch consumed exactly the draws of the per-row calls
     assert batch_rng.bit_generator.state == row_rng.bit_generator.state
+
+
+READ_SETS = [r for r in itertools.product((False, True), repeat=4) if any(r)]
+
+
+@pytest.mark.parametrize("img_dims", [(1, 2), (8, 6)], ids=["dims-1-2", "dims-8-6"])
+@pytest.mark.parametrize("overrides", [{}, {g: 1.0 for g in GATES}], ids=["default", "all-gates-1"])
+def test_reading_some_layers_gives_the_views_and_draws_of_reading_all(img_dims, overrides):
+    # dim 1 has a crop span of 0 and no rotation pair, and the blur window is
+    # wider than both dims: unread layers still draw every gate
+    image, text = _batch(n=9, img_dims=img_dims, txt_dims=(5, 3), seed=4)
+    cfg = ContrastiveConfig(**overrides)
+    all_rng = np.random.default_rng(21)
+    image_view, mask, text_view = augment_views(image, text, 4, cfg, all_rng)
+    for read in READ_SETS:
+        rng = np.random.default_rng(21)
+        got_image, got_mask, got_text = augment_views(
+            [x if r else x.shape[1] for x, r in zip(image, read)], [f for f, r in zip(text, read[2:]) if r], 4, cfg, rng
+        )
+        assert rng.bit_generator.state == all_rng.bit_generator.state, read
+        assert got_mask.tobytes() == mask.tobytes()
+        for want, got, r in zip(image_view, got_image, read):
+            assert got is None if not r else got.tobytes() == want.tobytes(), read
+        assert [v.tobytes() for v, r in zip(text_view, read[2:]) if r] == [v.tobytes() for v in got_text], read
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+def test_every_bit_generator_draws_as_the_per_row_oracle(bit_generator):
+    # uniforms are read as raw words where the bit generator makes its
+    # doubles from them, and through Generator.random otherwise (MT19937)
+    image, text = _batch(n=10, seed=6)
+    cfg = ContrastiveConfig(**{g: 0.5 for g in GATES})
+    batch_rng, row_rng = np.random.Generator(bit_generator(3)), np.random.Generator(bit_generator(3))
+    image_view, mask, text_view = augment_views(image, text, 6, cfg, batch_rng)
+    for r in range(10):
+        want_image, want_mask, want_text = augment_view_oracle(
+            [x[r] for x in image], [f[r] for f in text], 6, cfg, row_rng
+        )
+        for want, got in zip(want_image + want_text, image_view + text_view):
+            assert want.tobytes() == got[r].tobytes()
+        assert want_mask.tobytes() == mask[r].tobytes()
+    assert repr(batch_rng.bit_generator.state) == repr(row_rng.bit_generator.state)
+
+
+def test_a_batch_without_matrices_is_rejected():
+    with pytest.raises(ContrastiveError, match="at least one matrix"):
+        augment_views([8, 6], [], 10, ContrastiveConfig(), np.random.default_rng(0))
 
 
 def test_negative_jitter_scale_rejected():

@@ -27,7 +27,8 @@ from mmnas.contrastive import ContrastiveConfig, ContrastiveError, ProjectionHea
 from mmnas.data import SyntheticSpec, generate, split
 from mmnas.optim import Adam, MomentumSGD
 from mmnas.pipeline import PipelineError
-from mmnas.searchspace import CellGene, Genotype, MixedFusionEncoder, SearchSpaceConfig, StepGene
+from mmnas.searchspace import CellGene, Genotype, MixedFusionEncoder, SearchSpaceConfig, StepGene, instantiate
+from mmnas.util import TAG_PRETRAIN_EPOCH, seeded_rng
 
 pytestmark = [
     pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"),
@@ -48,14 +49,21 @@ def _data():
     return ds, space
 
 
-def _pretrain(lr=0.05):
-    ds, space = _data()
-    genotype = Genotype(
+def _genotype(space):
+    return Genotype(
         cells=(CellGene(inputs=("image:0", "text:1"), steps=(StepGene(pair=("image:0", "text:1"), op="Sum"),)),),
         config_hash=space.hash(),
     )
-    weights = pipeline.pretrain(genotype, space, CCFG, ds, epochs=3, lr=lr, batch_size=16, seed=5)
-    return [weights[k].tobytes() for k in sorted(weights)]
+
+
+def _pretrain(lr=0.05):
+    ds, space = _data()
+    losses = []
+    weights = pipeline.pretrain(
+        _genotype(space), space, CCFG, ds, epochs=3, lr=lr, batch_size=16, seed=5,
+        report=lambda row: losses.append(row["mean_loss"]),
+    )
+    return losses + [weights[k].tobytes() for k in sorted(weights)]
 
 
 def _search_epoch(lr=0.05):
@@ -120,6 +128,20 @@ def test_batches_are_identical_with_and_without_the_worker(stage, monkeypatch, t
     assert len(seen_w) == STAGES[stage][1]
     assert seen_w == seen_i
     assert out_w == out_i
+
+
+def test_a_derived_pretrain_receives_views_of_the_sources_it_reads(monkeypatch):
+    # the worker sends views of image:0 and text:1 only, and they are the
+    # bytes of those two sources in batches of every source
+    seen = []
+    _run("pretrain", "worker", monkeypatch, seen)
+    ds, space = _data()
+    sources = instantiate(_genotype(space), space).sources
+    assert sources == ["image:0", "text:1"]
+    rngs = [seeded_rng(5, TAG_PRETRAIN_EPOCH, epoch) for epoch in range(3)]
+    every = list(bilevel._view_batches([(ds, rng, rng) for rng in rngs], 16, CCFG, space.sources()))
+    picked = [space.sources().index(s) for s in sources]
+    assert seen == [[batch[i].tobytes() for i in picked] for batch in every]
 
 
 @pytest.mark.parametrize("mode", CPUS)
