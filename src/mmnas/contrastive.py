@@ -143,17 +143,15 @@ class _LayerDraws:
         self.noise = np.empty((n, d)) if noise else None
 
 
-# Generator.random() is (next64 >> 11) * 2**-53 for these bit generators, so
-# a uniform draw can be read as the raw 64-bit word it comes from: u < p
-# exactly when word < ceil(p * 2**53) << 11
-_WORD_BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
 _UNIT = 1.0 / 9007199254740992.0  # 2**-53
 
 
 def _raw_words(rng: np.random.Generator):
     """A callable that draws what ``rng.random()`` draws, as a word w with
-    ``(w >> 11) * 2**-53 == rng.random()``."""
-    if type(rng.bit_generator) in _WORD_BIT_GENERATORS:
+    ``(w >> 11) * 2**-53 == rng.random()``, so that u < p exactly when
+    w < ceil(p * 2**53) << 11."""
+    # these bit generators make Generator.random() as (next64 >> 11) * 2**-53
+    if type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64):
         return rng.bit_generator.random_raw
     random = rng.random
     return lambda: int(random() * 9007199254740992.0) << 11  # exact for 53-bit doubles

@@ -246,6 +246,15 @@ def test_stack_view_features_interleaves_pairs():
             assert feats[1][v].tobytes() == text[0].tobytes()
 
 
+def test_stack_view_features_follows_the_order_of_sources_and_rejects_unknown_ones():
+    ds = generate(SyntheticSpec(num_samples=6, seed=0))
+    every = stack_view_features(ds, np.arange(3), CCFG, np.random.default_rng(2), list(ds.features))
+    some = stack_view_features(ds, np.arange(3), CCFG, np.random.default_rng(2), ["text:1", "image:0"])
+    assert [v.tobytes() for v in some] == [every[3].tobytes(), every[0].tobytes()]
+    with pytest.raises(ContrastiveError, match=r"no source\(s\) \['image:7'\]"):
+        stack_view_features(ds, np.arange(3), CCFG, np.random.default_rng(2), ["image:0", "image:7"])
+
+
 @pytest.mark.parametrize(
     "cells, steps, nodes", [(1, 2, (47, 42, 15)), (2, 3, (94, 80, 32))], ids=["default-1x2", "deep-2x3"]
 )
