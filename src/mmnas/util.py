@@ -6,8 +6,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -36,8 +36,10 @@ def integer(value, name: str, error=ValueError):
 
 
 def real(value, name: str, error=ValueError):
-    """``value`` if it is a finite int or float (a bool is not one); else ``error`` naming it."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """``value`` if it is an int or float that a finite float can hold (a bool
+    is not one); else ``error`` naming it."""
+    # NaN fails the comparison, and an int too large for a float exceeds the bound
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
         raise error(f"{name} must be a finite number, got {value!r}")
     return value
 

@@ -96,6 +96,7 @@ def test_wrongly_typed_values_raise_config_error(doc, match):
         (PipelineConfig, {"labeled_ratio": float("nan")}, ValueError, "labeled_ratio must be a finite number"),
         (PipelineConfig, {"pretrain_momentum": "0.9"}, ValueError, "pretrain_momentum must be a finite number"),
         (PipelineConfig, {"clf_lr": float("-inf")}, ValueError, "clf_lr must be a finite number"),
+        (PipelineConfig, {"clf_lr": 10**400}, ValueError, "clf_lr must be a finite number"),
         (ContrastiveConfig, {"proj_hidden_dim": 64.0}, ContrastiveError, "proj_hidden_dim must be an integer"),
         (ContrastiveConfig, {"mask_prob": False}, ContrastiveError, "mask_prob must be a finite number"),
         (ContrastiveConfig, {"rotate_max_angle": float("inf")}, ContrastiveError, "rotate_max_angle must be a finite"),
