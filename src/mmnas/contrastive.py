@@ -247,12 +247,12 @@ def augment_views(image: list, text: list, seq_len: int, cfg: ContrastiveConfig,
             if dr is None:  # an unread layer: the same calls, nothing kept
                 if word() < crop and span > 0:
                     integers(0, crop_end)
-                word()
+                word()  # flip gate
                 if word() < jitter:
                     for _ in range(channels):
                         word()
                         normal()
-                word()
+                word()  # blur gate
                 if word() < rotate and pair:
                     word()
                 if noise:
