@@ -35,9 +35,7 @@ A caller that reads only some layers passes an unread image layer as its
 width and leaves an unread text layer out (text layers draw nothing of
 their own). An unread image layer is drawn, call for call, as a read one
 is, so the rng ends where it would and every read view is the same; its
-draws are not kept, applied or returned. A uniform draw is read as the raw
-64-bit word it comes from where the bit generator allows (``_raw_words``):
-the same draw and value, without the per-call argument handling.
+draws are not applied, gathered or returned.
 
 The loss is the normalized temperature-scaled cross entropy over 2N
 projections ordered pairwise: rows (2k, 2k+1) are the two views of sample
@@ -54,9 +52,8 @@ partner matrix:
 
 from __future__ import annotations
 
-import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,9 +88,11 @@ class ContrastiveConfig:
     proj_dim: int = 64
 
     def __post_init__(self):
-        counts = ("blur_width", "proj_hidden_dim", "proj_dim")
-        for f in fields(self):  # every other field is real-valued
-            (integer if f.name in counts else real)(getattr(self, f.name), f.name, ContrastiveError)
+        for name in ("blur_width", "proj_hidden_dim", "proj_dim"):
+            integer(getattr(self, name), name, ContrastiveError)
+        for name in ("temperature", "crop_prob", "crop_fraction", "flip_prob", "jitter_prob", "jitter_scale",
+                     "blur_prob", "rotate_prob", "rotate_max_angle", "noise_scale", "mask_prob"):
+            real(getattr(self, name), name, ContrastiveError)
         if self.temperature <= 0:
             raise ContrastiveError("temperature must be > 0")
         if not 0.0 <= self.mask_prob < 1.0:
@@ -129,41 +128,16 @@ def _flip_pattern(dim: int) -> np.ndarray:
 
 
 class _LayerDraws:
-    """Random parameters one image layer drew, gathered over the batch rows.
+    """Random parameters one image layer drew, gathered over the batch rows."""
 
-    A uniform draw is kept as its raw word (see ``_raw_words``)."""
-
-    __slots__ = ("crop_rows", "crop_starts", "flip_rows", "jitter_rows", "jitter_words", "jitter_normals",
-                 "blur_rows", "rotate_rows", "angle_words", "noise")
+    __slots__ = ("crop_rows", "crop_starts", "flip_rows", "jitter_rows", "jitter", "blur_rows",
+                 "rotate_rows", "angles", "noise")
 
     def __init__(self, n: int, d: int, noise: bool):
         self.crop_rows, self.crop_starts, self.flip_rows = [], [], []
-        self.jitter_rows, self.jitter_words, self.jitter_normals = [], [], []  # one of each per channel
-        self.blur_rows, self.rotate_rows, self.angle_words = [], [], []
+        self.jitter_rows, self.jitter = [], []  # jitter: (scale, shift) per channel, flat
+        self.blur_rows, self.rotate_rows, self.angles = [], [], []
         self.noise = np.empty((n, d)) if noise else None
-
-
-_UNIT = 1.0 / 9007199254740992.0  # 2**-53
-
-
-def _raw_words(rng: np.random.Generator):
-    """A callable that draws what ``rng.random()`` draws, as a word w with
-    ``(w >> 11) * 2**-53 == rng.random()``, so that u < p exactly when
-    w < ceil(p * 2**53) << 11."""
-    # these bit generators make Generator.random() as (next64 >> 11) * 2**-53
-    if type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64):
-        return rng.bit_generator.random_raw
-    random = rng.random
-    return lambda: int(random() * 9007199254740992.0) << 11  # exact for 53-bit doubles
-
-
-def _below(p: float) -> int:
-    """The word bound w < _below(p) of the uniform gate u < p."""
-    return math.ceil(p * 9007199254740992.0) << 11
-
-
-def _uniforms(words: list) -> np.ndarray:
-    return (np.array(words, dtype=np.uint64) >> np.uint64(11)) * _UNIT
 
 
 def _apply_image_layer(x: np.ndarray, dr: _LayerDraws, cfg: ContrastiveConfig) -> np.ndarray:
@@ -178,22 +152,17 @@ def _apply_image_layer(x: np.ndarray, dr: _LayerDraws, cfg: ContrastiveConfig) -
     if dr.flip_rows:
         out[dr.flip_rows] *= _flip_pattern(d)
     if dr.jitter_rows:
-        # contiguous channels sized as np.array_split(range(d), k) sizes them;
-        # rng.uniform(1 - s, 1 + s) is (1 - s) + ((1 + s) - (1 - s)) * u and
-        # rng.normal(0, s) is 0.0 + s * z, here for every draw at once
-        s = cfg.jitter_scale
+        # contiguous channels sized as np.array_split(range(d), k) sizes them
         k = min(4, d)
         channel = np.repeat(np.arange(k), [d // k + (c < d % k) for c in range(k)])
-        scale = (1.0 - s) + ((1.0 + s) - (1.0 - s)) * _uniforms(dr.jitter_words).reshape(-1, k)
-        shift = 0.0 + s * np.array(dr.jitter_normals).reshape(-1, k)
-        out[dr.jitter_rows] = out[dr.jitter_rows] * scale[:, channel] + shift[:, channel]
+        ab = np.array(dr.jitter).reshape(len(dr.jitter_rows), k, 2)[:, channel]
+        out[dr.jitter_rows] = out[dr.jitter_rows] * ab[..., 0] + ab[..., 1]
     if dr.blur_rows:
         kernel = np.full(cfg.blur_width, 1.0 / cfg.blur_width)
         for r in dr.blur_rows:
             out[r] = np.convolve(out[r], kernel, mode="same")
     if dr.rotate_rows:
-        a = cfg.rotate_max_angle
-        theta = (-a + (a - -a) * _uniforms(dr.angle_words))[:, None]
+        theta = np.array(dr.angles)[:, None]
         c, s = np.cos(theta), np.sin(theta)
         pairs = slice(0, 2 * (d // 2), 2), slice(1, 2 * (d // 2), 2)
         even, odd = out[dr.rotate_rows, pairs[0]], out[dr.rotate_rows, pairs[1]]
@@ -228,56 +197,49 @@ def augment_views(image: list, text: list, seq_len: int, cfg: ContrastiveConfig,
     n = read[0].shape[0]
     if any(f.shape[0] != n for f in read):
         raise ContrastiveError(f"every image and text matrix must hold the batch's {n} rows")
-    crop, flip, jitter = _below(cfg.crop_prob), _below(cfg.flip_prob), _below(cfg.jitter_prob)
-    blur_gate, rotate, noise = _below(cfg.blur_prob), _below(cfg.rotate_prob), cfg.noise_scale > 0
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random() and rng.normal(0, s)
+    # is 0.0 + s * rng.standard_normal(): the same draws, without the per-call
+    # argument handling
+    s = cfg.jitter_scale
+    scale_lo, scale_range = 1.0 - s, (1.0 + s) - (1.0 - s)
+    angle_lo, angle_range = -cfg.rotate_max_angle, cfg.rotate_max_angle - -cfg.rotate_max_angle
+    noise = cfg.noise_scale > 0
     layers = []
-    for x, d in zip(image, dims):
+    for d in dims:
         span = int(round(cfg.crop_fraction * d))
-        # an unread layer draws its noise into one scratch row
-        dr = None if isinstance(x, numbers.Integral) else _LayerDraws(n, d, noise)
-        scratch = np.empty(d) if dr is None else None
-        layers.append((dr, scratch, d >= 2, span, d - span + 1, min(4, d), 1 < cfg.blur_width <= d))
-    word, normal, integers = _raw_words(rng), rng.standard_normal, rng.integers
+        blur = 1 < cfg.blur_width <= d
+        layers.append((_LayerDraws(n, d, noise), d, span, d - span + 1, min(4, d), blur))
+    uniform, normal, integers = rng.random, rng.standard_normal, rng.integers
     mask_draws = np.empty((n, seq_len))
-    # draw pass: row by row, every parameter in the order a single row draws
-    # it; gates are drawn unconditionally so the rng stream does not depend on
-    # the config, only on the draw order
+    # draw pass: row by row, every parameter in the order a single row draws it
     for r in range(n):
-        for dr, scratch, pair, span, crop_end, channels, blur in layers:
-            if dr is None:  # an unread layer: the same calls, nothing kept
-                if word() < crop and span > 0:
-                    integers(0, crop_end)
-                word()  # flip gate
-                if word() < jitter:
-                    for _ in range(channels):
-                        word()
-                        normal()
-                word()  # blur gate
-                if word() < rotate and pair:
-                    word()
-                if noise:
-                    normal(out=scratch)
-                continue
-            if word() < crop and span > 0:
+        for dr, d, span, crop_end, channels, blur in layers:
+            # gates are drawn unconditionally so the rng stream does not
+            # depend on the config, only on the draw order
+            if uniform() < cfg.crop_prob and span > 0:
                 dr.crop_rows.append(r)
                 dr.crop_starts.append(int(integers(0, crop_end)))
-            if word() < flip:
+            if uniform() < cfg.flip_prob:
                 dr.flip_rows.append(r)
-            if word() < jitter:
+            if uniform() < cfg.jitter_prob:
                 dr.jitter_rows.append(r)
                 for _ in range(channels):
-                    dr.jitter_words.append(word())
-                    dr.jitter_normals.append(normal())
-            if word() < blur_gate and blur:
+                    dr.jitter.append(scale_lo + scale_range * uniform())
+                    dr.jitter.append(0.0 + s * normal())
+            if uniform() < cfg.blur_prob and blur:
                 dr.blur_rows.append(r)
-            if word() < rotate and pair:
+            if uniform() < cfg.rotate_prob and d >= 2:
                 dr.rotate_rows.append(r)
-                dr.angle_words.append(word())
+                dr.angles.append(angle_lo + angle_range * uniform())
             if noise:
                 normal(out=dr.noise[r])
-        rng.random(out=mask_draws[r])
-    # apply pass: each op once over all the rows that drew it
-    image_view = [None if dr is None else _apply_image_layer(x, dr, cfg) for x, (dr, *_) in zip(image, layers)]
+        uniform(out=mask_draws[r])
+    # apply pass: each op once over all the rows that drew it; the draws of
+    # an unread layer are dropped
+    image_view = [
+        None if isinstance(x, numbers.Integral) else _apply_image_layer(x, dr, cfg)
+        for x, (dr, *_) in zip(image, layers)
+    ]
     mask = mask_draws < cfg.mask_prob
     keep = ~mask
     text_view = [np.asarray(f, dtype=np.float64) * keep[:, np.arange(f.shape[1]) % seq_len] for f in text]

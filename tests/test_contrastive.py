@@ -163,24 +163,6 @@ def test_reading_some_layers_gives_the_views_and_draws_of_reading_all(img_dims, 
         assert [v.tobytes() for v, r in zip(text_view, read[2:]) if r] == [v.tobytes() for v in got_text], read
 
 
-@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
-def test_every_bit_generator_draws_as_the_per_row_oracle(bit_generator):
-    # uniforms are read as raw words where the bit generator makes its
-    # doubles from them, and through Generator.random otherwise (MT19937)
-    image, text = _batch(n=10, seed=6)
-    cfg = ContrastiveConfig(**{g: 0.5 for g in GATES})
-    batch_rng, row_rng = np.random.Generator(bit_generator(3)), np.random.Generator(bit_generator(3))
-    image_view, mask, text_view = augment_views(image, text, 6, cfg, batch_rng)
-    for r in range(10):
-        want_image, want_mask, want_text = augment_view_oracle(
-            [x[r] for x in image], [f[r] for f in text], 6, cfg, row_rng
-        )
-        for want, got in zip(want_image + want_text, image_view + text_view):
-            assert want.tobytes() == got[r].tobytes()
-        assert want_mask.tobytes() == mask[r].tobytes()
-    assert repr(batch_rng.bit_generator.state) == repr(row_rng.bit_generator.state)
-
-
 def test_a_batch_without_matrices_is_rejected():
     with pytest.raises(ContrastiveError, match="at least one matrix"):
         augment_views([8, 6], [], 10, ContrastiveConfig(), np.random.default_rng(0))
