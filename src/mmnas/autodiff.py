@@ -10,12 +10,12 @@ collector instead of being freed when its last reference goes.
 
 Primitives: matmul, transpose, add, subtract, elementwise multiply/divide,
 relu, sigmoid, tanh, softmax over an axis, concat over an axis, mean, sum,
-scalar multiply, L2 norm, log, exp, basic slicing; ``linear``, the affine
-layer ``x @ W + b`` as one node (every projection, cell-output, head and
-classifier layer); and ``mix``, a weighted sum of equal-shape parts
-recorded as one node (the softmax mixtures of the search space).
-``fused`` records a composite whose caller computes the value and the
-closed-form gradient itself, also as one node: the contrastive loss
+scalar multiply, L2 norm, log, exp, basic slicing; and ``linear``, the
+affine layer ``x @ W + b`` as one node (every projection, cell-output, head
+and classifier layer). ``weighted_sum`` computes the value of a softmax
+mixture of the search space on plain arrays. ``fused`` records a composite
+whose caller computes the value and the closed-form gradient itself, also
+as one node: the contrastive loss
 (``contrastive.ntxent_loss``), the classifier's sigmoid cross entropy
 (``pipeline.bce_with_logits``) and each step of the derived encoder
 (``searchspace.primitive_node``). ``record`` does the same for a caller
@@ -65,7 +65,6 @@ __all__ = [
     "log",
     "exp",
     "getitem",
-    "mix",
     "weighted_sum",
     "fused",
     "node_ids",
@@ -564,60 +563,13 @@ def getitem(a, key) -> Tensor:
 
 
 def weighted_sum(parts: list, c) -> np.ndarray:
-    """``sum_p c[p] * parts[p]`` of arrays, summed left to right: ``mix``'s value."""
+    """``sum_p c[p] * parts[p]`` of arrays, summed left to right: the value of a
+    softmax mixture (``searchspace.mixed_cell_input`` and ``mixed_step``)."""
     c = c.tolist()  # python floats: the same float64 products, with less call overhead
     out = parts[0] * c[0]
     for d, cp in zip(parts[1:], c[1:]):
         out += d * cp
     return out
-
-
-def mix(w, parts, scatter=None) -> Tensor:
-    """Weighted sum ``sum_p c[p] * parts[p]`` of equal-shape parts, one node.
-
-    ``c = w`` for a 1-D weight vector ``w`` with one entry per part, or
-    ``c = scatter @ w`` for a constant ``(P, J)`` matrix that maps J weights
-    onto the P parts. Parts are summed left to right. The backward pass
-    gives part p ``c[p] * g`` and ``w`` the vector ``<g, parts[p]>`` (mapped
-    back through ``scatter.T``). ``w`` and any part may be constants.
-    """
-    parts = list(parts)
-    if not parts:
-        raise AutodiffError("mix: empty part list")
-    (tw, *tparts), tape = _coerce([w, *parts])
-    if tw.data.ndim != 1:
-        raise AutodiffError(f"mix: weights must be 1-D, got shape {tw.shape}")
-    if scatter is None:
-        if tw.data.shape[0] != len(parts):
-            raise AutodiffError(f"mix: {tw.data.shape[0]} weights for {len(parts)} parts")
-        c = tw.data
-    else:
-        scatter = np.asarray(scatter, dtype=np.float64)
-        if scatter.shape != (len(parts), tw.data.shape[0]):
-            raise AutodiffError(
-                f"mix: scatter shape {scatter.shape} does not map {tw.data.shape[0]} weights "
-                f"onto {len(parts)} parts"
-            )
-        c = scatter @ tw.data
-    shape = tparts[0].shape
-    if any(t.shape != shape for t in tparts):
-        raise AutodiffError(f"mix: part shapes differ {[t.shape for t in tparts]}")
-    datas = [t.data for t in tparts]
-    out = weighted_sum(datas, c)
-    if tape is None:
-        return _emit("mix", None, (), None, out)
-    w_on_tape = tw.node_id is not None
-    on_tape = [p for p, t in enumerate(tparts) if t.node_id is not None]
-    ids = ((tw.node_id,) if w_on_tape else ()) + tuple(tparts[p].node_id for p in on_tape)
-
-    def bwd(g):
-        grads = [g * c[p] for p in on_tape]
-        if w_on_tape:
-            gc = np.array([np.vdot(g, d) for d in datas])
-            grads.insert(0, gc if scatter is None else scatter.T @ gc)
-        return grads
-
-    return tape._record("mix", ids, bwd, out)
 
 
 def fused(op: str, inputs, value, backward) -> Tensor:

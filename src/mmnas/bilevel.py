@@ -20,6 +20,11 @@ what that set determines (the logit softmaxes in the train phase and eval
 pass, the weight arrays in the valid phase and eval pass). A plan lives for
 one phase of one epoch, since the next phase steps the set this one read.
 
+Every phase runs its batches through ``train_epoch``, the one per-batch
+loop of every stage (pretraining and classifier fitting use it too): a
+tape per batch, the stepped set's leaves, the loss, a failure named by its
+epoch, phase and batch, one optimizer step, and one report row per epoch.
+
 Augmentation reads no model state, so each epoch's augmented view
 batches (train, then valid, then the evaluation pass) come from one
 ``view_stream``, with views of every source, since the mixed encoder reads
@@ -253,9 +258,43 @@ def view_stream(sections, batch_size: int, ccfg: ContrastiveConfig, sources):
         worker.close()
 
 
-def loss_failure(e: Exception) -> str:
-    """How a batch's forward pass failed, for the stage error that wraps ``e``."""
-    return "non-finite loss" if isinstance(e, NonFiniteError) else "contrastive loss failed"
+def train_epoch(batches, batch_loss, stepped, opt, error, *, epoch, phase, lr, best=None, report=None) -> dict:
+    """Run one epoch of a stage over ``batches`` and return its row.
+
+    Each batch gets a new ``Tape`` with the views of ``stepped`` (``(views,
+    flat)``, or None for a pass that steps nothing) as its leaves, and
+    ``batch_loss(bi, batch, leaves)`` computes the loss. A ``NonFiniteError``
+    or ``ContrastiveError`` raised there becomes ``error(failure, "batch
+    <bi>: <cause>")``, chained from it; otherwise ``opt`` steps ``flat``. The
+    row ``{epoch, phase, mean_loss, lr, wallclock_ms, best_so_far}`` takes
+    ``best_so_far`` from ``best(mean_loss)`` (None without ``best``) and is
+    also passed to ``report``.
+    """
+    losses = []
+    t0 = time.perf_counter()
+    for bi, batch in enumerate(batches):
+        tape = Tape()
+        try:
+            leaves = tape.leaves(*stepped) if stepped else None
+            loss = batch_loss(bi, batch, leaves)
+        except (NonFiniteError, ContrastiveError) as e:
+            failure = "non-finite loss" if isinstance(e, NonFiniteError) else "contrastive loss failed"
+            raise error(failure, f"batch {bi}: {e}") from e
+        if stepped:
+            opt.step(stepped[1], tape.backward(loss).flat(leaves))
+        losses.append(float(loss.data))
+    mean_loss = float(np.mean(losses))
+    row = {
+        "epoch": epoch,
+        "phase": phase,
+        "mean_loss": mean_loss,
+        "lr": lr,
+        "wallclock_ms": round(1000.0 * (time.perf_counter() - t0), 3),
+        "best_so_far": best(mean_loss) if best else None,
+    }
+    if report is not None:
+        report(row)
+    return row
 
 
 def _check_compatible(space: SearchSpaceConfig, ds: Dataset) -> None:
@@ -289,15 +328,32 @@ def search_epoch(
     report=None,
 ) -> list:
     """One train+valid alternation plus the checkpoint evaluation pass."""
-    records = []
+    def best(mean_loss):
+        if phase == "eval" and mean_loss < state.best_valid_loss:
+            state.best_valid_loss = mean_loss
+            state.best_arch = state.arch.copy()
+        return None if np.isinf(state.best_valid_loss) else state.best_valid_loss
 
-    def emit(rec):
-        records.append(rec)
-        if report is not None:
-            report(rec)
+    def batch_loss(bi, feats, leaves):
+        nonlocal operands, plan
+        if bi == 0:
+            # a plain set is constant all phase: one check names a non-finite
+            # entry as its leaf would
+            operands = {k: constants(*s) for k, s in sets.items() if k != stepped}
+        if stepped:
+            operands[stepped] = leaves
+        w, a = operands["weights"], operands["arch"]
+        if bi == 0:
+            plan = encoder.plan(w, a)
+        return contrastive_batch_loss(encoder, head, w, a, feats, ccfg.temperature, plan)
+
+    def error(failure, at):
+        return SearchError(f"{failure} at epoch {epoch} phase {phase} {at}")
 
     epoch = state.epoch + 1
     sets = {"weights": (state.weights, state.flat_weights), "arch": (state.arch.named(), state.arch.flat)}
+    operands = plan = None  # built by each phase's first batch
+    records = []
     # (phase, split, the set it differentiates and steps, its optimizer and rate); a phase
     # reads the other sets as plain arrays, and the checkpoint pass steps none
     phases = (
@@ -318,42 +374,10 @@ def search_epoch(
             n_batches = len(batch_indices(len(ds), scfg.batch_size))
             if not n_batches:
                 raise SearchError(f"{phase} split too small for one batch (needs >= 2 samples)")
-            losses = []
-            t0 = time.perf_counter()
-            for bi, feats in enumerate(itertools.islice(views, n_batches)):
-                tape = Tape()
-                try:
-                    if bi == 0:
-                        # a plain set is constant all phase: one check names a
-                        # non-finite entry as its leaf would
-                        operands = {k: constants(*s) for k, s in sets.items() if k != stepped}
-                    if stepped:
-                        leaves = operands[stepped] = tape.leaves(*sets[stepped])
-                    w, a = operands["weights"], operands["arch"]
-                    if bi == 0:
-                        plan = encoder.plan(w, a)
-                    loss = contrastive_batch_loss(encoder, head, w, a, feats, ccfg.temperature, plan)
-                except (NonFiniteError, ContrastiveError) as e:
-                    raise SearchError(
-                        f"{loss_failure(e)} at epoch {epoch} phase {phase} batch {bi}: {e}"
-                    ) from e
-                if stepped:
-                    opt.step(sets[stepped][1], tape.backward(loss).flat(leaves))
-                losses.append(float(loss.data))
-            mean_loss = float(np.mean(losses))
-            if phase == "eval" and mean_loss < state.best_valid_loss:
-                state.best_valid_loss = mean_loss
-                state.best_arch = state.arch.copy()
-            emit(
-                {
-                    "epoch": epoch,
-                    "phase": phase,
-                    "mean_loss": mean_loss,
-                    "lr": lr,
-                    "wallclock_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-                    "best_so_far": None if np.isinf(state.best_valid_loss) else state.best_valid_loss,
-                }
-            )
+            batches = itertools.islice(views, n_batches)
+            row = train_epoch(batches, batch_loss, sets.get(stepped), opt, error, epoch=epoch, phase=phase, lr=lr,
+                              best=best, report=report)
+            records.append(row)
     state.epoch = epoch
     state.history.extend(records)
     return records

@@ -8,7 +8,11 @@ reports the support-weighted F1 over the held-out test split.
 
 ``run_pipeline`` is the only code that runs the stages: every CLI command
 that trains (search, pretrain, fit, run-all, sweep-r) calls it, stopping
-after its last stage and starting from the artifacts it is given.
+after its last stage and starting from the artifacts it is given. Both
+training stages here run each epoch through ``bilevel.train_epoch``, as
+the search does; each keeps its own seeded draws, batches and
+``best_so_far`` rule, and a failed loss raises ``PipelineError`` naming
+the stage, epoch and batch.
 
 Pretraining takes the augmented view batches of all its epochs from one
 ``bilevel.view_stream``: a forked worker computes them ahead of training
@@ -34,17 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import NonFiniteError, Tape
-from .bilevel import (
-    SearchConfig,
-    batch_indices,
-    contrastive_batch_loss,
-    loss_failure,
-    run_search,
-    view_stream,
-)
+from .bilevel import SearchConfig, batch_indices, contrastive_batch_loss, run_search, train_epoch, view_stream
 from .checkpoint import save_weights
-from .contrastive import ContrastiveConfig, ContrastiveError, ProjectionHead
+from .contrastive import ContrastiveConfig, ProjectionHead
 from .data import Dataset, SplitSet, split
 from .optim import Adam, MomentumSGD
 from .searchspace import Genotype, SearchSpaceConfig, instantiate
@@ -126,6 +122,11 @@ class StageReport:
         }
 
 
+def _error(stage: str, epoch: int):
+    """The ``train_epoch`` error factory of a pipeline stage's epoch."""
+    return lambda failure, at: PipelineError(f"{stage}: {failure} at epoch {epoch} {at}")
+
+
 # ---------------------------------------------------------------------------
 # stage 2: contrastive pretraining of the derived network
 # ---------------------------------------------------------------------------
@@ -156,36 +157,22 @@ def pretrain(
     flat, weights = flat_views(weights)
     opt = MomentumSGD(lr, momentum)
     epoch_losses = []
+
+    def best(mean_loss):
+        epoch_losses.append(mean_loss)
+        return min(epoch_losses)
+
+    def batch_loss(bi, feats, leaves):
+        return contrastive_batch_loss(encoder, head, leaves, None, feats, ccfg.temperature)
+
     # each epoch's rng shuffles its batches, then augments them
     rngs = [seeded_rng(seed, TAG_PRETRAIN_EPOCH, epoch) for epoch in range(epochs)]
     n_batches = len(batch_indices(len(train), batch_size))  # the same for every shuffle
     with view_stream([(train, rng, rng) for rng in rngs], batch_size, ccfg, encoder.sources) as views:
-        for epoch in range(epochs):
-            losses = []
-            t0 = time.perf_counter()
-            for bi, feats in enumerate(itertools.islice(views, n_batches)):
-                tape = Tape()
-                try:
-                    leaves = tape.leaves(weights, flat)
-                    loss = contrastive_batch_loss(encoder, head, leaves, None, feats, ccfg.temperature)
-                except (NonFiniteError, ContrastiveError) as e:
-                    raise PipelineError(
-                        f"pretrain: {loss_failure(e)} at epoch {epoch + 1} batch {bi}: {e}"
-                    ) from e
-                opt.step(flat, tape.backward(loss).flat(leaves))
-                losses.append(float(loss.data))
-            epoch_losses.append(float(np.mean(losses)))
-            if report is not None:
-                report(
-                    {
-                        "epoch": epoch + 1,
-                        "phase": "pretrain",
-                        "mean_loss": epoch_losses[-1],
-                        "lr": lr,
-                        "wallclock_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-                        "best_so_far": min(epoch_losses),
-                    }
-                )
+        for epoch in range(1, epochs + 1):
+            batches = itertools.islice(views, n_batches)
+            train_epoch(batches, batch_loss, (weights, flat), opt, _error("pretrain", epoch),
+                        epoch=epoch, phase="pretrain", lr=lr, best=best, report=report)
     if len(epoch_losses) > 1 and epoch_losses[-1] >= epoch_losses[0]:
         warnings.warn(
             f"contrastive pretraining loss did not decrease "
@@ -271,34 +258,18 @@ def fit_classifier(
     opt = Adam(lr)
     h_frozen = encode_dataset(encoder, model, labeled) if freeze_encoder else None
 
+    def batch_loss(bi, idx, leaves):
+        if freeze_encoder:
+            h = ad.constant(h_frozen[idx])
+        else:
+            h = encoder.forward(leaves, {src: x[idx] for src, x in labeled.features.items()})
+        return loss_fn(ad.linear(h, leaves["clf/W"], leaves["clf/b"]), targets[idx])
+
     for epoch in range(epochs):
-        rng_ep = seeded_rng(seed, TAG_CLASSIFIER_EPOCH, epoch)
-        order = rng_ep.permutation(len(labeled))
+        order = seeded_rng(seed, TAG_CLASSIFIER_EPOCH, epoch).permutation(len(labeled))
         chunks = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
-        losses = []
-        t0 = time.perf_counter()
-        for idx in chunks:
-            tape = Tape()
-            leaves = tape.leaves(trainable, flat)
-            if freeze_encoder:
-                h = ad.constant(h_frozen[idx])
-            else:
-                h = encoder.forward(leaves, {src: x[idx] for src, x in labeled.features.items()})
-            logits = ad.linear(h, leaves["clf/W"], leaves["clf/b"])
-            loss = loss_fn(logits, targets[idx])
-            opt.step(flat, tape.backward(loss).flat(leaves))
-            losses.append(float(loss.data))
-        if report is not None:
-            report(
-                {
-                    "epoch": epoch + 1,
-                    "phase": "fit",
-                    "mean_loss": float(np.mean(losses)),
-                    "lr": lr,
-                    "wallclock_ms": round(1000.0 * (time.perf_counter() - t0), 3),
-                    "best_so_far": None,
-                }
-            )
+        train_epoch(chunks, batch_loss, (trainable, flat), opt, _error("fit", epoch + 1),
+                    epoch=epoch + 1, phase="fit", lr=lr, report=report)
     return model
 
 

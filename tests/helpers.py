@@ -335,6 +335,30 @@ def mixed_step_oracle(beta, gamma, pair_candidates, prim_params, hidden):
     return out
 
 
+def mix(w, parts, scatter=None):
+    """``sum_p c[p] * parts[p]`` of equal-shape parts as one ``fused`` node.
+
+    ``c = w`` for a 1-D weight vector with one entry per part, or ``c =
+    scatter @ w`` for a constant ``(P, J)`` matrix that maps J weights onto
+    the P parts. Parts are summed left to right (``weighted_sum``). Part p
+    gets the gradient ``c[p] * g`` and ``w`` the vector ``<g, parts[p]>``,
+    mapped back through ``scatter.T``; ``fused`` drops those of operands
+    that are off the tape. Kept as the node the composed references below
+    mix with; the search space's one-node slots and steps replace it.
+    """
+    import mmnas.autodiff as ad
+
+    w, *parts = [t if isinstance(t, ad.Tensor) else ad.constant(t) for t in (w, *parts)]
+    datas = [p.data for p in parts]
+    c = w.data if scatter is None else scatter @ w.data
+
+    def backward(g):
+        gc = np.array([np.vdot(g, d) for d in datas])
+        return [gc if scatter is None else scatter.T @ gc, *(g * cp for cp in c)]
+
+    return ad.fused("mix", [w, *parts], ad.weighted_sum(datas, c), backward)
+
+
 def mixed_step_composed(beta, gamma, pair_candidates, prim_params, hidden):
     """The mixed step as generic tape nodes: softmax, two scatter ``mix``
     nodes for the slots, one shared concat, ``add`` for Sum, one ``fused``
@@ -358,11 +382,11 @@ def mixed_step_composed(beta, gamma, pair_candidates, prim_params, hidden):
         scatter[0, index[id(u)], j] = 1.0
         scatter[1, index[id(v)], j] = 1.0
     wb = ad.softmax(beta, axis=0)
-    in0 = ad.mix(wb, pool, scatter[0])
-    in1 = ad.mix(wb, pool, scatter[1])
+    in0 = mix(wb, pool, scatter[0])
+    in1 = mix(wb, pool, scatter[1])
     cc = ad.concat([in0, in1], axis=1)
     outs = [_composed_primitive(op, in0, in1, prim_params.get(op, {}), hidden, cc) for op in PRIMITIVES]
-    return ad.mix(ad.softmax(gamma, axis=0), outs)
+    return mix(ad.softmax(gamma, axis=0), outs)
 
 
 def _composed_primitive(op, x, y, params, hidden, cc):
@@ -420,8 +444,8 @@ def mixed_cell_slots_composed(alpha, candidates):
     alpha = alpha if isinstance(alpha, ad.Tensor) else ad.constant(alpha)
     mask = np.zeros(alpha.shape)
     mask[int(np.argmax(alpha.data))] = -1e9
-    slot_a = ad.mix(ad.softmax(alpha, axis=0), candidates)
-    return slot_a, ad.mix(ad.softmax(ad.add(alpha, ad.constant(mask)), axis=0), candidates)
+    slot_a = mix(ad.softmax(alpha, axis=0), candidates)
+    return slot_a, mix(ad.softmax(ad.add(alpha, ad.constant(mask)), axis=0), candidates)
 
 
 def mixed_forward_composed(config, weights: dict, arch: dict, features: list):

@@ -19,6 +19,7 @@ from mmnas.bilevel import (
 from mmnas.contrastive import ContrastiveConfig, ContrastiveError, ProjectionHead, ntxent_loss
 from mmnas.data import SyntheticSpec, generate, split
 from mmnas.optim import Adam, MomentumSGD
+from mmnas.pipeline import PipelineConfig, run_pipeline
 from mmnas.searchspace import PRIMITIVES, CellGene, Genotype, MixedFusionEncoder, SearchSpaceConfig
 from mmnas.util import TAG_AUGMENT, TAG_SHUFFLE, seeded_rng
 
@@ -207,12 +208,25 @@ def test_contrastive_errors_raise_search_error_with_their_position(monkeypatch, 
 
 
 def test_report_records_carry_required_fields():
+    fields = {"epoch", "phase", "mean_loss", "lr", "wallclock_ms", "best_so_far"}
     train, valid, space = _setup(seed=10)
     rows = []
     run_search(SearchConfig(max_epochs=1, batch_size=8, seed=11), space, CCFG, train, valid, report=rows.append)
     assert len(rows) == 3
     for row in rows:
-        assert {"epoch", "phase", "mean_loss", "lr", "wallclock_ms", "best_so_far"} <= set(row)
+        assert set(row) == fields
+    # every stage's epoch rows share the schema, in stage and phase order
+    ds = generate(SyntheticSpec(num_samples=80, image_layer_dims=(10, 10), text_layer_dims=(10, 10), seed=10))
+    pcfg = PipelineConfig(labeled_ratio=0.5, pretrain_epochs=2, pretrain_batch_size=8, clf_epochs=2)
+    rows = []
+    run_pipeline(ds, space, SearchConfig(max_epochs=2, batch_size=8), CCFG, pcfg, seed=11, report=rows.append)
+    epoch_rows = [r for r in rows if "stage" not in r]
+    assert [(r["epoch"], r["phase"]) for r in epoch_rows] == [
+        (1, "train"), (1, "valid"), (1, "eval"), (2, "train"), (2, "valid"), (2, "eval"),
+        (1, "pretrain"), (2, "pretrain"), (1, "fit"), (2, "fit"),
+    ]
+    for row in epoch_rows:
+        assert set(row) == fields
 
 
 def test_batch_indices_drop_singletons():

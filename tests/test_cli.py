@@ -203,6 +203,20 @@ def test_failed_run_leaves_incomplete_marker(tmp_path, tiny_config):
     assert (out / ".incomplete").exists()
 
 
+def test_a_diverging_fit_gives_one_structured_error_with_its_position(tmp_path, tiny_config, capsys):
+    bad = json.loads(open(tiny_config).read())
+    bad["pipeline"]["clf_lr"] = 1e308  # the first Adam step leaves the classifier unusable
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run-all", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+    assert code == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    err = json.loads(line)
+    assert err["type"] == "PipelineError"
+    assert err["error"].startswith("fit: non-finite loss at epoch 1 batch 1: ")
+
+
 def test_search_with_unusable_genotype_writes_nothing(tmp_path, tiny_config, monkeypatch, capsys):
     import mmnas.bilevel
     from mmnas.searchspace import CellGene, Genotype

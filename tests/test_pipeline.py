@@ -122,6 +122,23 @@ def test_pretrain_wraps_non_finite_loss_with_its_position():
     assert isinstance(info.value.__cause__, ad.NonFiniteError)
 
 
+@pytest.mark.parametrize("freeze", [True, False], ids=["frozen", "fine-tuned"])
+def test_fit_wraps_non_finite_loss_with_its_position(freeze):
+    ds = _dataset(n=40)
+    space = _space(ds)
+    genotype = _genotype(space)
+    weights = pretrain(genotype, space, CCFG, ds, epochs=0, lr=0.0, seed=6)
+    # one Adam step at this rate sends the trainables to about 1e308, and the
+    # next batch's forward pass past float64 range
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(PipelineError, match=r"^fit: non-finite loss at epoch 1 batch 1: ") as info:
+            fit_classifier(
+                instantiate(genotype, space), weights, ds, epochs=2, lr=1e308, batch_size=16, seed=6,
+                freeze_encoder=freeze,
+            )
+    assert isinstance(info.value.__cause__, ad.NonFiniteError)
+
+
 def _concat_fc_genotype(space):
     return Genotype(
         cells=(CellGene(inputs=("image:0", "text:1"), steps=(StepGene(pair=("image:0", "text:1"), op="ConcatFC"),)),),
