@@ -1,6 +1,6 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
-Define-by-run tape: every operation whose inputs touch a live ``Tape``
+Define-by-run tape: every operation whose operands touch a live ``Tape``
 records one node (op name, parent node ids, backward closure). A tape is
 rebuilt for every forward pass and owned by a single thread; tensors are
 immutable values and safe to share. Backward closures capture arrays and
@@ -13,18 +13,26 @@ relu, sigmoid, tanh, softmax over an axis, concat over an axis, mean, sum,
 scalar multiply, L2 norm, log, exp, basic slicing; and ``linear``, the
 affine layer ``x @ W + b`` as one node (every projection, cell-output, head
 and classifier layer). ``weighted_sum`` computes the value of a softmax
-mixture of the search space on plain arrays. ``fused`` records a composite
-whose caller computes the value and the closed-form gradient itself, also
-as one node: the contrastive loss
+mixture of the search space on plain arrays. Elementwise ops follow numpy
+broadcasting; the backward pass sum-reduces gradients over broadcast axes.
+
+Every op records its node through ``fused(op, operands, value, backward)``,
+and so do the composites whose caller computes the value and the
+closed-form gradient itself: the contrastive loss
 (``contrastive.ntxent_loss``), the classifier's sigmoid cross entropy
-(``pipeline.bce_with_logits``) and each step of the derived encoder
-(``searchspace.primitive_node``). ``record`` does the same for a caller
-that lists the parent node ids itself (from ``node_ids``, which reads raw
-operands without wrapping them), one id possibly twice: the search
-space's mixed step (``searchspace.mixed_step``). Elementwise ops follow
-numpy broadcasting; the backward pass sum-reduces gradients over broadcast
-axes. Every op validates that its output is finite and names itself in the
-error when it is not.
+(``pipeline.bce_with_logits``), each step of the derived encoder
+(``searchspace.primitive_node``) and the search space's cell-input slots
+and mixed steps (``searchspace.mixed_cell_input``, ``mixed_step``). Its
+contract:
+- ``operands`` are tensors or raw arrays; one may appear more than once.
+  A raw array is wrapped as a constant, with one finiteness check.
+- An operand's parent entry is its node id, or None when it is off the
+  tape.
+- ``backward(g)`` returns one gradient per operand, in order, and None
+  where no gradient is needed. ``Tape.backward`` skips a None parent or
+  gradient, and adds a repeated operand's gradients in list order.
+- The output is checked for finiteness once, and the error names ``op``.
+  With no operand on a tape, the value comes back as a constant.
 
 Parameters enter a tape as named leaves: ``Tape.leaf`` registers one array,
 and ``Tape.leaves`` registers every view of one flat parameter vector
@@ -67,8 +75,6 @@ __all__ = [
     "getitem",
     "weighted_sum",
     "fused",
-    "node_ids",
-    "record",
     "constant",
     "constants",
 ]
@@ -200,17 +206,12 @@ class Tape:
     def __len__(self):
         return len(self._nodes)
 
-    def _record(self, op: str, parents: tuple, backward_fn, value: np.ndarray) -> Tensor:
-        if not np.isfinite(value).all():
-            raise NonFiniteError(f"{op}: non-finite output")
-        node_id = len(self._nodes)
-        self._nodes.append(_Node(op, parents, backward_fn, value.shape))
-        return _checked_tensor(value, self, node_id)
-
     def leaf(self, value, name: str | None = None) -> Tensor:
         """Register a differentiable leaf (a parameter) on the tape."""
-        arr = _asarray(value)
-        return self._record(f"leaf:{name}" if name else "leaf", (), None, arr)
+        op = f"leaf:{name}" if name else "leaf"
+        arr = _finite(op, value)
+        self._nodes.append(_Node(op, (), None, arr.shape))
+        return _checked_tensor(arr, self, len(self._nodes) - 1)
 
     def leaves(self, views: dict, flat: np.ndarray) -> dict:
         """Register every view of ``flat`` (``util.flat_views``) as a named leaf.
@@ -246,7 +247,7 @@ class Tape:
                 continue
             parent_grads = node.backward_fn(g)
             for pid, pg in zip(node.parents, parent_grads):
-                if pg is None:
+                if pid is None or pg is None:
                     continue
                 acc = grads.get(pid)
                 grads[pid] = pg if acc is None else acc + pg
@@ -269,37 +270,16 @@ def constants(views: dict, flat: np.ndarray) -> dict:
     return {name: _checked_tensor(v) for name, v in views.items()}
 
 
-def _coerce(args) -> tuple[list[Tensor], Tape | None]:
-    """Wrap raw operands as constants and find the single live tape."""
-    tensors = []
-    tape = None
-    for a in args:
-        t = a if isinstance(a, Tensor) else Tensor(a)
-        if t.tape is not None:
-            if tape is None:
-                tape = t.tape
-            elif tape is not t.tape:
-                raise AutodiffError("operands live on different tapes")
-        tensors.append(t)
-    return tensors, tape
+def _coerce(operands) -> list[Tensor]:
+    """Wrap raw operands as constants, each with one finiteness check."""
+    return [a if isinstance(a, Tensor) else Tensor(a) for a in operands]
 
 
-def _emit(op, tape, parents, backward_fn, value) -> Tensor:
-    """Record on the tape when any parent is on it, else return a constant."""
-    if tape is None:
-        if not np.isfinite(value).all():
-            raise NonFiniteError(f"{op}: non-finite output")
-        return _checked_tensor(value)
-    ids = tuple(p.node_id for p in parents if p.node_id is not None)
-    if len(ids) == len(parents):
-        return tape._record(op, ids, backward_fn, value)
-    on_tape = [p.node_id is not None for p in parents]
-
-    def bwd(g):
-        full = backward_fn(g)
-        return [fg for fg, keep in zip(full, on_tape) if keep]
-
-    return tape._record(op, ids, bwd, value)
+def _finite(op: str, value) -> np.ndarray:
+    value = _asarray(value)
+    if not np.isfinite(value).all():
+        raise NonFiniteError(f"{op}: non-finite output")
+    return value
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -316,72 +296,62 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    (ta, tb), tape = _coerce((a, b))
+    ta, tb = _coerce((a, b))
     try:
         out = ta.data + tb.data
     except ValueError as e:
         raise AutodiffError(f"add: shape mismatch {ta.shape} + {tb.shape}") from e
     sa, sb = ta.shape, tb.shape
-    return _emit("add", tape, (ta, tb), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)), out)
+    return fused("add", (ta, tb), out, lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
-    (ta, tb), tape = _coerce((a, b))
+    ta, tb = _coerce((a, b))
     try:
         out = ta.data - tb.data
     except ValueError as e:
         raise AutodiffError(f"sub: shape mismatch {ta.shape} - {tb.shape}") from e
     sa, sb = ta.shape, tb.shape
-    return _emit("sub", tape, (ta, tb), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)), out)
+    return fused("sub", (ta, tb), out, lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
-    (ta, tb), tape = _coerce((a, b))
+    ta, tb = _coerce((a, b))
     try:
         out = ta.data * tb.data
     except ValueError as e:
         raise AutodiffError(f"mul: shape mismatch {ta.shape} * {tb.shape}") from e
     da, db = ta.data, tb.data
-    return _emit(
-        "mul",
-        tape,
-        (ta, tb),
-        lambda g: (_unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)),
-        out,
-    )
+    return fused("mul", (ta, tb), out,
+                 lambda g: (_unbroadcast(g * db, da.shape), _unbroadcast(g * da, db.shape)))
 
 
 def div(a, b) -> Tensor:
-    (ta, tb), tape = _coerce((a, b))
+    ta, tb = _coerce((a, b))
     try:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = ta.data / tb.data
     except ValueError as e:
         raise AutodiffError(f"div: shape mismatch {ta.shape} / {tb.shape}") from e
     da, db = ta.data, tb.data
-    return _emit(
-        "div",
-        tape,
-        (ta, tb),
-        lambda g: (_unbroadcast(g / db, da.shape), _unbroadcast(-g * da / (db * db), db.shape)),
-        out,
-    )
+    return fused("div", (ta, tb), out,
+                 lambda g: (_unbroadcast(g / db, da.shape), _unbroadcast(-g * da / (db * db), db.shape)))
 
 
 def neg(a) -> Tensor:
-    (ta,), tape = _coerce((a,))
-    return _emit("neg", tape, (ta,), lambda g: (-g,), -ta.data)
+    (ta,) = _coerce((a,))
+    return fused("neg", (ta,), -ta.data, lambda g: (-g,))
 
 
 def scale(a, c: float) -> Tensor:
     """Multiply by a plain python scalar (not differentiable w.r.t. c)."""
-    (ta,), tape = _coerce((a,))
+    (ta,) = _coerce((a,))
     c = float(c)
-    return _emit("scale", tape, (ta,), lambda g: (g * c,), ta.data * c)
+    return fused("scale", (ta,), ta.data * c, lambda g: (g * c,))
 
 
 def matmul(a, b) -> Tensor:
-    (ta, tb), tape = _coerce((a, b))
+    ta, tb = _coerce((a, b))
     if ta.data.ndim != 2 or tb.data.ndim != 2:
         raise AutodiffError(
             f"matmul: expects 2-D operands, got {ta.shape} @ {tb.shape}"
@@ -389,7 +359,7 @@ def matmul(a, b) -> Tensor:
     if ta.data.shape[1] != tb.data.shape[0]:
         raise AutodiffError(f"matmul: inner dims differ {ta.shape} @ {tb.shape}")
     da, db = ta.data, tb.data
-    return _emit("matmul", tape, (ta, tb), lambda g: (g @ db.T, da.T @ g), da @ db)
+    return fused("matmul", (ta, tb), da @ db, lambda g: (g @ db.T, da.T @ g))
 
 
 def linear(x, w, b) -> Tensor:
@@ -399,7 +369,7 @@ def linear(x, w, b) -> Tensor:
     what ``add(matmul(x, w), b)`` gives; a gradient whose operand is off
     the tape is not computed.
     """
-    (tx, tw, tb), tape = _coerce((x, w, b))
+    tx, tw, tb = _coerce((x, w, b))
     if tx.data.ndim != 2 or tw.data.ndim != 2:
         raise AutodiffError(f"linear: expects 2-D input and weight, got {tx.shape} @ {tw.shape}")
     if tx.data.shape[1] != tw.data.shape[0]:
@@ -416,20 +386,20 @@ def linear(x, w, b) -> Tensor:
             g.sum(axis=0) if need_b else None,
         )
 
-    return _emit("linear", tape, (tx, tw, tb), bwd, dx @ dw + tb.data)
+    return fused("linear", (tx, tw, tb), dx @ dw + tb.data, bwd)
 
 
 def transpose(a) -> Tensor:
-    (ta,), tape = _coerce((a,))
+    (ta,) = _coerce((a,))
     if ta.data.ndim != 2:
         raise AutodiffError(f"transpose: expects 2-D, got {ta.shape}")
-    return _emit("transpose", tape, (ta,), lambda g: (g.T,), ta.data.T.copy())
+    return fused("transpose", (ta,), ta.data.T.copy(), lambda g: (g.T,))
 
 
 def relu(a) -> Tensor:
-    (ta,), tape = _coerce((a,))
+    (ta,) = _coerce((a,))
     mask = ta.data > 0.0
-    return _emit("relu", tape, (ta,), lambda g: (g * mask,), ta.data * mask)
+    return fused("relu", (ta,), ta.data * mask, lambda g: (g * mask,))
 
 
 def stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -439,19 +409,19 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(a) -> Tensor:
-    (ta,), tape = _coerce((a,))
+    (ta,) = _coerce((a,))
     out = stable_sigmoid(ta.data)
-    return _emit("sigmoid", tape, (ta,), lambda g: (g * out * (1.0 - out),), out)
+    return fused("sigmoid", (ta,), out, lambda g: (g * out * (1.0 - out),))
 
 
 def tanh(a) -> Tensor:
-    (ta,), tape = _coerce((a,))
+    (ta,) = _coerce((a,))
     out = np.tanh(ta.data)
-    return _emit("tanh", tape, (ta,), lambda g: (g * (1.0 - out * out),), out)
+    return fused("tanh", (ta,), out, lambda g: (g * (1.0 - out * out),))
 
 
 def softmax(a, axis: int = -1) -> Tensor:
-    (ta,), tape = _coerce((a,))
+    (ta,) = _coerce((a,))
     if ta.data.ndim == 0:
         raise AutodiffError("softmax: scalar input has no axis")
     try:
@@ -465,14 +435,14 @@ def softmax(a, axis: int = -1) -> Tensor:
         inner = np.sum(g * out, axis=axis, keepdims=True)
         return ((g - inner) * out,)
 
-    return _emit("softmax", tape, (ta,), bwd, out)
+    return fused("softmax", (ta,), out, bwd)
 
 
 def concat(parts, axis: int = 0) -> Tensor:
     parts = list(parts)
     if not parts:
         raise AutodiffError("concat: empty input list")
-    tensors, tape = _coerce(parts)
+    tensors = _coerce(parts)
     try:
         out = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError as e:
@@ -488,11 +458,11 @@ def concat(parts, axis: int = 0) -> Tensor:
             pieces.append(g[tuple(idx)])
         return tuple(pieces)
 
-    return _emit("concat", tape, tuple(tensors), bwd, out)
+    return fused("concat", tuple(tensors), out, bwd)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    (ta,), tape = _coerce((a,))
+    (ta,) = _coerce((a,))
     out = np.sum(ta.data, axis=axis, keepdims=keepdims)
     shape = ta.data.shape
 
@@ -502,11 +472,11 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, shape).copy(),)
 
-    return _emit("sum", tape, (ta,), bwd, np.asarray(out, dtype=np.float64))
+    return fused("sum", (ta,), np.asarray(out, dtype=np.float64), bwd)
 
 
 def mean(a, axis=None, keepdims: bool = False) -> Tensor:
-    (ta,), tape = _coerce((a,))
+    (ta,) = _coerce((a,))
     out = np.mean(ta.data, axis=axis, keepdims=keepdims)
     shape = ta.data.shape
     count = ta.data.size if axis is None else shape[axis]
@@ -517,11 +487,11 @@ def mean(a, axis=None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg / count, shape).copy(),)
 
-    return _emit("mean", tape, (ta,), bwd, np.asarray(out, dtype=np.float64))
+    return fused("mean", (ta,), np.asarray(out, dtype=np.float64), bwd)
 
 
 def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
-    (ta,), tape = _coerce((a,))
+    (ta,) = _coerce((a,))
     da = ta.data
     out = np.sqrt(np.sum(da * da, axis=axis, keepdims=keepdims))
 
@@ -530,27 +500,27 @@ def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (gg * da / n,)
 
-    return _emit("l2norm", tape, (ta,), bwd, np.asarray(out, dtype=np.float64))
+    return fused("l2norm", (ta,), np.asarray(out, dtype=np.float64), bwd)
 
 
 def log(a) -> Tensor:
-    (ta,), tape = _coerce((a,))
+    (ta,) = _coerce((a,))
     da = ta.data
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(da)
-    return _emit("log", tape, (ta,), lambda g: (g / da,), out)
+    return fused("log", (ta,), out, lambda g: (g / da,))
 
 
 def exp(a) -> Tensor:
-    (ta,), tape = _coerce((a,))
+    (ta,) = _coerce((a,))
     with np.errstate(over="ignore"):
         out = np.exp(ta.data)
-    return _emit("exp", tape, (ta,), lambda g: (g * out,), out)
+    return fused("exp", (ta,), out, lambda g: (g * out,))
 
 
 def getitem(a, key) -> Tensor:
     """Basic (non-fancy) slicing; backward scatters into a zero array."""
-    (ta,), tape = _coerce((a,))
+    (ta,) = _coerce((a,))
     out = ta.data[key]
     shape = ta.data.shape
 
@@ -559,7 +529,7 @@ def getitem(a, key) -> Tensor:
         full[key] = g
         return (full,)
 
-    return _emit("slice", tape, (ta,), bwd, np.asarray(out, dtype=np.float64))
+    return fused("slice", (ta,), np.asarray(out, dtype=np.float64), bwd)
 
 
 def weighted_sum(parts: list, c) -> np.ndarray:
@@ -572,48 +542,20 @@ def weighted_sum(parts: list, c) -> np.ndarray:
     return out
 
 
-def fused(op: str, inputs, value, backward) -> Tensor:
-    """Record a composite op as one node: ``value`` and ``backward`` come precomputed.
-
-    ``inputs`` are the differentiable operands (raw arrays become constants)
-    and ``value`` is the output the caller computed from their data.
-    ``backward(g)`` returns one gradient per input, in order. The output is
-    checked for finiteness like any other op's, under the name ``op``.
-    """
-    tensors, tape = _coerce(inputs)
-    return _emit(op, tape, tuple(tensors), backward, _asarray(value))
-
-
-def node_ids(operands) -> tuple:
-    """``(tape, ids)``: the single live tape among ``operands`` (None when
-    none is on one) and each operand's node id on it (None off the tape).
-
-    Raw arrays are off the tape; unlike ``_coerce``, this neither wraps nor
-    scans them, so a caller that reads a set of constant arrays on every
-    call does not pay a finiteness check per array per call.
-    """
-    tape = None
-    ids = []
-    for a in operands:
-        t = a.tape if isinstance(a, Tensor) else None
-        if t is not None:
+def fused(op: str, operands, value, backward) -> Tensor:
+    """Record one node whose ``value`` and ``backward`` the caller computed,
+    under the contract in the module docstring; all ``operands`` on a tape
+    must be on the same one."""
+    tape, parents = None, []
+    for t in _coerce(operands):
+        if t.tape is not None:
             if tape is None:
-                tape = t
-            elif tape is not t:
+                tape = t.tape
+            elif tape is not t.tape:
                 raise AutodiffError("operands live on different tapes")
-        ids.append(None if t is None else a.node_id)
-    return tape, ids
-
-
-def record(op: str, tape, parent_ids, backward, value) -> Tensor:
-    """Record a value computed outside the tape as one node on ``tape``.
-
-    ``parent_ids`` are node ids on ``tape`` (from ``node_ids``); an id may
-    appear more than once, and its gradients then add up in list order.
-    ``backward(g)`` returns one gradient per listed id. With ``tape`` None
-    the value is returned as a constant. Either way the output is checked
-    for finiteness under the name ``op``.
-    """
+        parents.append(t.node_id)
+    value = _finite(op, value)
     if tape is None:
-        return _emit(op, None, (), None, value)
-    return tape._record(op, tuple(parent_ids), backward, value)
+        return _checked_tensor(value)
+    tape._nodes.append(_Node(op, tuple(parents), backward, value.shape))
+    return _checked_tensor(value, tape, len(tape._nodes) - 1)

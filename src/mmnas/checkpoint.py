@@ -9,7 +9,8 @@ Layout (integers little-endian):
 Round-trips are bit-exact and writes are atomic. Readers raise
 ``CheckpointError`` for wrong magic/version, truncation, names that are not
 UTF-8, duplicate names, non-finite values and trailing bytes, each reported
-with the failing offset where there is one.
+with the failing offset where there is one. The writer refuses non-finite
+values before it opens the file, so it never writes what they refuse.
 """
 
 from __future__ import annotations
@@ -30,12 +31,17 @@ class CheckpointError(ValueError):
 
 
 def save_weights(path, weights: dict) -> None:
+    """Write ``weights`` atomically; a non-finite array, which ``load_weights``
+    would refuse, raises ``CheckpointError`` before the file is opened."""
     names = sorted(weights)
+    arrays = [np.ascontiguousarray(weights[name], dtype="<f8") for name in names]
+    for name, arr in zip(names, arrays):
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"refusing to save non-finite values in {name!r}")
     with atomic_open(path, "wb") as fh:
         fh.write(MMNW_MAGIC)
         fh.write(struct.pack("<II", MMNW_VERSION, len(names)))
-        for name in names:
-            arr = np.ascontiguousarray(weights[name], dtype="<f8")
+        for name, arr in zip(names, arrays):
             encoded = name.encode("utf-8")
             if len(encoded) > 0xFFFF:
                 raise CheckpointError(f"parameter name too long: {name[:40]}...")

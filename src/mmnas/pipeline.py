@@ -256,7 +256,12 @@ def fit_classifier(
     model = {**encoder_weights, **trainable}
     loss_fn = bce_with_logits if classifier_loss == "bce" else softmax_cross_entropy
     opt = Adam(lr)
-    h_frozen = encode_dataset(encoder, model, labeled) if freeze_encoder else None
+    h_frozen = None
+    if freeze_encoder:
+        try:
+            h_frozen = encode_dataset(encoder, model, labeled)
+        except ad.NonFiniteError as e:
+            raise PipelineError(f"fit: non-finite frozen encoding: {e}") from e
 
     def batch_loss(bi, idx, leaves):
         if freeze_encoder:
@@ -425,7 +430,10 @@ def run_pipeline(
     )
     metrics = {"labeled_samples": len(splits.labeled_train)}
     if len(splits.test) > 0:
-        preds = predict_bits(encoder, model, splits.test, pcfg.classifier_loss)
+        try:
+            preds = predict_bits(encoder, model, splits.test, pcfg.classifier_loss)
+        except ad.NonFiniteError as e:
+            raise PipelineError(f"fit: non-finite test-set encoding: {e}") from e
         metrics["weighted_f1"] = weighted_f1(preds, splits.test.labels_matrix())
         metrics["test_samples"] = len(splits.test)
         artifacts["weighted_f1"] = metrics["weighted_f1"]

@@ -47,13 +47,13 @@ upstream gradient G, with cc = concat(x, y):
                       da = G * s, db = G * a * s * (1 - s);
                       dcc = da W1^T + db W2^T, dW1 = cc^T da, dW2 = cc^T db
 
-The derived encoder records each step's kernel as one ``fused`` node
-(``primitive_node``). The search records each mixed step as one node
-(``mixed_step``): wb = softmax(beta), the slot inputs in0 = sum_p c0[p]
-pool_p and in1 likewise (c = scatter @ wb, see ``mixed_step``), the shared
-cc, every primitive's kernel in ``PRIMITIVES`` order, wg = softmax(gamma)
-and out = sum_p wg[p] out_p. Its backward pass is the closed form of that
-chain, for an upstream gradient G:
+Every node here is recorded by ``autodiff.fused``. The derived encoder
+records each step's kernel as one node (``primitive_node``). The search
+records each mixed step as one node (``mixed_step``): wb = softmax(beta),
+the slot inputs in0 = sum_p c0[p] pool_p and in1 likewise (c = scatter @
+wb, see ``mixed_step``), the shared cc, every primitive's kernel in
+``PRIMITIVES`` order, wg = softmax(gamma) and out = sum_p wg[p] out_p. Its
+backward pass is the closed form of that chain, for an upstream gradient G:
 
   G_p    = wg[p] G, into each primitive's vjp
   gamma  dwg[p] = <G, out_p>; dgamma = (dwg - <dwg, wg>) * wg
@@ -63,7 +63,7 @@ chain, for an upstream gradient G:
   beta   dwb = S1^T [<din1, pool_p>]_p + S0^T [<din0, pool_p>]_p;
          dbeta = (dwb - <dwb, wb>) * wb
   pool   din1 * c1[p], then din0 * c0[p]: every pool entry on the tape is
-         listed twice as a parent, so the tape adds them in that order
+         listed twice as an operand, so the tape adds them in that order
 
 The forward pass evaluates the numpy expressions of the generic op chain it
 replaces (two scatter ``mix`` nodes, a concat, ``add``, the fused attention
@@ -71,10 +71,10 @@ and GLU, ``relu(linear(..))``, a constant zero, softmaxes and the gamma
 ``mix``) in the same order, and the backward pass adds into each shared
 quantity in the order that chain's tape did, so values and gradients are
 bitwise unchanged. A gradient nobody reads is not computed: the weights'
-in the valid phase, beta's and gamma's in the train phase. Logits and
-weights that are plain arrays are read without a finiteness scan; a
-non-finite output raises ``NonFiniteError`` naming the first non-finite
-slot input or primitive output.
+in the valid phase, beta's and gamma's in the train phase. Weights and
+pool entries off the tape are not operands of the node, so they are read
+without a finiteness scan; a non-finite output raises ``NonFiniteError``
+naming the first non-finite slot input or primitive output.
 
 Cell input slots: a cell has one alpha vector but two input slots. Slot A
 is the plain softmax mixture over candidates; slot B is the same mixture
@@ -510,7 +510,7 @@ def primitive_node(op: str, x: Tensor, y: Tensor, params: dict, hidden: int) -> 
     encoder applies a step; ``params`` values are tape leaves or raw arrays."""
     names = list(primitive_param_shapes(op, hidden))
     operands = [x, y, *(params[name] for name in names)]
-    need = tuple(i is not None for i in ad.node_ids(operands)[1])
+    need = tuple(map(_on_tape, operands))
     value, vjp = apply_primitive(op, _array(x), _array(y), {n: _array(params[n]) for n in names}, hidden)
     if op in ("LinearGLU", "ConcatFC"):
         def backward(g):
@@ -569,18 +569,16 @@ def mixed_cell_input(alpha, candidates: list, plan: _SlotPlan | None = None) -> 
             raise SpaceError(f"candidate shapes differ: {d.shape} vs {shape}")
     need_alpha = plan.need_alpha
     w = plan.weights() if need_alpha else plan.w
-    tape, ids = ad.node_ids([alpha, *candidates])
-    on = [p for p, i in enumerate(ids[1:]) if i is not None]
-    parents = ([ids[0]] if need_alpha else []) + [ids[1 + p] for p in on]
+    on = [_on_tape(t) for t in candidates]
 
     def backward(g):
-        grads = [g * w[p] for p in on]
+        dalpha = None
         if need_alpha:
             gw = np.array([np.vdot(g, d) for d in datas])
-            grads.insert(0, (gw - np.sum(gw * w, axis=0, keepdims=True)) * w)
-        return grads
+            dalpha = (gw - np.sum(gw * w, axis=0, keepdims=True)) * w
+        return [dalpha, *(g * w[p] if o else None for p, o in enumerate(on))]
 
-    return ad.record("mixed_cell_input", tape, parents, backward, ad.weighted_sum(datas, w))
+    return ad.fused("mixed_cell_input", [alpha, *candidates], ad.weighted_sum(datas, w), backward)
 
 
 @functools.lru_cache(maxsize=None)
@@ -667,9 +665,7 @@ def mixed_step(beta, gamma, pair_candidates: list, prim_params: dict, hidden: in
         if d.shape != datas[0].shape:
             raise SpaceError(f"pool entry shapes differ: {[d.shape for d in datas]}")
     need_beta, need_gamma, scatter = plan.need_beta, plan.need_gamma, plan.scatter
-    tape, ids = ad.node_ids([beta, gamma, *pool, *(prim_params[n] for n in plan.taped)])
-    pool_ids = ids[2:2 + len(pool)]
-    pool_on = [p for p, i in enumerate(pool_ids) if i is not None]
+    pool_on = [p for p, t in enumerate(pool) if _on_tape(t)]
     need_in = need_beta or bool(pool_on)
 
     wb, c0, c1 = plan.beta_coefficients() if need_beta else plan.coef
@@ -683,15 +679,15 @@ def mixed_step(beta, gamma, pair_candidates: list, prim_params: dict, hidden: in
     wg = _softmax_np(plan.gamma) if need_gamma else plan.wg
     out = ad.weighted_sum(outs, wg)
     needs = plan.needs[need_in]
-    logit_ids = [i for i, need in zip(ids, (need_beta, need_gamma)) if need]
-    parents = logit_ids + ids[2 + len(pool):] + [pool_ids[p] for p in pool_on] * 2
+    taped_pool = [pool[p] for p in pool_on]
+    operands = [beta, gamma, *(prim_params[n] for n in plan.taped), *taped_pool, *taped_pool]
 
     def backward(g):
         gsum, att, glu, fc, _ = (
             vjp(g * wg[p], need) if any(need) else (None,) * len(need)
             for p, (vjp, need) in enumerate(zip(vjps, needs))
         )
-        grads = []
+        grads = [None, None]  # beta's and gamma's
         if need_in:
             dcc = fc[0] + glu[0]
             d_in0 = (att[0] + gsum[0]) + dcc[:, :hidden]
@@ -700,17 +696,17 @@ def mixed_step(beta, gamma, pair_candidates: list, prim_params: dict, hidden: in
             gc0 = np.array([np.vdot(d_in0, d) for d in datas])
             gc1 = np.array([np.vdot(d_in1, d) for d in datas])
             dwb = scatter[1].T @ gc1 + scatter[0].T @ gc0
-            grads.append((dwb - np.sum(dwb * wb, axis=0, keepdims=True)) * wb)
+            grads[0] = (dwb - np.sum(dwb * wb, axis=0, keepdims=True)) * wb
         if need_gamma:
             gc = np.array([np.vdot(g, o) for o in outs])
-            grads.append((gc - np.sum(gc * wg, axis=0, keepdims=True)) * wg)
+            grads[1] = (gc - np.sum(gc * wg, axis=0, keepdims=True)) * wg
         grads.extend(dw for dw in (*att[2:], *glu[1:], *fc[1:]) if dw is not None)
         grads.extend(d_in1 * c1[p] for p in pool_on)
         grads.extend(d_in0 * c0[p] for p in pool_on)
         return grads
 
     try:
-        return ad.record("mixed_step", tape, parents, backward, out)
+        return ad.fused("mixed_step", operands, out, backward)
     except NonFiniteError:
         parts = [("slot input 0", in0), ("slot input 1", in1)]
         parts += [(f"{op} output", o) for op, o in zip(PRIMITIVES, outs)]

@@ -78,6 +78,9 @@ def test_mixing_two_tapes_rejected():
     b = t2.leaf([1.0], "b")
     with pytest.raises(AutodiffError, match="different tapes"):
         ad.add(a, b)
+    with pytest.raises(AutodiffError, match="different tapes"):
+        ad.fused("f", [a, np.ones(1), b], 0.0, lambda g: (g, g, g))
+    assert len(t1) == 1 and len(t2) == 1
 
 
 def test_backward_repeated_is_bit_identical():
@@ -351,3 +354,86 @@ def test_leaves_are_named_leaves_of_the_views():
     assert all(leaves[k].data is views[k] for k in views)
     grads = tape.backward(ad.tsum(ad.mul(leaves["b"], leaves["b"])))
     np.testing.assert_array_equal(grads.flat(leaves), [0.0, 0.0, 0.0, 2.0, 4.0, 6.0])
+
+
+# --- the ``fused`` contract: every node is recorded through it ---
+
+
+def test_fused_adds_a_repeated_operands_gradients_in_list_order():
+    # each row of the three gradients sums to a different float in another order
+    parts = [np.array([1.0, 1e-16, 3.0]), np.array([1e-16, -1.0, 0.1]), np.array([-1.0, 1.0, 0.2])]
+    in_order = (parts[0] + parts[1]) + parts[2]
+    assert in_order.tobytes() != (parts[0] + (parts[1] + parts[2])).tobytes()
+    assert in_order.tobytes() != ((parts[2] + parts[1]) + parts[0]).tobytes()
+    tape = Tape()
+    x = tape.leaf(np.ones(3), "x")
+    w = tape.leaf(np.ones(1), "w")
+    root = ad.fused("rep", [x, w, x, x], 0.0, lambda g: (g * parts[0], g * np.ones(1), g * parts[1], g * parts[2]))
+    grads = tape.backward(root)
+    assert grads.of(x).tobytes() == in_order.tobytes()
+    np.testing.assert_array_equal(grads.of(w), [1.0])
+
+
+def test_fused_skips_a_none_gradient():
+    tape = Tape()
+    x, y = tape.leaf([1.0, 2.0], "x"), tape.leaf([3.0], "y")
+    root = ad.fused("skip", [x, y, x], 0.0, lambda g: (None, g * np.ones(1), g * np.array([4.0, 5.0])))
+    grads = tape.backward(root)
+    np.testing.assert_array_equal(grads.of(x), [4.0, 5.0])
+    np.testing.assert_array_equal(grads.of(y), [1.0])
+    root = ad.fused("none", [x, y], 0.0, lambda g: (None, None))
+    grads = tape.backward(root)
+    np.testing.assert_array_equal(grads.of(x), [0.0, 0.0])
+    np.testing.assert_array_equal(grads.of(y), [0.0])
+
+
+def test_fused_gives_raw_and_off_tape_operands_no_gradient():
+    tape = Tape()
+    x = tape.leaf([1.0, 2.0], "x")
+    raw, const = np.array([5.0, 6.0]), ad.constant([7.0, 8.0])
+    calls = []
+
+    def backward(g):
+        calls.append(g)
+        return g * raw, g * np.ones(2), g * np.ones(2)
+
+    out = ad.fused("sum3", [x, raw, const], np.sum(x.data * raw), backward)
+    assert out.tape is tape and out.node_id == len(tape) - 1
+    np.testing.assert_array_equal(tape.backward(out).of(x), [5.0, 6.0])
+    assert len(calls) == 1
+    with pytest.raises(AutodiffError, match="not on the tape"):
+        tape.backward(out).of(const)
+    # with no operand on a tape the value comes back as a constant, and nothing is recorded
+    size = len(tape)
+    off = ad.fused("off", [raw, const], raw + const.data, backward)
+    assert off.tape is None and off.node_id is None and len(tape) == size
+    np.testing.assert_array_equal(off.data, [12.0, 14.0])
+
+
+def test_fused_rejects_a_non_finite_raw_operand_or_output_and_records_nothing():
+    tape = Tape()
+    x = tape.leaf([1.0], "x")
+    with pytest.raises(NonFiniteError, match="tensor literal contains NaN or Inf"):
+        ad.fused("f", [x, np.array([np.nan])], 0.0, lambda g: (g, g))
+    with pytest.raises(NonFiniteError, match=r"^f: non-finite output$"):
+        ad.fused("f", [x], np.array([np.inf]), lambda g: (g,))
+    with pytest.raises(NonFiniteError, match=r"^f: non-finite output$"):
+        ad.fused("f", [np.ones(1)], np.array([np.nan]), lambda g: (g,))
+    assert len(tape) == 1
+
+
+def test_fused_node_with_a_repeated_and_a_raw_operand_matches_finite_differences():
+    # f(x, y) = sum(tanh(x) * c * x * y) as one node over [x, c, y, x], c raw
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal((3, 2))
+
+    def build(p):
+        x, y = p["x"].data, p["y"].data
+        t = np.tanh(x)
+
+        def backward(g):
+            return g * (1.0 - t * t) * c * x * y, g * t * x * y, g * t * c * x, g * t * c * y
+
+        return ad.fused("tanh_prod", [p["x"], c, p["y"], p["x"]], np.sum(t * c * x * y), backward)
+
+    check_gradients(build, {"x": rng.standard_normal((3, 2)), "y": rng.standard_normal((3, 2))}, tol=1e-6)

@@ -105,9 +105,18 @@ def test_duplicate_names_rejected(tmp_path):
 
 def test_non_finite_values_rejected(tmp_path):
     path = tmp_path / "w.mmnw"
-    save_weights(path, {"w": np.array([1.0, np.inf])})
-    with pytest.raises(CheckpointError, match="non-finite values in 'w' at offset"):
+    path.write_bytes(b"MMNW" + (1).to_bytes(4, "little") + (1).to_bytes(4, "little") + _entry(b"w", (2,), [1.0, np.inf]))
+    with pytest.raises(CheckpointError, match="non-finite values in 'w' at offset 20"):
         load_weights(path)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_save_refuses_non_finite_values_and_writes_nothing(tmp_path, bad):
+    path = tmp_path / "w.mmnw"
+    weights = {**_weights(), "cell0/out/b": np.array([0.5, bad, 1.0])}
+    with pytest.raises(CheckpointError, match="non-finite values in 'cell0/out/b'"):
+        save_weights(path, weights)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_truncation_and_byte_flip_is_a_checkpoint_error_or_a_clean_load(tmp_path):

@@ -217,6 +217,69 @@ def test_a_diverging_fit_gives_one_structured_error_with_its_position(tmp_path, 
     assert err["error"].startswith("fit: non-finite loss at epoch 1 batch 1: ")
 
 
+def _diverging_pretrain_config(tmp_path, tiny_config, lr):
+    # one pretraining step, of a learning rate near the float64 maximum
+    doc = json.loads(open(tiny_config).read())
+    doc["pipeline"].update(pretrain_lr=lr, pretrain_epochs=1, pretrain_batch_size=1000)
+    path = tmp_path / "diverging.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _one_error_line(capsys) -> dict:
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    return json.loads(line)
+
+
+def test_a_non_finite_frozen_encoding_gives_one_structured_error(tmp_path, tiny_config, capsys):
+    # the step leaves finite weights whose encoding overflows; it used to end in a traceback
+    config = _diverging_pretrain_config(tmp_path, tiny_config, 1e308)
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run-all", "--config", config, "--out-dir", str(out)])
+    assert code == 1
+    err = _one_error_line(capsys)
+    assert err["type"] == "PipelineError"
+    assert err["error"].startswith("fit: non-finite frozen encoding: ")
+    assert (out / ".incomplete").exists() and not (out / "model.mmnw").exists()
+
+
+def test_a_non_finite_test_set_encoding_gives_one_structured_error(tmp_path, tiny_config, capsys, monkeypatch):
+    import mmnas.pipeline
+
+    encode, calls = mmnas.pipeline.encode_dataset, []
+
+    def overflowing_second_call(encoder, weights, ds):
+        calls.append(len(ds))
+        if len(calls) == 2:  # the test set's, after the classifier is fitted
+            weights = {name: w * 1e300 for name, w in weights.items()}
+        return encode(encoder, weights, ds)
+
+    monkeypatch.setattr(mmnas.pipeline, "encode_dataset", overflowing_second_call)
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run-all", "--config", tiny_config, "--out-dir", str(out)])
+    assert code == 1 and len(calls) == 2
+    err = _one_error_line(capsys)
+    assert err["type"] == "PipelineError"
+    assert err["error"].startswith("fit: non-finite test-set encoding: ")
+    assert (out / ".incomplete").exists()
+
+
+def test_pretrain_refuses_to_write_a_checkpoint_its_loader_refuses(tmp_path, tiny_config, capsys):
+    # the stage's last step overflows a weight to inf, and no later batch reads it
+    config = _diverging_pretrain_config(tmp_path, tiny_config, 1.7e308)
+    out = tmp_path / "o"
+    assert main(["search", "--config", config, "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["pretrain", "--config", config, "--genotype", str(out / "genotype.json"), "--out-dir", str(out)])
+    assert code == 1
+    err = _one_error_line(capsys)
+    assert err["type"] == "CheckpointError" and "non-finite values in 'cell0/" in err["error"]
+    assert (out / ".incomplete").exists() and not (out / "encoder.mmnw").exists()
+
+
 def test_search_with_unusable_genotype_writes_nothing(tmp_path, tiny_config, monkeypatch, capsys):
     import mmnas.bilevel
     from mmnas.searchspace import CellGene, Genotype
