@@ -31,8 +31,6 @@ class CheckpointError(ValueError):
 
 
 def save_weights(path, weights: dict) -> None:
-    """Write ``weights`` atomically; a non-finite array, which ``load_weights``
-    would refuse, raises ``CheckpointError`` before the file is opened."""
     names = sorted(weights)
     arrays = [np.ascontiguousarray(weights[name], dtype="<f8") for name in names]
     for name, arr in zip(names, arrays):

@@ -360,7 +360,7 @@ def test_leaves_are_named_leaves_of_the_views():
 
 
 def test_fused_adds_a_repeated_operands_gradients_in_list_order():
-    # each row of the three gradients sums to a different float in another order
+    # summed in another order, the three gradients give other floats
     parts = [np.array([1.0, 1e-16, 3.0]), np.array([1e-16, -1.0, 0.1]), np.array([-1.0, 1.0, 0.2])]
     in_order = (parts[0] + parts[1]) + parts[2]
     assert in_order.tobytes() != (parts[0] + (parts[1] + parts[2])).tobytes()
