@@ -31,7 +31,7 @@ for seed in (0, 1, 2):
         ds, space, scfg, ccfg, PipelineConfig(labeled_ratio=r), seed=seed
     )
     for rep in reports:
-        print(f"  seed {seed} [{rep.stage}] {rep.metrics}")
+        print(f"  seed {seed} [{rep['stage']}] {rep['metrics']}")
     full.append(art["weighted_f1"])
 
     # same genotype, same seed, no pretraining: the encoder stays random

@@ -14,7 +14,7 @@ from .autodiff import Tape, Tensor
 from .bilevel import SearchConfig, SearchState, run_search
 from .contrastive import ContrastiveConfig, ntxent_loss
 from .data import Dataset, SyntheticSpec, generate, split
-from .pipeline import PipelineConfig, StageReport, run_pipeline, weighted_f1
+from .pipeline import PipelineConfig, run_pipeline, weighted_f1
 from .searchspace import (
     ArchParams,
     Genotype,
@@ -37,7 +37,6 @@ __all__ = [
     "generate",
     "split",
     "PipelineConfig",
-    "StageReport",
     "run_pipeline",
     "weighted_f1",
     "ArchParams",

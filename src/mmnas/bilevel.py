@@ -2,7 +2,9 @@
 
 Each epoch runs two phases over disjoint unlabeled splits: the train phase
 steps only the operator weights w (momentum SGD), the valid phase steps
-only the architecture logits alpha/beta/gamma (Adam). Both phases minimize
+only the architecture logits alpha/beta/gamma (Adam, with its default
+betas and eps; the logits start from ``ArchParams.init``'s default scale).
+Only the two rates and the momentum are configurable. Both phases minimize
 the same two-view contrastive objective; no inner-loop unrolling, plain
 first-order alternation. The train phase differentiates only w, the
 valid phase only the logits: a phase puts the views of the one vector it
@@ -78,16 +80,12 @@ class SearchConfig:
     lr_weights: float = 0.05
     momentum: float = 0.9
     lr_arch: float = 0.03
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    arch_init_scale: float = 1e-3
     seed: int = 0
 
     def __post_init__(self):
         for name in ("max_epochs", "batch_size", "seed"):
             integer(getattr(self, name), name)
-        for name in ("lr_weights", "momentum", "lr_arch", "adam_beta1", "adam_beta2", "adam_eps", "arch_init_scale"):
+        for name in ("lr_weights", "momentum", "lr_arch"):
             real(getattr(self, name), name)
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
@@ -106,14 +104,14 @@ class SearchConfig:
 @dataclass
 class SearchState:
     """Search progress. ``weights`` are copied into one owned vector,
-    ``flat_weights``, and the dict then holds views of it (``util.flat_views``)."""
+    ``flat_weights``, and the dict then holds views of it (``util.flat_views``).
+    The epoch rows are not kept here: each goes to the ``report`` callback."""
 
     arch: ArchParams
     weights: dict
     best_arch: ArchParams
     best_valid_loss: float = float("inf")
     epoch: int = 0
-    history: list = field(default_factory=list)
     flat_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -265,7 +263,9 @@ def train_epoch(batches, batch_loss, stepped, opt, error, *, epoch, phase, lr, b
     flat)``, or None for a pass that steps nothing) as its leaves, and
     ``batch_loss(bi, batch, leaves)`` computes the loss. A ``NonFiniteError``
     or ``ContrastiveError`` raised there becomes ``error(failure, "batch
-    <bi>: <cause>")``, chained from it; otherwise ``opt`` steps ``flat``. The
+    <bi>: <cause>")``, chained from it; otherwise ``opt`` steps ``flat``,
+    with overflow warnings off: a step that leaves ``flat`` non-finite is
+    refused by the next batch's ``Tape.leaves`` or by ``save_weights``. The
     row ``{epoch, phase, mean_loss, lr, wallclock_ms, best_so_far}`` takes
     ``best_so_far`` from ``best(mean_loss)`` (None without ``best``) and is
     also passed to ``report``.
@@ -281,7 +281,9 @@ def train_epoch(batches, batch_loss, stepped, opt, error, *, epoch, phase, lr, b
             failure = "non-finite loss" if isinstance(e, NonFiniteError) else "contrastive loss failed"
             raise error(failure, f"batch {bi}: {e}") from e
         if stepped:
-            opt.step(stepped[1], tape.backward(loss).flat(leaves))
+            grad = tape.backward(loss).flat(leaves)
+            with np.errstate(over="ignore", invalid="ignore"):
+                opt.step(stepped[1], grad)
         losses.append(float(loss.data))
     mean_loss = float(np.mean(losses))
     row = {
@@ -379,7 +381,6 @@ def search_epoch(
                               best=best, report=report)
             records.append(row)
     state.epoch = epoch
-    state.history.extend(records)
     return records
 
 
@@ -389,7 +390,7 @@ def init_search_state(scfg: SearchConfig, space: SearchSpaceConfig, ccfg: Contra
     rng_w = seeded_rng(scfg.seed, TAG_WEIGHT_INIT)
     weights = encoder.init_weights(rng_w)
     weights.update(head.init_weights(rng_w))
-    arch = ArchParams.init(space, seeded_rng(scfg.seed, TAG_ARCH_INIT), scfg.arch_init_scale)
+    arch = ArchParams.init(space, seeded_rng(scfg.seed, TAG_ARCH_INIT))
     return SearchState(arch=arch, weights=weights, best_arch=arch.copy())
 
 
@@ -417,7 +418,7 @@ def run_search(
     head = ProjectionHead(space.hidden_dim, ccfg.proj_hidden_dim, ccfg.proj_dim)
     state = init_search_state(scfg, space, ccfg)
     opt_w = MomentumSGD(scfg.lr_weights, scfg.momentum)
-    opt_arch = Adam(scfg.lr_arch, scfg.adam_beta1, scfg.adam_beta2, scfg.adam_eps)
+    opt_arch = Adam(scfg.lr_arch)
     for _ in range(scfg.max_epochs):
         search_epoch(state, train, valid, scfg, ccfg, encoder, head, opt_w, opt_arch, report)
     genotype = derive_genotype(state.best_arch)

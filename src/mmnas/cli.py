@@ -11,7 +11,9 @@ search, pretrain, fit and run-all share one runner: each calls
 ``--weights``, stops after the stage it names (fit and run-all run to the
 end), and ends the log with one ``command`` row (command, config,
 genotype hash, weighted F1). Each sweep-r cell is a run-all. eval only
-scores a model and runs no stage.
+scores a model and runs no stage; its log gets one row shaped like a stage
+row. ``_Reporter`` is the one place that stamps provenance: every row it
+writes carries the config hash, the build id and the seed.
 """
 
 from __future__ import annotations
@@ -26,9 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from . import data as dataio
+from .autodiff import NonFiniteError
 from .checkpoint import load_weights
 from .config import ConfigError, RunConfig, build_id
-from .pipeline import StageReport, predict_bits, run_pipeline, weighted_f1
+from .pipeline import predict_bits, run_pipeline, weighted_f1
 from .searchspace import Genotype, instantiate, validate_genotype
 from .util import atomic_open
 
@@ -38,7 +41,8 @@ class CliError(RuntimeError):
 
 
 class _Reporter:
-    """Appends one canonical JSON object per record to reports.jsonl."""
+    """Appends one canonical JSON object per record to reports.jsonl,
+    stamped with the run's config hash, build id and seed."""
 
     def __init__(self, out_dir: Path, config_hash: str, bid: str, seed: int):
         self.path = out_dir / "reports.jsonl"
@@ -134,19 +138,13 @@ def cmd_eval(args) -> int:
         splits = dataio.split(ds, cfg.pipeline.labeled_ratio, cfg.seed)
         if len(splits.test) == 0:
             raise CliError("test split is empty at this labeled_ratio")
-        preds = predict_bits(encoder, model, splits.test, cfg.pipeline.classifier_loss)
+        try:
+            preds = predict_bits(encoder, model, splits.test, cfg.pipeline.classifier_loss)
+        except NonFiniteError as e:
+            raise CliError(f"eval: non-finite test-set encoding: {e}") from e
         score = weighted_f1(preds, splits.test.labels_matrix())
-    reporter(
-        StageReport(
-            stage="eval",
-            seed=cfg.seed,
-            metrics={"weighted_f1": score},
-            genotype_hash=None,
-            duration_s=time.perf_counter() - t0,
-            config_hash=cfg.hash(),
-            build_id=build_id(),
-        ).to_dict()
-    )
+    reporter({"stage": "eval", "metrics": {"weighted_f1": score}, "genotype_hash": None,
+              "duration_s": round(time.perf_counter() - t0, 6)})
     reporter.close()
     print(f"weighted_f1 = {score:.6f}")
     return 0
@@ -179,8 +177,6 @@ def _run_stages(cfg: RunConfig, out: Path, command: str, data_path, last_stage="
             out_dir=out,
             genotype=genotype,
             pretrained=pretrained,
-            config_hash=cfg.hash(),
-            build_id=build_id(),
             report=reporter,
             last_stage=last_stage,
         )
@@ -205,7 +201,7 @@ def cmd_run(args) -> int:
     genotype, weights = getattr(args, "genotype", None), getattr(args, "weights", None)
     reports, artifacts = _run_stages(cfg, out, args.command, args.data, args.last_stage, genotype, weights)
     for rep in reports:
-        print(f"[{rep.stage}] " + ", ".join(f"{k}={v}" for k, v in rep.metrics.items()))
+        print(f"[{rep['stage']}] " + ", ".join(f"{k}={v}" for k, v in rep["metrics"].items()))
     print(f"genotype {artifacts['genotype'].hash()}")
     if "weighted_f1" in artifacts:
         print(f"weighted_f1 = {artifacts['weighted_f1']:.6f}")

@@ -8,11 +8,14 @@ reports the support-weighted F1 over the held-out test split.
 
 ``run_pipeline`` is the only code that runs the stages: every CLI command
 that trains (search, pretrain, fit, run-all, sweep-r) calls it, stopping
-after its last stage and starting from the artifacts it is given. Both
-training stages here run each epoch through ``bilevel.train_epoch``, as
-the search does; each keeps its own seeded draws, batches and
-``best_so_far`` rule, and a failed loss raises ``PipelineError`` naming
-the stage, epoch and batch.
+after its last stage and starting from the artifacts it is given. Each
+stage it runs gives one plain row, ``{stage, metrics, genotype_hash,
+duration_s}``; provenance is stamped by the caller's ``report`` (the CLI
+adds the config hash, build id and seed to every row). Both training
+stages here run each epoch through ``bilevel.train_epoch``, as the search
+does; each keeps its own seeded draws, batches and ``best_so_far`` rule,
+and a failed loss raises ``PipelineError`` naming the stage, epoch and
+batch.
 
 Pretraining takes the augmented view batches of all its epochs from one
 ``bilevel.view_stream``: a forked worker computes them ahead of training
@@ -98,28 +101,6 @@ class PipelineConfig:
         from dataclasses import asdict
 
         return asdict(self)
-
-
-@dataclass
-class StageReport:
-    stage: str
-    seed: int
-    metrics: dict
-    genotype_hash: str | None
-    duration_s: float
-    config_hash: str = ""
-    build_id: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "seed": self.seed,
-            "metrics": self.metrics,
-            "genotype_hash": self.genotype_hash,
-            "duration_s": round(self.duration_s, 6),
-            "config_hash": self.config_hash,
-            "build_id": self.build_id,
-        }
 
 
 def _error(stage: str, epoch: int):
@@ -334,8 +315,6 @@ def run_pipeline(
     out_dir=None,
     genotype: Genotype | None = None,
     pretrained: dict | None = None,
-    config_hash: str = "",
-    build_id: str = "",
     report=None,
     last_stage: str = "fit",
 ):
@@ -344,9 +323,10 @@ def run_pipeline(
     A supplied ``genotype`` skips the search and supplied ``pretrained``
     weights skip pretraining; ``pcfg.pretrain_epochs=0`` pretrains to the
     initialization, the random-encoder baseline. Every stage that runs
-    appends a ``StageReport`` (also passed to ``report``) and, when
+    appends a row ``{stage, metrics, genotype_hash, duration_s}`` (also
+    passed to ``report``, which stamps any provenance) and, when
     ``out_dir`` is given, writes its artifact there: ``genotype.json``,
-    ``encoder.mmnw``, ``model.mmnw``. Returns (reports, artifacts);
+    ``encoder.mmnw``, ``model.mmnw``. Returns (rows, artifacts);
     artifacts hold the genotype and, as their stages are reached, the
     encoder weights, the fitted model and the test weighted F1 (absent
     when the test split is empty).
@@ -356,25 +336,18 @@ def run_pipeline(
     stages = ("search", "pretrain", "fit")
     if last_stage not in stages:
         raise PipelineError(f"last_stage must be one of {stages}, got {last_stage!r}")
-    reports: list[StageReport] = []
+    reports: list[dict] = []
     splits: SplitSet = split(dataset, pcfg.labeled_ratio, seed)
     out = pathlib.Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
     def stamp(stage, metrics, t0):
-        rep = StageReport(
-            stage=stage,
-            seed=seed,
-            metrics=metrics,
-            genotype_hash=genotype.hash(),
-            duration_s=time.perf_counter() - t0,
-            config_hash=config_hash,
-            build_id=build_id,
-        )
-        reports.append(rep)
+        row = {"stage": stage, "metrics": metrics, "genotype_hash": genotype.hash(),
+               "duration_s": round(time.perf_counter() - t0, 6)}
+        reports.append(row)
         if report is not None:
-            report(rep.to_dict())
+            report(row)
 
     if genotype is None:
         if len(splits.search_train) == 0 or len(splits.search_valid) == 0:

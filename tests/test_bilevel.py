@@ -89,21 +89,28 @@ def test_phase_discipline_is_bitwise():
     assert "w_after_train" in seen
 
 
+def _search_rows(scfg, space, train, valid):
+    """``run_search``'s (genotype, state) and the epoch rows it reported."""
+    rows = []
+    genotype, state = run_search(scfg, space, CCFG, train, valid, report=rows.append)
+    return genotype, state, rows
+
+
 def test_full_run_determinism():
     train, valid, space = _setup(seed=3)
     scfg = SearchConfig(max_epochs=2, batch_size=8, seed=5)
-    g1, s1 = run_search(scfg, space, CCFG, train, valid)
-    g2, s2 = run_search(scfg, space, CCFG, train, valid)
+    g1, s1, rows1 = _search_rows(scfg, space, train, valid)
+    g2, s2, rows2 = _search_rows(scfg, space, train, valid)
     assert g1.hash() == g2.hash()
-    assert [r["mean_loss"] for r in s1.history] == [r["mean_loss"] for r in s2.history]
+    assert [r["mean_loss"] for r in rows1] == [r["mean_loss"] for r in rows2]
     assert s1.best_valid_loss == s2.best_valid_loss
 
 
 def test_different_seed_changes_trajectory_but_keeps_invariants():
     train, valid, space = _setup(seed=4)
-    g1, s1 = run_search(SearchConfig(max_epochs=1, batch_size=8, seed=1), space, CCFG, train, valid)
-    g2, s2 = run_search(SearchConfig(max_epochs=1, batch_size=8, seed=2), space, CCFG, train, valid)
-    assert [r["mean_loss"] for r in s1.history] != [r["mean_loss"] for r in s2.history]
+    g1, s1, rows1 = _search_rows(SearchConfig(max_epochs=1, batch_size=8, seed=1), space, train, valid)
+    g2, s2, rows2 = _search_rows(SearchConfig(max_epochs=1, batch_size=8, seed=2), space, train, valid)
+    assert [r["mean_loss"] for r in rows1] != [r["mean_loss"] for r in rows2]
     for state in (s1, s2):
         for vec in state.arch.named().values():
             e = np.exp(vec - vec.max())
@@ -112,8 +119,8 @@ def test_different_seed_changes_trajectory_but_keeps_invariants():
 
 def test_best_checkpoint_is_monotone():
     train, valid, space = _setup(seed=6)
-    _, state = run_search(SearchConfig(max_epochs=4, batch_size=8, seed=7), space, CCFG, train, valid)
-    bests = [r["best_so_far"] for r in state.history if r["phase"] == "eval"]
+    _, state, rows = _search_rows(SearchConfig(max_epochs=4, batch_size=8, seed=7), space, train, valid)
+    bests = [r["best_so_far"] for r in rows if r["phase"] == "eval"]
     assert all(b2 <= b1 for b1, b2 in zip(bests, bests[1:]))
     assert state.best_valid_loss == bests[-1]
 
@@ -452,7 +459,7 @@ def _search_with_both_sets_on_the_tape(train, valid, space, scfg):
 
     opts = (
         (weights, MomentumSGDOracle(scfg.lr_weights, scfg.momentum)),
-        (arch, AdamOracle(scfg.lr_arch, scfg.adam_beta1, scfg.adam_beta2, scfg.adam_eps)),
+        (arch, AdamOracle(scfg.lr_arch, 0.9, 0.999, 1e-8)),
     )
     mean_losses, best, best_arch = [], float("inf"), None
     for epoch in range(scfg.max_epochs):
@@ -488,10 +495,10 @@ def test_phase_only_tapes_and_flat_steps_are_bitwise_the_full_tape_search():
     train, valid, space = _setup(n=60, seed=13, hidden=4)
     scfg = SearchConfig(max_epochs=2, batch_size=8, seed=14)
     weights, arch, mean_losses, best_arch = _search_with_both_sets_on_the_tape(train, valid, space, scfg)
-    _, state = run_search(scfg, space, CCFG, train, valid)
+    _, state, rows = _search_rows(scfg, space, train, valid)
     assert _weights_bytes(state.weights) == _weights_bytes(weights)
     assert _weights_bytes(state.arch.named()) == _weights_bytes(arch)
-    assert [r["mean_loss"] for r in state.history] == mean_losses
+    assert [r["mean_loss"] for r in rows] == mean_losses
     assert _weights_bytes(state.best_arch.named()) == _weights_bytes(best_arch)
 
 

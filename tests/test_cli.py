@@ -428,3 +428,77 @@ def test_run_all_log_holds_what_the_benchmark_reads(tmp_path, tiny_config):
     reported = [h["weighted_f1"] for r in rows for h in (r, r.get("metrics") or {}) if "weighted_f1" in h]
     assert len(reported) == 2 and all(f == f1 for f in reported)
     assert not (out / ".incomplete").exists()
+
+
+def test_every_row_carries_the_provenance_of_its_run(tmp_path, tiny_config):
+    from mmnas.config import build_id
+
+    cfg = RunConfig.from_file(tiny_config)
+    staged, full, sweep, e = (tmp_path / name for name in ("staged", "full", "sweep", "eval"))
+    common = ["--config", tiny_config, "--out-dir", str(staged)]
+    genotype = str(staged / "genotype.json")
+    assert main(["search", *common]) == 0
+    assert main(["pretrain", *common, "--genotype", genotype]) == 0
+    assert main(["fit", *common, "--genotype", genotype, "--weights", str(staged / "encoder.mmnw")]) == 0
+    weights = str(staged / "model.mmnw")
+    assert main(["eval", "--config", tiny_config, "--genotype", genotype, "--weights", weights, "--out-dir", str(e)]) == 0
+    assert main(["run-all", "--config", tiny_config, "--out-dir", str(full)]) == 0
+    assert main(["sweep-r", "--config", tiny_config, "--out-dir", str(sweep), "--r-grid", "0.3", "--seeds", "1"]) == 0
+    cell = cfg.with_seed(1)
+    stamps = {"config_hash", "build_id", "seed"}
+    for log, run in ((staged, cfg), (e, cfg), (full, cfg), (sweep / "r0.3_seed1", cell)):
+        rows = _reports(log)
+        assert rows
+        for row in rows:
+            assert (row["config_hash"], row["build_id"], row["seed"]) == (run.hash(), build_id(), run.seed)
+            if "stage" in row:
+                assert set(row) == {"stage", "metrics", "genotype_hash", "duration_s"} | stamps, row
+            if "command" in row:
+                assert RunConfig.from_dict(row["config"]) == run
+    assert [r["stage"] for r in _reports(e)] == ["eval"]
+
+
+def test_eval_of_a_model_whose_test_encoding_overflows_gives_one_structured_error(tmp_path, tiny_config, capsys):
+    from mmnas.checkpoint import load_weights, save_weights
+
+    out = tmp_path / "r"
+    assert main(["run-all", "--config", tiny_config, "--out-dir", str(out)]) == 0
+    huge = tmp_path / "huge.mmnw"
+    save_weights(huge, {name: w * 1e300 for name, w in load_weights(out / "model.mmnw").items()})
+    capsys.readouterr()
+    argv = ["eval", "--config", tiny_config, "--genotype", str(out / "genotype.json"), "--weights", str(huge),
+            "--out-dir", str(tmp_path / "e")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(argv)
+    assert code == 1
+    err = _one_error_line(capsys)
+    assert err["type"] == "CliError"
+    assert err["error"].startswith("eval: non-finite test-set encoding: ")
+
+
+def test_a_diverging_optimizer_step_prints_only_its_error_line(tmp_path):
+    # numpy's overflow warning from the Adam step used to come before the error line
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    fixtures = root / "perfbench" / "fixtures"
+    doc = json.loads((fixtures / "derived-pipeline.json").read_text())
+    doc["pipeline"]["clf_lr"] = 1e308
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    argv = ["run-all", "--config", str(config), "--genotype", str(fixtures / "derived-genotype.json"),
+            "--out-dir", str(tmp_path / "o")]
+    done = subprocess.run([sys.executable, "-m", "mmnas.cli", *argv], env=env, capture_output=True, text=True,
+                          timeout=600)
+    assert done.returncode == 1
+    assert "RuntimeWarning" not in done.stderr
+    (line,) = done.stderr.strip().splitlines()
+    err = json.loads(line)
+    assert err["type"] == "PipelineError"
+    assert err["error"].startswith("fit: non-finite loss at epoch 1 batch 1: ")
+    assert not (tmp_path / "o" / "model.mmnw").exists()

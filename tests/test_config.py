@@ -101,7 +101,6 @@ def test_wrongly_typed_values_raise_config_error(doc, match):
         (ContrastiveConfig, {"mask_prob": False}, ContrastiveError, "mask_prob must be a finite number"),
         (ContrastiveConfig, {"rotate_max_angle": float("inf")}, ContrastiveError, "rotate_max_angle must be a finite"),
         (SearchConfig, {"momentum": None}, ValueError, "momentum must be a finite number"),
-        (SearchConfig, {"adam_eps": float("nan")}, ValueError, "adam_eps must be a finite number"),
     ],
 )
 def test_count_fields_must_be_integers_when_constructed(make, kwargs, error, match):
@@ -163,3 +162,10 @@ def test_build_id_is_computed_once_per_process():
 def test_removed_stage_switches_are_unknown_keys(key):
     with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\] in config section 'pipeline'"):
         RunConfig.from_dict({"pipeline": {key: False}})
+
+
+@pytest.mark.parametrize("key", ["adam_beta1", "adam_beta2", "adam_eps", "arch_init_scale"])
+def test_removed_arch_optimizer_constants_are_unknown_keys(key):
+    # Adam's betas and eps and the logits' init scale are fixed, not configured
+    with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['{key}'\] in config section 'search'"):
+        RunConfig.from_dict({"search": {key: 0.5}})

@@ -11,7 +11,6 @@ from mmnas.checkpoint import load_weights
 from mmnas.pipeline import (
     PipelineConfig,
     PipelineError,
-    StageReport,
     bce_with_logits,
     encode_dataset,
     fit_classifier,
@@ -384,7 +383,7 @@ def test_stage_one_only_emits_genotype_and_search_report(tmp_path):
     space = _space(ds)
     pcfg = _pipe_cfgs()
     reports, artifacts = run_pipeline(ds, space, SCFG, CCFG, pcfg, seed=1, out_dir=tmp_path, last_stage="search")
-    assert [r.stage for r in reports] == ["search"]
+    assert [r["stage"] for r in reports] == ["search"]
     assert (tmp_path / "genotype.json").exists()
     assert not (tmp_path / "encoder.mmnw").exists()
     assert not (tmp_path / "model.mmnw").exists()
@@ -415,7 +414,7 @@ def test_zero_pretrain_epochs_is_the_random_encoder(tmp_path):
     reports, artifacts = run_pipeline(
         ds, space, SCFG, CCFG, _pipe_cfgs(pretrain_epochs=0), seed=4, out_dir=tmp_path, genotype=genotype
     )
-    assert [r.stage for r in reports] == ["pretrain", "fit"]
+    assert [r["stage"] for r in reports] == ["pretrain", "fit"]
     init = pretrain(genotype, space, CCFG, ds, epochs=0, lr=0.0, seed=4)
     saved = load_weights(tmp_path / "encoder.mmnw")
     assert saved.keys() == init.keys()
@@ -436,9 +435,9 @@ def test_label_budget_accounting():
     space = _space(ds)
     pcfg = _pipe_cfgs(labeled_ratio=0.4)
     reports, _ = run_pipeline(ds, space, SCFG, CCFG, pcfg, seed=2)
-    fit_report = [r for r in reports if r.stage == "fit"][0]
+    fit_report = [r for r in reports if r["stage"] == "fit"][0]
     budget = int(np.floor(63 * 0.4))
-    assert fit_report.metrics["labeled_samples"] + fit_report.metrics["test_samples"] == budget
+    assert fit_report["metrics"]["labeled_samples"] + fit_report["metrics"]["test_samples"] == budget
 
 
 def test_pretrained_encoder_beats_random_encoder_on_probe():
@@ -473,19 +472,17 @@ def test_pretrained_encoder_beats_random_encoder_on_probe():
     assert wins >= 1
 
 
-def test_stage_report_serialization_shape():
-    rep = StageReport(
-        stage="fit",
-        seed=3,
-        metrics={"weighted_f1": 0.5},
-        genotype_hash="abc",
-        duration_s=1.23456789,
-        config_hash="ff",
-        build_id="x",
-    )
-    d = rep.to_dict()
-    assert d["stage"] == "fit" and d["metrics"]["weighted_f1"] == 0.5
-    assert "extra" not in d
+def test_stage_rows_are_the_reported_rows_and_carry_no_provenance():
+    ds = _dataset(n=60, seed=17)
+    space = _space(ds)
+    genotype = _genotype(space)
+    reported = []
+    rows, _ = run_pipeline(ds, space, SCFG, CCFG, _pipe_cfgs(), seed=5, genotype=genotype, report=reported.append)
+    assert [r for r in reported if "stage" in r] == rows
+    assert [r["stage"] for r in rows] == ["pretrain", "fit"]
+    for row in rows:
+        assert set(row) == {"stage", "metrics", "genotype_hash", "duration_s"}
+        assert row["genotype_hash"] == genotype.hash() and row["duration_s"] > 0.0
 
 
 def test_softmax_ce_mode_predicts_one_hot():
