@@ -342,7 +342,7 @@ def run_pipeline(
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
-    def stamp(stage, metrics, t0):
+    def record(stage, metrics, t0):
         row = {"stage": stage, "metrics": metrics, "genotype_hash": genotype.hash(),
                "duration_s": round(time.perf_counter() - t0, 6)}
         reports.append(row)
@@ -358,7 +358,7 @@ def run_pipeline(
         t0 = time.perf_counter()
         scfg = SearchConfig(**{**scfg.to_dict(), "seed": seed})
         genotype, state = run_search(scfg, space, ccfg, splits.search_train, splits.search_valid, report=report)
-        stamp("search", {"best_valid_loss": state.best_valid_loss, "epochs": state.epoch}, t0)
+        record("search", {"best_valid_loss": state.best_valid_loss, "epochs": state.epoch}, t0)
         if out is not None:
             with atomic_open(out / "genotype.json") as fh:
                 fh.write(genotype.to_json() + "\n")
@@ -380,7 +380,7 @@ def run_pipeline(
             seed=seed,
             report=report,
         )
-        stamp("pretrain", {"epochs": pcfg.pretrain_epochs}, t0)
+        record("pretrain", {"epochs": pcfg.pretrain_epochs}, t0)
         if out is not None:
             save_weights(out / "encoder.mmnw", pretrained)
     artifacts["encoder_weights"] = pretrained
@@ -410,7 +410,7 @@ def run_pipeline(
         metrics["weighted_f1"] = weighted_f1(preds, splits.test.labels_matrix())
         metrics["test_samples"] = len(splits.test)
         artifacts["weighted_f1"] = metrics["weighted_f1"]
-    stamp("fit", metrics, t0)
+    record("fit", metrics, t0)
     if out is not None:
         save_weights(out / "model.mmnw", model)
     artifacts["model_weights"] = model
