@@ -164,13 +164,12 @@ def constant(value) -> Tensor:
 
 
 class _Node:
-    __slots__ = ("op", "parents", "backward_fn", "shape")
+    __slots__ = ("op", "parents", "backward_fn")
 
-    def __init__(self, op, parents, backward_fn, shape):
+    def __init__(self, op, parents, backward_fn):
         self.op = op
         self.parents = parents
         self.backward_fn = backward_fn
-        self.shape = shape
 
 
 class Gradients:
@@ -210,7 +209,7 @@ class Tape:
         """Register a differentiable leaf (a parameter) on the tape."""
         op = f"leaf:{name}" if name else "leaf"
         arr = _finite(op, value)
-        self._nodes.append(_Node(op, (), None, arr.shape))
+        self._nodes.append(_Node(op, (), None))
         return _checked_tensor(arr, self, len(self._nodes) - 1)
 
     def leaves(self, views: dict, flat: np.ndarray) -> dict:
@@ -226,7 +225,7 @@ class Tape:
         out = {}
         for name, v in views.items():
             out[name] = _checked_tensor(v, self, len(self._nodes))
-            self._nodes.append(_Node(f"leaf:{name}", (), None, v.shape))
+            self._nodes.append(_Node(f"leaf:{name}", (), None))
         return out
 
     def backward(self, root: Tensor) -> Gradients:
@@ -557,5 +556,5 @@ def fused(op: str, operands, value, backward) -> Tensor:
     value = _finite(op, value)
     if tape is None:
         return _checked_tensor(value)
-    tape._nodes.append(_Node(op, tuple(parents), backward, value.shape))
+    tape._nodes.append(_Node(op, tuple(parents), backward))
     return _checked_tensor(value, tape, len(tape._nodes) - 1)

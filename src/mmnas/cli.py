@@ -122,7 +122,6 @@ def _run_guard(out: Path):
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)
     t0 = time.perf_counter()
     if args.predictions:
         doc = json.loads(Path(args.predictions).read_text())
@@ -143,8 +142,10 @@ def cmd_eval(args) -> int:
         except NonFiniteError as e:
             raise CliError(f"eval: non-finite test-set encoding: {e}") from e
         score = weighted_f1(preds, splits.test.labels_matrix())
-    reporter({"stage": "eval", "metrics": {"weighted_f1": score}, "genotype_hash": None,
-              "duration_s": round(time.perf_counter() - t0, 6)})
+    row = {"stage": "eval", "metrics": {"weighted_f1": score}, "genotype_hash": None,
+           "duration_s": round(time.perf_counter() - t0, 6)}
+    reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)  # a failed eval leaves no log behind
+    reporter(row)
     reporter.close()
     print(f"weighted_f1 = {score:.6f}")
     return 0

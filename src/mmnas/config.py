@@ -61,7 +61,8 @@ class SpaceSection:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            integer(getattr(self, f.name), f.name)
+            if integer(getattr(self, f.name), f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

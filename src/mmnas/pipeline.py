@@ -6,6 +6,11 @@ drops the projection head, adds a linear classification layer and fits it
 on the scarce labeled split (encoder frozen by default). Evaluation
 reports the support-weighted F1 over the held-out test split.
 
+Each stage function reads its settings from its validated config section:
+``run_search`` from a ``SearchConfig``, ``pretrain`` and ``fit_classifier``
+from the run's ``PipelineConfig``. So every pretraining and fitting
+setting has one default and one check, both in ``PipelineConfig``.
+
 ``run_pipeline`` is the only code that runs the stages: every CLI command
 that trains (search, pretrain, fit, run-all, sweep-r) calls it, stopping
 after its last stage and starting from the artifacts it is given. Each
@@ -113,17 +118,8 @@ def _error(stage: str, epoch: int):
 # ---------------------------------------------------------------------------
 
 def pretrain(
-    genotype: Genotype,
-    space: SearchSpaceConfig,
-    ccfg: ContrastiveConfig,
-    train: Dataset,
-    *,
-    epochs: int,
-    lr: float,
-    momentum: float = 0.9,
-    batch_size: int = 16,
-    seed: int = 0,
-    report=None,
+    genotype: Genotype, space: SearchSpaceConfig, ccfg: ContrastiveConfig, pcfg: PipelineConfig, train: Dataset,
+    seed: int, report=None,
 ) -> dict:
     """Train w of the instantiated network plus projection head; returns weights."""
     encoder = instantiate(genotype, space)
@@ -131,12 +127,12 @@ def pretrain(
     rng = seeded_rng(seed, TAG_PRETRAIN_INIT)
     weights = encoder.init_weights(rng)
     weights.update(head.init_weights(rng))
-    if epochs == 0:
+    if pcfg.pretrain_epochs == 0:
         return weights
     if len(train) < 2:
         raise PipelineError(f"pretraining split too small for one batch: {len(train)} samples")
     flat, weights = flat_views(weights)
-    opt = MomentumSGD(lr, momentum)
+    opt = MomentumSGD(pcfg.pretrain_lr, pcfg.pretrain_momentum)
     epoch_losses = []
 
     def best(mean_loss):
@@ -147,13 +143,13 @@ def pretrain(
         return contrastive_batch_loss(encoder, head, leaves, None, feats, ccfg.temperature)
 
     # each epoch's rng shuffles its batches, then augments them
-    rngs = [seeded_rng(seed, TAG_PRETRAIN_EPOCH, epoch) for epoch in range(epochs)]
-    n_batches = len(batch_indices(len(train), batch_size))  # the same for every shuffle
-    with view_stream([(train, rng, rng) for rng in rngs], batch_size, ccfg, encoder.sources) as views:
-        for epoch in range(1, epochs + 1):
+    rngs = [seeded_rng(seed, TAG_PRETRAIN_EPOCH, epoch) for epoch in range(pcfg.pretrain_epochs)]
+    n_batches = len(batch_indices(len(train), pcfg.pretrain_batch_size))  # the same for every shuffle
+    with view_stream([(train, rng, rng) for rng in rngs], pcfg.pretrain_batch_size, ccfg, encoder.sources) as views:
+        for epoch in range(1, pcfg.pretrain_epochs + 1):
             batches = itertools.islice(views, n_batches)
             train_epoch(batches, batch_loss, (weights, flat), opt, _error("pretrain", epoch),
-                        epoch=epoch, phase="pretrain", lr=lr, best=best, report=report)
+                        epoch=epoch, phase="pretrain", lr=pcfg.pretrain_lr, best=best, report=report)
     if len(epoch_losses) > 1 and epoch_losses[-1] >= epoch_losses[0]:
         warnings.warn(
             f"contrastive pretraining loss did not decrease "
@@ -200,27 +196,19 @@ def softmax_cross_entropy(logits, targets: np.ndarray):
 
 
 def encode_dataset(encoder, weights: dict, ds: Dataset) -> np.ndarray:
-    """Frozen-encoder embedding of every sample, one forward pass."""
-    return encoder.forward(weights, ds.features).data
+    """Frozen-encoder embedding of every sample, one forward pass; an overflow
+    raises the ``NonFiniteError`` of the node it reaches, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return encoder.forward(weights, ds.features).data
 
 
 def fit_classifier(
-    encoder,
-    encoder_weights: dict,
-    labeled: Dataset,
-    *,
-    epochs: int,
-    lr: float,
-    batch_size: int = 64,
-    seed: int = 0,
-    freeze_encoder: bool = True,
-    classifier_loss: str = "bce",
-    report=None,
+    encoder, encoder_weights: dict, labeled: Dataset, pcfg: PipelineConfig, seed: int, report=None
 ) -> dict:
     """Fit the linear classification layer on labeled data.
 
     Returns the full model weight dict (encoder entries plus clf/W, clf/b).
-    With ``freeze_encoder`` the encoder arrays are reused untouched;
+    With ``pcfg.freeze_encoder`` the encoder arrays are reused untouched;
     otherwise they are copied and fine-tuned alongside the classifier.
     """
     if len(labeled) == 0:
@@ -233,29 +221,29 @@ def fit_classifier(
     rng = seeded_rng(seed, TAG_CLASSIFIER_INIT)
     clf = {"clf/W": rng.standard_normal((hidden, num_labels)) / np.sqrt(hidden), "clf/b": np.zeros(num_labels)}
     # the trainables are views of one vector, copied from the encoder's arrays when fine-tuned
-    flat, trainable = flat_views(clf if freeze_encoder else {**encoder_weights, **clf})
+    flat, trainable = flat_views(clf if pcfg.freeze_encoder else {**encoder_weights, **clf})
     model = {**encoder_weights, **trainable}
-    loss_fn = bce_with_logits if classifier_loss == "bce" else softmax_cross_entropy
-    opt = Adam(lr)
+    loss_fn = bce_with_logits if pcfg.classifier_loss == "bce" else softmax_cross_entropy
+    opt = Adam(pcfg.clf_lr)
     h_frozen = None
-    if freeze_encoder:
+    if pcfg.freeze_encoder:
         try:
             h_frozen = encode_dataset(encoder, model, labeled)
         except ad.NonFiniteError as e:
             raise PipelineError(f"fit: non-finite frozen encoding: {e}") from e
 
     def batch_loss(bi, idx, leaves):
-        if freeze_encoder:
+        if pcfg.freeze_encoder:
             h = ad.constant(h_frozen[idx])
         else:
             h = encoder.forward(leaves, {src: x[idx] for src, x in labeled.features.items()})
         return loss_fn(ad.linear(h, leaves["clf/W"], leaves["clf/b"]), targets[idx])
 
-    for epoch in range(epochs):
+    for epoch in range(pcfg.clf_epochs):
         order = seeded_rng(seed, TAG_CLASSIFIER_EPOCH, epoch).permutation(len(labeled))
-        chunks = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
+        chunks = [order[i : i + pcfg.clf_batch_size] for i in range(0, len(order), pcfg.clf_batch_size)]
         train_epoch(chunks, batch_loss, (trainable, flat), opt, _error("fit", epoch + 1),
-                    epoch=epoch + 1, phase="fit", lr=lr, report=report)
+                    epoch=epoch + 1, phase="fit", lr=pcfg.clf_lr, report=report)
     return model
 
 
@@ -267,7 +255,8 @@ def predict_bits(encoder, model: dict, ds: Dataset, classifier_loss: str = "bce"
         bits = np.zeros_like(logits, dtype=np.uint8)
         bits[np.arange(len(logits)), logits.argmax(axis=1)] = 1
         return bits
-    probs = 1.0 / (1.0 + np.exp(-logits))
+    with np.errstate(over="ignore"):  # exp(-logit) of a very negative logit is inf: probability 0
+        probs = 1.0 / (1.0 + np.exp(-logits))
     return (probs >= PREDICTION_THRESHOLD).astype(np.uint8)
 
 
@@ -368,18 +357,7 @@ def run_pipeline(
 
     if pretrained is None:
         t0 = time.perf_counter()
-        pretrained = pretrain(
-            genotype,
-            space,
-            ccfg,
-            splits.search_train,
-            epochs=pcfg.pretrain_epochs,
-            lr=pcfg.pretrain_lr,
-            momentum=pcfg.pretrain_momentum,
-            batch_size=pcfg.pretrain_batch_size,
-            seed=seed,
-            report=report,
-        )
+        pretrained = pretrain(genotype, space, ccfg, pcfg, splits.search_train, seed, report)
         record("pretrain", {"epochs": pcfg.pretrain_epochs}, t0)
         if out is not None:
             save_weights(out / "encoder.mmnw", pretrained)
@@ -389,18 +367,7 @@ def run_pipeline(
 
     encoder = instantiate(genotype, space)
     t0 = time.perf_counter()
-    model = fit_classifier(
-        encoder,
-        pretrained,
-        splits.labeled_train,
-        epochs=pcfg.clf_epochs,
-        lr=pcfg.clf_lr,
-        batch_size=pcfg.clf_batch_size,
-        seed=seed,
-        freeze_encoder=pcfg.freeze_encoder,
-        classifier_loss=pcfg.classifier_loss,
-        report=report,
-    )
+    model = fit_classifier(encoder, pretrained, splits.labeled_train, pcfg, seed, report)
     metrics = {"labeled_samples": len(splits.labeled_train)}
     if len(splits.test) > 0:
         try:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -235,7 +236,8 @@ def test_a_non_finite_frozen_encoding_gives_one_structured_error(tmp_path, tiny_
     # the step leaves finite weights whose encoding overflows; it used to end in a traceback
     config = _diverging_pretrain_config(tmp_path, tiny_config, 1e308)
     out = tmp_path / "o"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # nor a numpy warning before it
         code = main(["run-all", "--config", config, "--out-dir", str(out)])
     assert code == 1
     err = _one_error_line(capsys)
@@ -257,7 +259,8 @@ def test_a_non_finite_test_set_encoding_gives_one_structured_error(tmp_path, tin
 
     monkeypatch.setattr(mmnas.pipeline, "encode_dataset", overflowing_second_call)
     out = tmp_path / "o"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["run-all", "--config", tiny_config, "--out-dir", str(out)])
     assert code == 1 and len(calls) == 2
     err = _one_error_line(capsys)
@@ -458,22 +461,42 @@ def test_every_row_carries_the_provenance_of_its_run(tmp_path, tiny_config):
     assert [r["stage"] for r in _reports(e)] == ["eval"]
 
 
-def test_eval_of_a_model_whose_test_encoding_overflows_gives_one_structured_error(tmp_path, tiny_config, capsys):
+def _eval_of_changed_model(tmp_path, tiny_config, change) -> list:
+    """``eval`` arguments that score the TINY ``run-all`` model with ``change``
+    applied to its weights, into the fresh directory ``tmp_path / "e"``."""
     from mmnas.checkpoint import load_weights, save_weights
 
     out = tmp_path / "r"
     assert main(["run-all", "--config", tiny_config, "--out-dir", str(out)]) == 0
-    huge = tmp_path / "huge.mmnw"
-    save_weights(huge, {name: w * 1e300 for name, w in load_weights(out / "model.mmnw").items()})
-    capsys.readouterr()
-    argv = ["eval", "--config", tiny_config, "--genotype", str(out / "genotype.json"), "--weights", str(huge),
+    changed = tmp_path / "changed.mmnw"
+    save_weights(changed, change(load_weights(out / "model.mmnw")))
+    return ["eval", "--config", tiny_config, "--genotype", str(out / "genotype.json"), "--weights", str(changed),
             "--out-dir", str(tmp_path / "e")]
-    with np.errstate(over="ignore", invalid="ignore"):
+
+
+def test_eval_of_a_model_whose_test_encoding_overflows_gives_one_structured_error(tmp_path, tiny_config, capsys):
+    argv = _eval_of_changed_model(tmp_path, tiny_config, lambda model: {k: w * 1e300 for k, w in model.items()})
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(argv)
     assert code == 1
     err = _one_error_line(capsys)
     assert err["type"] == "CliError"
     assert err["error"].startswith("eval: non-finite test-set encoding: ")
+    assert not (tmp_path / "e" / "reports.jsonl").exists()
+
+
+def test_eval_of_a_model_whose_probabilities_underflow_to_zero_prints_no_warning(tmp_path, tiny_config, capsys):
+    # exp(-logit) overflows to inf for every logit, so every probability is 0 and no label is predicted
+    argv = _eval_of_changed_model(tmp_path, tiny_config, lambda model: {**model, "clf/b": model["clf/b"] - 1e4})
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "weighted_f1 = 0.000000" in captured.out
+    assert [r["metrics"]["weighted_f1"] for r in _reports(tmp_path / "e")] == [0.0]
 
 
 def test_a_diverging_optimizer_step_prints_only_its_error_line(tmp_path):

@@ -64,13 +64,16 @@ def test_invalid_value_rejected_with_path():
         ({"search": {"lr_weights": float("inf")}}, "section 'search'.*lr_weights must be a finite number"),
         ({"contrastive": {"crop_prob": "0.5"}}, "section 'contrastive'.*crop_prob must be a finite number"),
         ({"search": {"lr_arch": None}}, "section 'search'.*lr_arch must be a finite number"),
+        ({"space": {"hidden_dim": 0}}, "section 'space'.*hidden_dim must be >= 1"),
+        ({"space": {"num_cells": 0}}, "section 'space'.*num_cells must be >= 1"),
+        ({"space": {"steps_per_cell": 0}}, "section 'space'.*steps_per_cell must be >= 1"),
     ],
     ids=["int-section", "list-section", "null-section", "null-seed", "string-seed", "float-seed", "bool-seed",
          "null-data-seed", "list-config", "float-batch-size", "float-max-epochs", "bool-max-epochs",
          "float-hidden-dim", "float-num-cells", "bool-steps-per-cell", "float-pretrain-epochs",
          "float-clf-batch-size", "float-blur-width", "float-proj-dim", "string-freeze-encoder",
          "bool-temperature", "bool-pretrain-lr", "nan-noise-scale", "inf-lr-weights", "string-crop-prob",
-         "null-lr-arch"],
+         "null-lr-arch", "zero-hidden-dim", "zero-num-cells", "zero-steps-per-cell"],
 )
 def test_wrongly_typed_values_raise_config_error(doc, match):
     with pytest.raises(ConfigError, match=match):

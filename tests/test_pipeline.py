@@ -34,6 +34,8 @@ CCFG = ContrastiveConfig()
 IDENTITY_CCFG = ContrastiveConfig(
     crop_prob=0.0, flip_prob=0.0, jitter_prob=0.0, blur_prob=0.0, rotate_prob=0.0, noise_scale=0.0, mask_prob=0.0
 )
+# no pretraining epoch: pretrain returns the initialization
+INIT_ONLY = PipelineConfig(pretrain_epochs=0, pretrain_lr=0.0)
 
 
 def _dataset(n=60, seed=0):
@@ -71,7 +73,7 @@ def test_pretrain_zero_epochs_returns_initialization():
     ds = _dataset()
     space = _space(ds)
     genotype = _genotype(space)
-    weights = pretrain(genotype, space, CCFG, ds, epochs=0, lr=0.1, seed=4)
+    weights = pretrain(genotype, space, CCFG, PipelineConfig(pretrain_epochs=0, pretrain_lr=0.1), ds, seed=4)
     encoder = instantiate(genotype, space)
     rng = seeded_rng(4, TAG_PRETRAIN_INIT)
     fresh = encoder.init_weights(rng)
@@ -86,8 +88,9 @@ def test_pretrain_is_deterministic():
     space = _space(ds)
     genotype = _genotype(space)
     records1, records2 = [], []
-    pretrain(genotype, space, CCFG, ds, epochs=2, lr=0.05, seed=5, report=records1.append)
-    pretrain(genotype, space, CCFG, ds, epochs=2, lr=0.05, seed=5, report=records2.append)
+    pcfg = PipelineConfig(pretrain_epochs=2, pretrain_lr=0.05)
+    pretrain(genotype, space, CCFG, pcfg, ds, seed=5, report=records1.append)
+    pretrain(genotype, space, CCFG, pcfg, ds, seed=5, report=records2.append)
     assert [r["mean_loss"] for r in records1] == [r["mean_loss"] for r in records2]
 
 
@@ -98,7 +101,7 @@ def test_pretrain_warns_when_loss_does_not_decrease():
     space = _space(ds)
     genotype = _genotype(space)
     with pytest.warns(RuntimeWarning, match="did not decrease"):
-        pretrain(genotype, space, IDENTITY_CCFG, ds, epochs=2, lr=0.0, seed=6)
+        pretrain(genotype, space, IDENTITY_CCFG, PipelineConfig(pretrain_epochs=2, pretrain_lr=0.0), ds, seed=6)
 
 
 def test_pretrain_loss_decreases_with_training():
@@ -106,7 +109,8 @@ def test_pretrain_loss_decreases_with_training():
     space = _space(ds)
     genotype = _genotype(space)
     records = []
-    pretrain(genotype, space, CCFG, ds, epochs=4, lr=0.05, seed=7, report=records.append)
+    pcfg = PipelineConfig(pretrain_epochs=4, pretrain_lr=0.05)
+    pretrain(genotype, space, CCFG, pcfg, ds, seed=7, report=records.append)
     assert records[-1]["mean_loss"] < records[0]["mean_loss"]
 
 
@@ -117,7 +121,7 @@ def test_pretrain_wraps_non_finite_loss_with_its_position():
     # one step at this rate sends the weights past float64 range
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(PipelineError, match=r"pretrain: non-finite loss at epoch 1 batch 1: ") as info:
-            pretrain(genotype, space, CCFG, ds, epochs=2, lr=1e300, seed=6)
+            pretrain(genotype, space, CCFG, PipelineConfig(pretrain_epochs=2, pretrain_lr=1e300), ds, seed=6)
     assert isinstance(info.value.__cause__, ad.NonFiniteError)
 
 
@@ -126,15 +130,13 @@ def test_fit_wraps_non_finite_loss_with_its_position(freeze):
     ds = _dataset(n=40)
     space = _space(ds)
     genotype = _genotype(space)
-    weights = pretrain(genotype, space, CCFG, ds, epochs=0, lr=0.0, seed=6)
+    weights = pretrain(genotype, space, CCFG, INIT_ONLY, ds, seed=6)
     # one Adam step at this rate sends the trainables to about 1e308, and the
     # next batch's forward pass past float64 range
+    pcfg = PipelineConfig(clf_epochs=2, clf_lr=1e308, clf_batch_size=16, freeze_encoder=freeze)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(PipelineError, match=r"^fit: non-finite loss at epoch 1 batch 1: ") as info:
-            fit_classifier(
-                instantiate(genotype, space), weights, ds, epochs=2, lr=1e308, batch_size=16, seed=6,
-                freeze_encoder=freeze,
-            )
+            fit_classifier(instantiate(genotype, space), weights, ds, pcfg, seed=6)
     assert isinstance(info.value.__cause__, ad.NonFiniteError)
 
 
@@ -152,10 +154,11 @@ def test_pretrain_positions_a_zero_norm_projection():
     ds = _dataset(n=200, seed=15)
     space = _space(ds, hidden=8)
     splits = split(ds, 0.3, seed=0)
+    pcfg = PipelineConfig(pretrain_epochs=4, pretrain_lr=0.05, pretrain_batch_size=16)
     with pytest.raises(
         PipelineError, match=r"^pretrain: contrastive loss failed at epoch 1 batch 0: zero-norm projection row"
     ) as info:
-        pretrain(_concat_fc_genotype(space), space, CCFG, splits.search_train, epochs=4, lr=0.05, batch_size=16, seed=14)
+        pretrain(_concat_fc_genotype(space), space, CCFG, pcfg, splits.search_train, seed=14)
     assert isinstance(info.value.__cause__, ContrastiveError)
 
 
@@ -167,10 +170,11 @@ def test_pretrain_positions_the_zero_norm_projection_of_all_zero_rows():
     ds = Dataset({src: np.zeros_like(x) for src, x in ds.features.items()}, ds.labels, ds.text_len)
     space = _space(ds, hidden=8)
     ccfg = ContrastiveConfig(jitter_scale=0.0, noise_scale=0.0)
+    pcfg = PipelineConfig(pretrain_epochs=4, pretrain_lr=0.05, pretrain_batch_size=16)
     with pytest.raises(
         PipelineError, match=r"^pretrain: contrastive loss failed at epoch 1 batch 0: zero-norm projection row"
     ) as info:
-        pretrain(_concat_fc_genotype(space), space, ccfg, ds, epochs=4, lr=0.05, batch_size=16, seed=3)
+        pretrain(_concat_fc_genotype(space), space, ccfg, pcfg, ds, seed=3)
     assert isinstance(info.value.__cause__, ContrastiveError)
 
 
@@ -183,12 +187,11 @@ def test_fit_overfits_one_sample():
     space = _space(ds)
     genotype = _genotype(space)
     encoder = instantiate(genotype, space)
-    weights = pretrain(genotype, space, CCFG, ds, epochs=0, lr=0.0, seed=0)
+    weights = pretrain(genotype, space, CCFG, INIT_ONLY, ds, seed=0)
     one = ds.subset([3])
     records = []
-    fit_classifier(
-        encoder, weights, one, epochs=300, lr=0.1, batch_size=1, seed=0, report=records.append
-    )
+    pcfg = PipelineConfig(clf_epochs=300, clf_lr=0.1, clf_batch_size=1)
+    fit_classifier(encoder, weights, one, pcfg, seed=0, report=records.append)
     assert records[-1]["mean_loss"] < 1e-3
 
 
@@ -198,8 +201,9 @@ def test_fit_all_zero_labels_drives_sigmoids_down():
     space = _space(ds)
     genotype = _genotype(space)
     encoder = instantiate(genotype, space)
-    weights = pretrain(genotype, space, CCFG, ds, epochs=0, lr=0.0, seed=1)
-    model = fit_classifier(encoder, weights, ds, epochs=400, lr=0.1, batch_size=20, seed=1)
+    weights = pretrain(genotype, space, CCFG, INIT_ONLY, ds, seed=1)
+    pcfg = PipelineConfig(clf_epochs=400, clf_lr=0.1, clf_batch_size=20)
+    model = fit_classifier(encoder, weights, ds, pcfg, seed=1)
     h = encode_dataset(encoder, model, ds)
     probs = 1.0 / (1.0 + np.exp(-(h @ model["clf/W"] + model["clf/b"])))
     assert np.all(probs < 0.01)
@@ -212,9 +216,10 @@ def test_fit_frozen_encoder_is_bitwise_frozen():
     space = _space(ds)
     genotype = _genotype(space)
     encoder = instantiate(genotype, space)
-    weights = pretrain(genotype, space, CCFG, ds, epochs=1, lr=0.05, seed=2)
+    weights = pretrain(genotype, space, CCFG, PipelineConfig(pretrain_epochs=1, pretrain_lr=0.05), ds, seed=2)
     before = {k: v.tobytes() for k, v in weights.items()}
-    model = fit_classifier(encoder, weights, ds, epochs=5, lr=0.05, seed=2, freeze_encoder=True)
+    pcfg = PipelineConfig(clf_epochs=5, clf_lr=0.05, freeze_encoder=True)
+    model = fit_classifier(encoder, weights, ds, pcfg, seed=2)
     for k in weights:
         assert model[k].tobytes() == before[k]
     assert "clf/W" in model and "clf/b" in model
@@ -225,9 +230,10 @@ def test_fit_finetune_updates_encoder_without_touching_input():
     space = _space(ds)
     genotype = _genotype(space)
     encoder = instantiate(genotype, space)
-    weights = pretrain(genotype, space, CCFG, ds, epochs=0, lr=0.0, seed=3)
+    weights = pretrain(genotype, space, CCFG, INIT_ONLY, ds, seed=3)
     before = {k: v.tobytes() for k, v in weights.items()}
-    model = fit_classifier(encoder, weights, ds, epochs=3, lr=0.05, seed=3, freeze_encoder=False)
+    pcfg = PipelineConfig(clf_epochs=3, clf_lr=0.05, freeze_encoder=False)
+    model = fit_classifier(encoder, weights, ds, pcfg, seed=3)
     # caller's arrays untouched, fitted copy moved
     assert all(weights[k].tobytes() == before[k] for k in weights)
     moved = [k for k in weights if k.startswith(("proj/", "cell")) and model[k].tobytes() != before[k]]
@@ -240,11 +246,12 @@ def test_fit_requires_labels():
     space = _space(ds)
     genotype = _genotype(space)
     encoder = instantiate(genotype, space)
-    weights = pretrain(genotype, space, CCFG, ds, epochs=0, lr=0.0, seed=0)
+    weights = pretrain(genotype, space, CCFG, INIT_ONLY, ds, seed=0)
+    pcfg = PipelineConfig(clf_epochs=1, clf_lr=0.1)
     with pytest.raises(PipelineError, match="labels"):
-        fit_classifier(encoder, weights, unlabeled, epochs=1, lr=0.1, seed=0)
+        fit_classifier(encoder, weights, unlabeled, pcfg, seed=0)
     with pytest.raises(PipelineError, match="empty"):
-        fit_classifier(encoder, weights, ds.subset([]), epochs=1, lr=0.1, seed=0)
+        fit_classifier(encoder, weights, ds.subset([]), pcfg, seed=0)
 
 
 def test_losses_match_finite_differences():
@@ -314,7 +321,7 @@ def test_removing_projection_head_never_changes_encoder_output():
     space = _space(ds)
     genotype = _genotype(space)
     encoder = instantiate(genotype, space)
-    weights = pretrain(genotype, space, CCFG, ds, epochs=1, lr=0.05, seed=5)
+    weights = pretrain(genotype, space, CCFG, PipelineConfig(pretrain_epochs=1, pretrain_lr=0.05), ds, seed=5)
     with_head = encode_dataset(encoder, weights, ds)
     stripped = {k: v for k, v in weights.items() if not k.startswith("head/")}
     without_head = encode_dataset(encoder, stripped, ds)
@@ -415,7 +422,7 @@ def test_zero_pretrain_epochs_is_the_random_encoder(tmp_path):
         ds, space, SCFG, CCFG, _pipe_cfgs(pretrain_epochs=0), seed=4, out_dir=tmp_path, genotype=genotype
     )
     assert [r["stage"] for r in reports] == ["pretrain", "fit"]
-    init = pretrain(genotype, space, CCFG, ds, epochs=0, lr=0.0, seed=4)
+    init = pretrain(genotype, space, CCFG, INIT_ONLY, ds, seed=4)
     saved = load_weights(tmp_path / "encoder.mmnw")
     assert saved.keys() == init.keys()
     assert all(np.array_equal(saved[k], init[k]) for k in init)
@@ -453,18 +460,17 @@ def test_pretrained_encoder_beats_random_encoder_on_probe():
         config_hash=space.hash(),
     )
     splits = split(ds, 0.3, seed=0)
+    trained_cfg = PipelineConfig(pretrain_epochs=4, pretrain_lr=0.05, pretrain_batch_size=16)
+    untrained_cfg = INIT_ONLY
+    fit_cfg = PipelineConfig(clf_epochs=40, clf_lr=0.05, clf_batch_size=32)
     wins = 0
     for seed in (0, 1):
-        trained = pretrain(
-            genotype, space, CCFG, splits.search_train, epochs=4, lr=0.05, batch_size=16, seed=seed
-        )
-        untrained = pretrain(genotype, space, CCFG, splits.search_train, epochs=0, lr=0.0, seed=seed)
+        trained = pretrain(genotype, space, CCFG, trained_cfg, splits.search_train, seed=seed)
+        untrained = pretrain(genotype, space, CCFG, untrained_cfg, splits.search_train, seed=seed)
         encoder = instantiate(genotype, space)
         scores = []
         for weights in (trained, untrained):
-            model = fit_classifier(
-                encoder, weights, splits.labeled_train, epochs=40, lr=0.05, batch_size=32, seed=seed
-            )
+            model = fit_classifier(encoder, weights, splits.labeled_train, fit_cfg, seed=seed)
             preds = predict_bits(encoder, model, splits.test)
             scores.append(weighted_f1(preds, splits.test.labels_matrix()))
         if scores[0] > scores[1]:
@@ -493,10 +499,9 @@ def test_softmax_ce_mode_predicts_one_hot():
     space = _space(ds)
     genotype = _genotype(space)
     encoder = instantiate(genotype, space)
-    weights = pretrain(genotype, space, CCFG, ds, epochs=0, lr=0.0, seed=0)
-    model = fit_classifier(
-        encoder, weights, ds, epochs=10, lr=0.05, seed=0, classifier_loss="softmax_ce"
-    )
+    weights = pretrain(genotype, space, CCFG, INIT_ONLY, ds, seed=0)
+    pcfg = PipelineConfig(clf_epochs=10, clf_lr=0.05, classifier_loss="softmax_ce")
+    model = fit_classifier(encoder, weights, ds, pcfg, seed=0)
     preds = predict_bits(encoder, model, ds, classifier_loss="softmax_ce")
     assert np.all(preds.sum(axis=1) == 1)
 

@@ -59,9 +59,9 @@ def _genotype(space):
 def _pretrain(lr=0.05):
     ds, space = _data()
     losses = []
+    pcfg = pipeline.PipelineConfig(pretrain_epochs=3, pretrain_lr=lr, pretrain_batch_size=16)
     weights = pipeline.pretrain(
-        _genotype(space), space, CCFG, ds, epochs=3, lr=lr, batch_size=16, seed=5,
-        report=lambda row: losses.append(row["mean_loss"]),
+        _genotype(space), space, CCFG, pcfg, ds, seed=5, report=lambda row: losses.append(row["mean_loss"])
     )
     return losses + [weights[k].tobytes() for k in sorted(weights)]
 
