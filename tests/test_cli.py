@@ -525,3 +525,53 @@ def test_a_diverging_optimizer_step_prints_only_its_error_line(tmp_path):
     assert err["type"] == "PipelineError"
     assert err["error"].startswith("fit: non-finite loss at epoch 1 batch 1: ")
     assert not (tmp_path / "o" / "model.mmnw").exists()
+
+
+GOLDEN_CASES = {
+    "tiny-run-all": ["run-all"],
+    "tiny-run-all-seed3-fine-tuned": ["run-all", "--seed", "3", "--no-freeze-encoder"],
+    "tiny-sweep-r": ["sweep-r", "--r-grid", "0.3", "--seeds", "1"],
+    "derived-pipeline-fixture": ["run-all"],
+}
+GOLDEN_FILES = ("genotype.json", "encoder.mmnw", "model.mmnw", "sweep.csv")
+UNPINNED_ROW_FIELDS = ("duration_s", "wallclock_ms", "build_id")  # wall time and version, not results
+
+
+def _manifest(out_dir) -> dict:
+    """SHA-256 of every pinned file under ``out_dir``, and of each ``reports.jsonl``
+    row without its unpinned fields, keyed by path relative to ``out_dir``."""
+    import hashlib
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    manifest = {}
+    for path in sorted(out_dir.rglob("*")):
+        name = path.relative_to(out_dir).as_posix()
+        if path.name in GOLDEN_FILES:
+            manifest[name] = sha(path.read_bytes())
+        elif path.name == "reports.jsonl":
+            rows = [{k: v for k, v in row.items() if k not in UNPINNED_ROW_FIELDS} for row in _reports(path.parent)]
+            manifest[name] = [sha(json.dumps(row, sort_keys=True).encode()) for row in rows]
+    return manifest
+
+
+def test_runs_reproduce_the_golden_manifest(tmp_path, tiny_config):
+    # a change that keeps every computed value leaves tests/golden.json alone; one that
+    # moves outputs replaces it with the manifest this test prints, in one diff
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    fixtures = root / "perfbench" / "fixtures"
+    computed = {}
+    for case, argv in GOLDEN_CASES.items():
+        out = tmp_path / case
+        if case.startswith("derived-pipeline"):
+            config = ["--config", str(fixtures / "derived-pipeline.json"),
+                      "--genotype", str(fixtures / "derived-genotype.json")]
+        else:
+            config = ["--config", tiny_config]
+        assert main([argv[0], *config, *argv[1:], "--out-dir", str(out)]) == 0, case
+        computed[case] = _manifest(out)
+    golden = json.loads((Path(__file__).parent / "golden.json").read_text())
+    assert computed == golden, "computed manifest:\n" + json.dumps(computed, indent=1, sort_keys=True)
