@@ -26,6 +26,8 @@ Every phase runs its batches through ``train_epoch``, the one per-batch
 loop of every stage (pretraining and classifier fitting use it too): a
 tape per batch, the stepped set's leaves, the loss, a failure named by its
 epoch, phase and batch, one optimizer step, and one report row per epoch.
+A batch runs with numpy's overflow warnings off; the tape's finiteness
+check is the one signal of a non-finite value.
 
 Augmentation reads no model state, so each epoch's augmented view
 batches (train, then valid, then the evaluation pass) come from one
@@ -263,27 +265,27 @@ def train_epoch(batches, batch_loss, stepped, opt, error, *, epoch, phase, lr, b
     flat)``, or None for a pass that steps nothing) as its leaves, and
     ``batch_loss(bi, batch, leaves)`` computes the loss. A ``NonFiniteError``
     or ``ContrastiveError`` raised there becomes ``error(failure, "batch
-    <bi>: <cause>")``, chained from it; otherwise ``opt`` steps ``flat``,
-    with overflow warnings off: a step that leaves ``flat`` non-finite is
-    refused by the next batch's ``Tape.leaves`` or by ``save_weights``. The
-    row ``{epoch, phase, mean_loss, lr, wallclock_ms, best_so_far}`` takes
-    ``best_so_far`` from ``best(mean_loss)`` (None without ``best``) and is
-    also passed to ``report``.
+    <bi>: <cause>")``, chained from it; otherwise ``opt`` steps ``flat``.
+    A batch runs with numpy's overflow and invalid warnings off, since the
+    tape's finiteness check reports a non-finite value: a node's as its
+    ``NonFiniteError``, a step's at the next batch's ``Tape.leaves`` or at
+    ``save_weights``. The row ``{epoch, phase, mean_loss, lr, wallclock_ms,
+    best_so_far}`` takes ``best_so_far`` from ``best(mean_loss)`` (None
+    without ``best``) and is also passed to ``report``.
     """
     losses = []
     t0 = time.perf_counter()
     for bi, batch in enumerate(batches):
         tape = Tape()
-        try:
-            leaves = tape.leaves(*stepped) if stepped else None
-            loss = batch_loss(bi, batch, leaves)
-        except (NonFiniteError, ContrastiveError) as e:
-            failure = "non-finite loss" if isinstance(e, NonFiniteError) else "contrastive loss failed"
-            raise error(failure, f"batch {bi}: {e}") from e
-        if stepped:
-            grad = tape.backward(loss).flat(leaves)
-            with np.errstate(over="ignore", invalid="ignore"):
-                opt.step(stepped[1], grad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                leaves = tape.leaves(*stepped) if stepped else None
+                loss = batch_loss(bi, batch, leaves)
+            except (NonFiniteError, ContrastiveError) as e:
+                failure = "non-finite loss" if isinstance(e, NonFiniteError) else "contrastive loss failed"
+                raise error(failure, f"batch {bi}: {e}") from e
+            if stepped:
+                opt.step(stepped[1], tape.backward(loss).flat(leaves))
         losses.append(float(loss.data))
     mean_loss = float(np.mean(losses))
     row = {

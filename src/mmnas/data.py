@@ -61,7 +61,7 @@ class SyntheticSpec:
     latent_dim: int = 4
     signal_plan: tuple = (("image:0", 10.0), ("text:1", 10.0))
     text_len: int = 16
-    vocab_size: int = 1000  # read by the benchmark only; ROADMAP item 7 removes it
+    vocab_size: int = 1000  # read by the benchmark only; ROADMAP item 10 removes it
     seed: int = 0
 
     def __post_init__(self):
@@ -190,7 +190,7 @@ def generate(spec: SyntheticSpec) -> Dataset:
 def save(dataset: Dataset, path, text_len: int = 16, vocab_size: int = 1000) -> None:
     """Write features (float32) and labels (u8) in MMNF layout.
 
-    text_len, vocab_size: ignored; the benchmark passes them, and ROADMAP item 7 removes them.
+    text_len, vocab_size: ignored; the benchmark passes them, and ROADMAP item 10 removes them.
     """
     n = len(dataset)
     per_modality = [dataset.image_dims, dataset.text_dims]
@@ -211,10 +211,10 @@ def save(dataset: Dataset, path, text_len: int = 16, vocab_size: int = 1000) -> 
             fh.write(dataset.labels.tobytes())
 
 
-def load(path, text_len: int = 16, vocab_size: int = 1000, expect_dims: tuple | None = None) -> Dataset:
+def load(path, text_len: int = 16, vocab_size: int = 1000) -> Dataset:
     """Parse an MMNF file; rejects wrong magic/version and any length drift.
 
-    vocab_size: ignored; the benchmark passes it, and ROADMAP item 7 removes it.
+    vocab_size: ignored; the benchmark passes it, and ROADMAP item 10 removes it.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -255,10 +255,6 @@ def load(path, text_len: int = 16, vocab_size: int = 1000, expect_dims: tuple | 
         raise FormatError(
             f"payload length mismatch at offset {off}: header implies {expected_payload} bytes, "
             f"found {len(raw) - off}"
-        )
-    if expect_dims is not None and tuple(per_modality) != tuple(tuple(d) for d in expect_dims):
-        raise FormatError(
-            f"feature dims {per_modality} do not match the expected configuration {expect_dims}"
         )
 
     features = {}

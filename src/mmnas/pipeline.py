@@ -20,7 +20,9 @@ adds the config hash, build id and seed to every row). Both training
 stages here run each epoch through ``bilevel.train_epoch``, as the search
 does; each keeps its own seeded draws, batches and ``best_so_far`` rule,
 and a failed loss raises ``PipelineError`` naming the stage, epoch and
-batch.
+batch. That error is a stage's one signal of a non-finite value: batches,
+``encode_dataset`` and ``predict_bits`` run with numpy's overflow warnings
+off, and no stage warns (each pretraining epoch's loss is a report row).
 
 Pretraining takes the augmented view batches of all its epochs from one
 ``bilevel.view_stream``: a forked worker computes them ahead of training
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,13 +151,6 @@ def pretrain(
             batches = itertools.islice(views, n_batches)
             train_epoch(batches, batch_loss, (weights, flat), opt, _error("pretrain", epoch),
                         epoch=epoch, phase="pretrain", lr=pcfg.pretrain_lr, best=best, report=report)
-    if len(epoch_losses) > 1 and epoch_losses[-1] >= epoch_losses[0]:
-        warnings.warn(
-            f"contrastive pretraining loss did not decrease "
-            f"({epoch_losses[0]:.4f} -> {epoch_losses[-1]:.4f})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return weights
 
 

@@ -161,9 +161,8 @@ def test_search_never_returns_an_unusable_genotype(monkeypatch):
 def test_diverged_weights_raise_search_error_with_their_position():
     train, valid, space = _setup()
     # one step at this rate sends the weights past float64 range
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(SearchError, match=r"non-finite loss at epoch 1 phase train batch 1: ") as info:
-            run_search(SearchConfig(max_epochs=1, batch_size=8, lr_weights=1e300), space, CCFG, train, valid)
+    with pytest.raises(SearchError, match=r"non-finite loss at epoch 1 phase train batch 1: ") as info:
+        run_search(SearchConfig(max_epochs=1, batch_size=8, lr_weights=1e300), space, CCFG, train, valid)
     assert isinstance(info.value.__cause__, FloatingPointError)
 
 

@@ -1,5 +1,5 @@
 import json
-import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,8 +209,7 @@ def test_a_diverging_fit_gives_one_structured_error_with_its_position(tmp_path, 
     bad["pipeline"]["clf_lr"] = 1e308  # the first Adam step leaves the classifier unusable
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["run-all", "--config", str(path), "--out-dir", str(tmp_path / "o")])
+    code = main(["run-all", "--config", str(path), "--out-dir", str(tmp_path / "o")])
     assert code == 1
     (line,) = capsys.readouterr().err.strip().splitlines()
     err = json.loads(line)
@@ -236,9 +235,7 @@ def test_a_non_finite_frozen_encoding_gives_one_structured_error(tmp_path, tiny_
     # the step leaves finite weights whose encoding overflows; it used to end in a traceback
     config = _diverging_pretrain_config(tmp_path, tiny_config, 1e308)
     out = tmp_path / "o"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)  # nor a numpy warning before it
-        code = main(["run-all", "--config", config, "--out-dir", str(out)])
+    code = main(["run-all", "--config", config, "--out-dir", str(out)])
     assert code == 1
     err = _one_error_line(capsys)
     assert err["type"] == "PipelineError"
@@ -259,9 +256,7 @@ def test_a_non_finite_test_set_encoding_gives_one_structured_error(tmp_path, tin
 
     monkeypatch.setattr(mmnas.pipeline, "encode_dataset", overflowing_second_call)
     out = tmp_path / "o"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = main(["run-all", "--config", tiny_config, "--out-dir", str(out)])
+    code = main(["run-all", "--config", tiny_config, "--out-dir", str(out)])
     assert code == 1 and len(calls) == 2
     err = _one_error_line(capsys)
     assert err["type"] == "PipelineError"
@@ -275,8 +270,7 @@ def test_pretrain_refuses_to_write_a_checkpoint_its_loader_refuses(tmp_path, tin
     out = tmp_path / "o"
     assert main(["search", "--config", config, "--out-dir", str(out)]) == 0
     capsys.readouterr()
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["pretrain", "--config", config, "--genotype", str(out / "genotype.json"), "--out-dir", str(out)])
+    code = main(["pretrain", "--config", config, "--genotype", str(out / "genotype.json"), "--out-dir", str(out)])
     assert code == 1
     err = _one_error_line(capsys)
     assert err["type"] == "CheckpointError" and "non-finite values in 'cell0/" in err["error"]
@@ -477,9 +471,7 @@ def _eval_of_changed_model(tmp_path, tiny_config, change) -> list:
 def test_eval_of_a_model_whose_test_encoding_overflows_gives_one_structured_error(tmp_path, tiny_config, capsys):
     argv = _eval_of_changed_model(tmp_path, tiny_config, lambda model: {k: w * 1e300 for k, w in model.items()})
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        code = main(argv)
+    code = main(argv)
     assert code == 1
     err = _one_error_line(capsys)
     assert err["type"] == "CliError"
@@ -491,39 +483,55 @@ def test_eval_of_a_model_whose_probabilities_underflow_to_zero_prints_no_warning
     # exp(-logit) overflows to inf for every logit, so every probability is 0 and no label is predicted
     argv = _eval_of_changed_model(tmp_path, tiny_config, lambda model: {**model, "clf/b": model["clf/b"] - 1e4})
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(argv) == 0
+    assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and "weighted_f1 = 0.000000" in captured.out
     assert [r["metrics"]["weighted_f1"] for r in _reports(tmp_path / "e")] == [0.0]
 
 
-def test_a_diverging_optimizer_step_prints_only_its_error_line(tmp_path):
-    # numpy's overflow warning from the Adam step used to come before the error line
+FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+
+
+def _with(doc, section, **settings) -> dict:
+    return {**doc, section: {**doc[section], **settings}}
+
+
+# a config, the extra run-all flags, and how its one error line starts
+DIVERGING_RUNS = {
+    "fixture-fit": (_with(json.loads((FIXTURES / "derived-pipeline.json").read_text()), "pipeline", clf_lr=1e308),
+                    ["--genotype", str(FIXTURES / "derived-genotype.json")],
+                    ("PipelineError", "fit: non-finite loss at epoch 1 batch 1: ")),
+    "fine-tuned-fit": (_with(TINY, "pipeline", clf_lr=1e308), ["--no-freeze-encoder"],
+                       ("PipelineError", "fit: non-finite loss at epoch 1 batch 1: ")),
+    "pretrain": (_with(TINY, "pipeline", pretrain_lr=1e300, pretrain_epochs=2), [],
+                 ("PipelineError", "pretrain: non-finite loss at epoch 1 batch 1: ")),
+    "search": (_with(TINY, "search", lr_weights=1e300), [],
+               ("SearchError", "non-finite loss at epoch 1 phase train batch 1: ")),
+}
+
+
+@pytest.mark.parametrize("run", DIVERGING_RUNS)
+def test_a_diverging_optimizer_step_prints_only_its_error_line(tmp_path, run):
+    # numpy's overflow warnings from the forward pass and the optimizer step
+    # used to come before the error line; a subprocess shows the real stderr
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
-    root = Path(__file__).resolve().parents[1]
-    fixtures = root / "perfbench" / "fixtures"
-    doc = json.loads((fixtures / "derived-pipeline.json").read_text())
-    doc["pipeline"]["clf_lr"] = 1e308
+    doc, flags, (kind, start) = DIVERGING_RUNS[run]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    argv = ["run-all", "--config", str(config), "--genotype", str(fixtures / "derived-genotype.json"),
-            "--out-dir", str(tmp_path / "o")]
+    src = str(FIXTURES.parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["run-all", "--config", str(config), *flags, "--out-dir", str(tmp_path / "o")]
     done = subprocess.run([sys.executable, "-m", "mmnas.cli", *argv], env=env, capture_output=True, text=True,
                           timeout=600)
     assert done.returncode == 1
-    assert "RuntimeWarning" not in done.stderr
     (line,) = done.stderr.strip().splitlines()
     err = json.loads(line)
-    assert err["type"] == "PipelineError"
-    assert err["error"].startswith("fit: non-finite loss at epoch 1 batch 1: ")
+    assert err["type"] == kind
+    assert err["error"].startswith(start)
     assert not (tmp_path / "o" / "model.mmnw").exists()
 
 
@@ -559,16 +567,12 @@ def _manifest(out_dir) -> dict:
 def test_runs_reproduce_the_golden_manifest(tmp_path, tiny_config):
     # a change that keeps every computed value leaves tests/golden.json alone; one that
     # moves outputs replaces it with the manifest this test prints, in one diff
-    from pathlib import Path
-
-    root = Path(__file__).resolve().parents[1]
-    fixtures = root / "perfbench" / "fixtures"
     computed = {}
     for case, argv in GOLDEN_CASES.items():
         out = tmp_path / case
         if case.startswith("derived-pipeline"):
-            config = ["--config", str(fixtures / "derived-pipeline.json"),
-                      "--genotype", str(fixtures / "derived-genotype.json")]
+            config = ["--config", str(FIXTURES / "derived-pipeline.json"),
+                      "--genotype", str(FIXTURES / "derived-genotype.json")]
         else:
             config = ["--config", tiny_config]
         assert main([argv[0], *config, *argv[1:], "--out-dir", str(out)]) == 0, case

@@ -252,15 +252,6 @@ def test_mmnf_foreign_endian_header_rejected(tmp_path):
         load(path)
 
 
-def test_mmnf_dim_mismatch_against_expectation(tmp_path):
-    ds = generate(SPEC)
-    path = tmp_path / "d.mmnf"
-    save(ds, path)
-    with pytest.raises(FormatError, match="do not match"):
-        load(path, expect_dims=((10, 8), (9, 12)))
-    load(path, expect_dims=((10, 8), (9, 11)))  # matching dims pass
-
-
 # ---------------------------------------------------------------------------
 # splitting
 # ---------------------------------------------------------------------------

@@ -30,10 +30,6 @@ from mmnas.searchspace import (
 from mmnas.util import TAG_PRETRAIN_INIT, seeded_rng
 
 CCFG = ContrastiveConfig()
-# views equal their rows: every op's probability, the noise and the mask are 0
-IDENTITY_CCFG = ContrastiveConfig(
-    crop_prob=0.0, flip_prob=0.0, jitter_prob=0.0, blur_prob=0.0, rotate_prob=0.0, noise_scale=0.0, mask_prob=0.0
-)
 # no pretraining epoch: pretrain returns the initialization
 INIT_ONLY = PipelineConfig(pretrain_epochs=0, pretrain_lr=0.0)
 
@@ -94,16 +90,6 @@ def test_pretrain_is_deterministic():
     assert [r["mean_loss"] for r in records1] == [r["mean_loss"] for r in records2]
 
 
-def test_pretrain_warns_when_loss_does_not_decrease():
-    # identical rows and views that equal their rows: every batch, so every
-    # epoch, has the same loss whatever the shuffle and augmentation draw
-    ds = _dataset().subset([0] * 60)
-    space = _space(ds)
-    genotype = _genotype(space)
-    with pytest.warns(RuntimeWarning, match="did not decrease"):
-        pretrain(genotype, space, IDENTITY_CCFG, PipelineConfig(pretrain_epochs=2, pretrain_lr=0.0), ds, seed=6)
-
-
 def test_pretrain_loss_decreases_with_training():
     ds = _dataset(n=80)
     space = _space(ds)
@@ -119,9 +105,8 @@ def test_pretrain_wraps_non_finite_loss_with_its_position():
     space = _space(ds)
     genotype = _genotype(space)
     # one step at this rate sends the weights past float64 range
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(PipelineError, match=r"pretrain: non-finite loss at epoch 1 batch 1: ") as info:
-            pretrain(genotype, space, CCFG, PipelineConfig(pretrain_epochs=2, pretrain_lr=1e300), ds, seed=6)
+    with pytest.raises(PipelineError, match=r"pretrain: non-finite loss at epoch 1 batch 1: ") as info:
+        pretrain(genotype, space, CCFG, PipelineConfig(pretrain_epochs=2, pretrain_lr=1e300), ds, seed=6)
     assert isinstance(info.value.__cause__, ad.NonFiniteError)
 
 
@@ -134,9 +119,8 @@ def test_fit_wraps_non_finite_loss_with_its_position(freeze):
     # one Adam step at this rate sends the trainables to about 1e308, and the
     # next batch's forward pass past float64 range
     pcfg = PipelineConfig(clf_epochs=2, clf_lr=1e308, clf_batch_size=16, freeze_encoder=freeze)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(PipelineError, match=r"^fit: non-finite loss at epoch 1 batch 1: ") as info:
-            fit_classifier(instantiate(genotype, space), weights, ds, pcfg, seed=6)
+    with pytest.raises(PipelineError, match=r"^fit: non-finite loss at epoch 1 batch 1: ") as info:
+        fit_classifier(instantiate(genotype, space), weights, ds, pcfg, seed=6)
     assert isinstance(info.value.__cause__, ad.NonFiniteError)
 
 
