@@ -28,6 +28,12 @@ TINY = {
 }
 
 
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "perfbench" / "fixtures"
+DERIVED_PIPELINE = json.loads((FIXTURES / "derived-pipeline.json").read_text())
+DERIVED_GENOTYPE = ["--genotype", str(FIXTURES / "derived-genotype.json")]
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "config.json"
@@ -489,17 +495,13 @@ def test_eval_of_a_model_whose_probabilities_underflow_to_zero_prints_no_warning
     assert [r["metrics"]["weighted_f1"] for r in _reports(tmp_path / "e")] == [0.0]
 
 
-FIXTURES = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
-
-
 def _with(doc, section, **settings) -> dict:
     return {**doc, section: {**doc[section], **settings}}
 
 
 # a config, the extra run-all flags, and how its one error line starts
 DIVERGING_RUNS = {
-    "fixture-fit": (_with(json.loads((FIXTURES / "derived-pipeline.json").read_text()), "pipeline", clf_lr=1e308),
-                    ["--genotype", str(FIXTURES / "derived-genotype.json")],
+    "fixture-fit": (_with(DERIVED_PIPELINE, "pipeline", clf_lr=1e308), DERIVED_GENOTYPE,
                     ("PipelineError", "fit: non-finite loss at epoch 1 batch 1: ")),
     "fine-tuned-fit": (_with(TINY, "pipeline", clf_lr=1e308), ["--no-freeze-encoder"],
                        ("PipelineError", "fit: non-finite loss at epoch 1 batch 1: ")),
@@ -522,8 +524,7 @@ def test_a_diverging_optimizer_step_prints_only_its_error_line(tmp_path, run):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     env = dict(os.environ)
-    src = str(FIXTURES.parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     argv = ["run-all", "--config", str(config), *flags, "--out-dir", str(tmp_path / "o")]
     done = subprocess.run([sys.executable, "-m", "mmnas.cli", *argv], env=env, capture_output=True, text=True,
                           timeout=600)
@@ -535,11 +536,12 @@ def test_a_diverging_optimizer_step_prints_only_its_error_line(tmp_path, run):
     assert not (tmp_path / "o" / "model.mmnw").exists()
 
 
-GOLDEN_CASES = {
-    "tiny-run-all": ["run-all"],
-    "tiny-run-all-seed3-fine-tuned": ["run-all", "--seed", "3", "--no-freeze-encoder"],
-    "tiny-sweep-r": ["sweep-r", "--r-grid", "0.3", "--seeds", "1"],
-    "derived-pipeline-fixture": ["run-all"],
+# a config and the command that runs it
+GOLDEN_RUNS = {
+    "tiny-run-all": (TINY, ["run-all"]),
+    "tiny-run-all-seed3-fine-tuned": (TINY, ["run-all", "--seed", "3", "--no-freeze-encoder"]),
+    "tiny-sweep-r": (TINY, ["sweep-r", "--r-grid", "0.3", "--seeds", "1"]),
+    "derived-pipeline-fixture": (DERIVED_PIPELINE, ["run-all", *DERIVED_GENOTYPE]),
 }
 GOLDEN_FILES = ("genotype.json", "encoder.mmnw", "model.mmnw", "sweep.csv")
 UNPINNED_ROW_FIELDS = ("duration_s", "wallclock_ms", "build_id")  # wall time and version, not results
@@ -564,18 +566,14 @@ def _manifest(out_dir) -> dict:
     return manifest
 
 
-def test_runs_reproduce_the_golden_manifest(tmp_path, tiny_config):
+def test_runs_reproduce_the_golden_manifest(tmp_path):
     # a change that keeps every computed value leaves tests/golden.json alone; one that
     # moves outputs replaces it with the manifest this test prints, in one diff
     computed = {}
-    for case, argv in GOLDEN_CASES.items():
-        out = tmp_path / case
-        if case.startswith("derived-pipeline"):
-            config = ["--config", str(FIXTURES / "derived-pipeline.json"),
-                      "--genotype", str(FIXTURES / "derived-genotype.json")]
-        else:
-            config = ["--config", tiny_config]
-        assert main([argv[0], *config, *argv[1:], "--out-dir", str(out)]) == 0, case
+    for case, (doc, argv) in GOLDEN_RUNS.items():
+        config, out = tmp_path / f"{case}.json", tmp_path / case
+        config.write_text(json.dumps(doc))
+        assert main([*argv, "--config", str(config), "--out-dir", str(out)]) == 0, case
         computed[case] = _manifest(out)
     golden = json.loads((Path(__file__).parent / "golden.json").read_text())
     assert computed == golden, "computed manifest:\n" + json.dumps(computed, indent=1, sort_keys=True)

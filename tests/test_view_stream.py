@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 import mmnas.bilevel as bilevel
