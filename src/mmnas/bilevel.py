@@ -2,7 +2,7 @@
 
 Each epoch runs two phases over disjoint unlabeled splits: the train phase
 steps only the operator weights w (momentum SGD), the valid phase steps
-only the architecture logits alpha/beta/gamma (Adam, with its default
+only the architecture logits alpha/beta/gamma (Adam, with its fixed
 betas and eps; the logits start from ``ArchParams.init``'s default scale).
 Only the two rates and the momentum are configurable. Both phases minimize
 the same two-view contrastive objective; no inner-loop unrolling, plain
@@ -265,13 +265,16 @@ def train_epoch(batches, batch_loss, stepped, opt, error, *, epoch, phase, lr, b
     flat)``, or None for a pass that steps nothing) as its leaves, and
     ``batch_loss(bi, batch, leaves)`` computes the loss. A ``NonFiniteError``
     or ``ContrastiveError`` raised there becomes ``error(failure, "batch
-    <bi>: <cause>")``, chained from it; otherwise ``opt`` steps ``flat``.
-    A batch runs with numpy's overflow and invalid warnings off, since the
-    tape's finiteness check reports a non-finite value: a node's as its
-    ``NonFiniteError``, a step's at the next batch's ``Tape.leaves`` or at
-    ``save_weights``. The row ``{epoch, phase, mean_loss, lr, wallclock_ms,
-    best_so_far}`` takes ``best_so_far`` from ``best(mean_loss)`` (None
-    without ``best``) and is also passed to ``report``.
+    <bi>: <cause>")``, chained from it; otherwise ``opt`` steps ``flat``,
+    and a ``NonFiniteError`` of the step (``Adam``'s overflowed second
+    moment) becomes ``error("non-finite optimizer step", ...)`` the same
+    way. A batch runs with numpy's overflow and invalid warnings off,
+    since a check reports each non-finite value: a node's is the tape's
+    ``NonFiniteError``, a step's is ``Adam``'s or shows at the next
+    batch's ``Tape.leaves`` or at ``save_weights``. The row ``{epoch,
+    phase, mean_loss, lr, wallclock_ms, best_so_far}`` takes
+    ``best_so_far`` from ``best(mean_loss)`` (None without ``best``) and
+    is also passed to ``report``.
     """
     losses = []
     t0 = time.perf_counter()
@@ -285,7 +288,11 @@ def train_epoch(batches, batch_loss, stepped, opt, error, *, epoch, phase, lr, b
                 failure = "non-finite loss" if isinstance(e, NonFiniteError) else "contrastive loss failed"
                 raise error(failure, f"batch {bi}: {e}") from e
             if stepped:
-                opt.step(stepped[1], tape.backward(loss).flat(leaves))
+                grad = tape.backward(loss).flat(leaves)
+                try:
+                    opt.step(stepped[1], grad)
+                except NonFiniteError as e:
+                    raise error("non-finite optimizer step", f"batch {bi}: {e}") from e
         losses.append(float(loss.data))
     mean_loss = float(np.mean(losses))
     row = {

@@ -138,7 +138,7 @@ def cmd_eval(args) -> int:
         if len(splits.test) == 0:
             raise CliError("test split is empty at this labeled_ratio")
         try:
-            preds = predict_bits(encoder, model, splits.test, cfg.pipeline.classifier_loss)
+            preds = predict_bits(encoder, model, splits.test)
         except NonFiniteError as e:
             raise CliError(f"eval: non-finite test-set encoding: {e}") from e
         score = weighted_f1(preds, splits.test.labels_matrix())

@@ -19,9 +19,9 @@ duration_s}``; provenance is stamped by the caller's ``report`` (the CLI
 adds the config hash, build id and seed to every row). Both training
 stages here run each epoch through ``bilevel.train_epoch``, as the search
 does; each keeps its own seeded draws, batches and ``best_so_far`` rule,
-and a failed loss raises ``PipelineError`` naming the stage, epoch and
-batch. That error is a stage's one signal of a non-finite value: batches,
-``encode_dataset`` and ``predict_bits`` run with numpy's overflow warnings
+and a failed loss or optimizer step raises ``PipelineError`` naming the
+stage, epoch and batch. That error is a stage's one signal of a non-finite
+value: batches and ``encode_dataset`` run with numpy's overflow warnings
 off, and no stage warns (each pretraining epoch's loss is a report row).
 
 Pretraining takes the augmented view batches of all its epochs from one
@@ -32,10 +32,9 @@ the derived encoder reads (``DerivedFusionEncoder.sources``); the other
 image layers are drawn and dropped, so the views are those of a batch of
 every source.
 
-The classification loss is per-label sigmoid binary cross entropy (the
-benchmark is multilabel); a mutually exclusive softmax cross entropy mode
-exists behind ``classifier_loss="softmax_ce"`` for single-label data.
-Prediction threshold is fixed at 0.5.
+The classifier's loss is per-label sigmoid binary cross entropy (the
+benchmark is multilabel), and it predicts a label where its logit is >= 0,
+that is, where the label's probability is >= 0.5.
 """
 
 from __future__ import annotations
@@ -64,9 +63,6 @@ from .util import (
     real,
     seeded_rng,
 )
-
-PREDICTION_THRESHOLD = 0.5
-
 
 class PipelineError(RuntimeError):
     pass
@@ -100,8 +96,8 @@ class PipelineConfig:
             raise ValueError("learning rates must be >= 0")
         if self.pretrain_batch_size < 2 or self.clf_batch_size < 1:
             raise ValueError("pretrain batches need >= 2 samples, classifier batches >= 1")
-        if self.classifier_loss not in ("bce", "softmax_ce"):
-            raise ValueError("classifier_loss must be 'bce' or 'softmax_ce'")
+        if self.classifier_loss != "bce":  # the benchmark reads the field; ROADMAP item 10 removes it
+            raise ValueError("classifier_loss must be 'bce'")
 
     def to_dict(self) -> dict:
         from dataclasses import asdict
@@ -178,17 +174,6 @@ def bce_with_logits(logits, targets: np.ndarray):
     return ad.fused("bce", [logits], value, backward)
 
 
-def softmax_cross_entropy(logits, targets: np.ndarray):
-    """Mean row-wise cross entropy; targets must be one-hot rows."""
-    m = np.max(logits.data, axis=1, keepdims=True)
-    lse = ad.add(
-        ad.log(ad.tsum(ad.exp(ad.sub(logits, ad.constant(m))), axis=1, keepdims=True)),
-        ad.constant(m),
-    )
-    picked = ad.tsum(ad.mul(logits, ad.constant(targets)), axis=1, keepdims=True)
-    return ad.mean(ad.sub(lse, picked))
-
-
 def encode_dataset(encoder, weights: dict, ds: Dataset) -> np.ndarray:
     """Frozen-encoder embedding of every sample, one forward pass; an overflow
     raises the ``NonFiniteError`` of the node it reaches, with no numpy warning."""
@@ -217,7 +202,6 @@ def fit_classifier(
     # the trainables are views of one vector, copied from the encoder's arrays when fine-tuned
     flat, trainable = flat_views(clf if pcfg.freeze_encoder else {**encoder_weights, **clf})
     model = {**encoder_weights, **trainable}
-    loss_fn = bce_with_logits if pcfg.classifier_loss == "bce" else softmax_cross_entropy
     opt = Adam(pcfg.clf_lr)
     h_frozen = None
     if pcfg.freeze_encoder:
@@ -231,7 +215,7 @@ def fit_classifier(
             h = ad.constant(h_frozen[idx])
         else:
             h = encoder.forward(leaves, {src: x[idx] for src, x in labeled.features.items()})
-        return loss_fn(ad.linear(h, leaves["clf/W"], leaves["clf/b"]), targets[idx])
+        return bce_with_logits(ad.linear(h, leaves["clf/W"], leaves["clf/b"]), targets[idx])
 
     for epoch in range(pcfg.clf_epochs):
         order = seeded_rng(seed, TAG_CLASSIFIER_EPOCH, epoch).permutation(len(labeled))
@@ -242,16 +226,12 @@ def fit_classifier(
 
 
 def predict_bits(encoder, model: dict, ds: Dataset, classifier_loss: str = "bce") -> np.ndarray:
-    """Hard multilabel predictions: sigmoid >= 0.5, or argmax one-hot."""
+    """Hard multilabel predictions: 1 where the logit is >= 0 (probability >= 0.5).
+
+    classifier_loss: ignored; the benchmark passes it, and ROADMAP item 10 removes it.
+    """
     h = encode_dataset(encoder, model, ds)
-    logits = h @ model["clf/W"] + model["clf/b"]
-    if classifier_loss == "softmax_ce":
-        bits = np.zeros_like(logits, dtype=np.uint8)
-        bits[np.arange(len(logits)), logits.argmax(axis=1)] = 1
-        return bits
-    with np.errstate(over="ignore"):  # exp(-logit) of a very negative logit is inf: probability 0
-        probs = 1.0 / (1.0 + np.exp(-logits))
-    return (probs >= PREDICTION_THRESHOLD).astype(np.uint8)
+    return (h @ model["clf/W"] + model["clf/b"] >= 0.0).astype(np.uint8)
 
 
 def weighted_f1(predictions: np.ndarray, truth: np.ndarray) -> float:
@@ -365,7 +345,7 @@ def run_pipeline(
     metrics = {"labeled_samples": len(splits.labeled_train)}
     if len(splits.test) > 0:
         try:
-            preds = predict_bits(encoder, model, splits.test, pcfg.classifier_loss)
+            preds = predict_bits(encoder, model, splits.test)
         except ad.NonFiniteError as e:
             raise PipelineError(f"fit: non-finite test-set encoding: {e}") from e
         metrics["weighted_f1"] = weighted_f1(preds, splits.test.labels_matrix())

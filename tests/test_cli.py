@@ -427,7 +427,10 @@ def test_run_all_log_holds_what_the_benchmark_reads(tmp_path, tiny_config):
     assert {r["genotype_hash"] for r in rows if r.get("genotype_hash")} == {genotype.hash()}
     test = split(ds, cfg.pipeline.labeled_ratio, cfg.seed).test
     model = load_weights(out / "model.mmnw")
-    f1 = weighted_f1(predict_bits(instantiate(genotype, space), model, test), test.labels_matrix())
+    assert cfg.pipeline.classifier_loss == "bce"
+    # the benchmark's call, with the argument it passes
+    preds = predict_bits(instantiate(genotype, space), model, test, cfg.pipeline.classifier_loss)
+    f1 = weighted_f1(preds, test.labels_matrix())
     reported = [h["weighted_f1"] for r in rows for h in (r, r.get("metrics") or {}) if "weighted_f1" in h]
     assert len(reported) == 2 and all(f == f1 for f in reported)
     assert not (out / ".incomplete").exists()

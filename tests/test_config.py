@@ -58,6 +58,7 @@ def test_invalid_value_rejected_with_path():
         ({"contrastive": {"blur_width": 2.5}}, "section 'contrastive'.*blur_width must be an integer"),
         ({"contrastive": {"proj_dim": 3.0}}, "section 'contrastive'.*proj_dim must be an integer"),
         ({"pipeline": {"freeze_encoder": "no"}}, "section 'pipeline'.*freeze_encoder must be true or false"),
+        ({"pipeline": {"classifier_loss": "softmax_ce"}}, "section 'pipeline'.*classifier_loss must be 'bce'"),
         ({"contrastive": {"temperature": True}}, "section 'contrastive'.*temperature must be a finite number"),
         ({"pipeline": {"pretrain_lr": True}}, "section 'pipeline'.*pretrain_lr must be a finite number"),
         ({"contrastive": {"noise_scale": float("nan")}}, "section 'contrastive'.*noise_scale must be a finite number"),
@@ -71,7 +72,7 @@ def test_invalid_value_rejected_with_path():
     ids=["int-section", "list-section", "null-section", "null-seed", "string-seed", "float-seed", "bool-seed",
          "null-data-seed", "list-config", "float-batch-size", "float-max-epochs", "bool-max-epochs",
          "float-hidden-dim", "float-num-cells", "bool-steps-per-cell", "float-pretrain-epochs",
-         "float-clf-batch-size", "float-blur-width", "float-proj-dim", "string-freeze-encoder",
+         "float-clf-batch-size", "float-blur-width", "float-proj-dim", "string-freeze-encoder", "softmax-ce-loss",
          "bool-temperature", "bool-pretrain-lr", "nan-noise-scale", "inf-lr-weights", "string-crop-prob",
          "null-lr-arch", "zero-hidden-dim", "zero-num-cells", "zero-steps-per-cell"],
 )

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import AdamOracle, MomentumSGDOracle
 
+from mmnas.autodiff import NonFiniteError
 from mmnas.optim import Adam, MomentumSGD
 from mmnas.util import flat_views
 
@@ -29,7 +30,7 @@ def test_adam_first_step_is_lr_sized():
 
 def test_adam_second_step_hand_computed():
     p = np.array([0.0])
-    opt = Adam(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam(lr=0.1)
     opt.step(p, np.array([1.0]))
     opt.step(p, np.array([1.0]))
     # m2 = 1-0.9^2 times corrected -> mhat = 1; vhat = 1; update = lr
@@ -39,6 +40,19 @@ def test_adam_second_step_hand_computed():
     vhat = v2 / (1 - 0.999**2)
     expected = -0.1 * 1.0 / (np.sqrt(1.0) + 1e-8) - 0.1 * mhat / (np.sqrt(vhat) + 1e-8)
     np.testing.assert_allclose(p, [expected], rtol=1e-12)
+
+
+def test_adam_refuses_an_overflowing_second_moment_and_moves_nothing():
+    # 1e200 squared overflows v; a silent step would freeze that entry for good (m / inf = 0)
+    p = np.array([0.5, -0.5])
+    opt = Adam(lr=0.1)
+    # the step runs with overflow warnings off, as in train_epoch
+    with pytest.raises(NonFiniteError, match="adam: non-finite second moment"), np.errstate(over="ignore"):
+        opt.step(p, np.array([1e200, 1.0]))
+    assert p.tolist() == [0.5, -0.5]
+    # the failed step left no state behind: the next one is a first step
+    opt.step(p, np.array([3.0, -0.5]))
+    np.testing.assert_allclose(p, [0.4, -0.4], rtol=1e-6)
 
 
 def test_state_is_per_parameter_name():

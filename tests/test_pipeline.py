@@ -17,7 +17,6 @@ from mmnas.pipeline import (
     predict_bits,
     pretrain,
     run_pipeline,
-    softmax_cross_entropy,
     weighted_f1,
 )
 from mmnas.searchspace import (
@@ -124,6 +123,20 @@ def test_fit_wraps_non_finite_loss_with_its_position(freeze):
     assert isinstance(info.value.__cause__, ad.NonFiniteError)
 
 
+def test_fit_names_the_optimizer_step_that_overflows_adam():
+    # frozen features this large give gradient entries past ~1.3e154, whose
+    # squares overflow Adam's second moment at the first step
+    ds = _dataset(n=40)
+    huge = Dataset({src: x * 1e160 for src, x in ds.features.items()}, ds.labels, ds.text_len)
+    space = _space(ds)
+    genotype = _genotype(space)
+    weights = pretrain(genotype, space, CCFG, INIT_ONLY, ds, seed=6)
+    message = r"^fit: non-finite optimizer step at epoch 1 batch 0: adam: non-finite second moment$"
+    with pytest.raises(PipelineError, match=message) as info:
+        fit_classifier(instantiate(genotype, space), weights, huge, PipelineConfig(clf_epochs=3), seed=6)
+    assert isinstance(info.value.__cause__, ad.NonFiniteError)
+
+
 def _concat_fc_genotype(space):
     return Genotype(
         cells=(CellGene(inputs=("image:0", "text:1"), steps=(StepGene(pair=("image:0", "text:1"), op="ConcatFC"),)),),
@@ -195,6 +208,20 @@ def test_fit_all_zero_labels_drives_sigmoids_down():
     assert not preds.any()
 
 
+def test_a_label_is_predicted_where_its_logit_is_at_least_zero():
+    # the bias alone sets each logit; sigmoid(+-1e-16) rounds to exactly 0.5,
+    # and a sigmoid of -1e4 would overflow exp (Tier-1 fails on the warning)
+    ds = _dataset(n=6, seed=2)
+    space = _space(ds)
+    genotype = _genotype(space)
+    weights = pretrain(genotype, space, CCFG, INIT_ONLY, ds, seed=1)
+    b = np.array([0.0, 1e-16, -1e-16, -1e4])
+    model = {**weights, "clf/W": np.zeros((space.hidden_dim, len(b))), "clf/b": b}
+    preds = predict_bits(instantiate(genotype, space), model, ds)
+    assert preds.dtype == np.uint8
+    assert preds.tolist() == [[1, 1, 0, 0]] * len(ds)
+
+
 def test_fit_frozen_encoder_is_bitwise_frozen():
     ds = _dataset(n=24, seed=3)
     space = _space(ds)
@@ -243,8 +270,6 @@ def test_losses_match_finite_differences():
     logits0 = rng.standard_normal((4, 3))
     targets = (rng.random((4, 3)) < 0.4).astype(np.float64)
     check_gradients(lambda lv: bce_with_logits(lv["x"], targets), {"x": logits0.copy()}, tol=1e-6)
-    onehot = np.eye(3)[rng.integers(0, 3, size=4)]
-    check_gradients(lambda lv: softmax_cross_entropy(lv["x"], onehot), {"x": logits0.copy()}, tol=1e-6)
 
 
 def test_bce_matches_direct_formula():
@@ -473,21 +498,6 @@ def test_stage_rows_are_the_reported_rows_and_carry_no_provenance():
     for row in rows:
         assert set(row) == {"stage", "metrics", "genotype_hash", "duration_s"}
         assert row["genotype_hash"] == genotype.hash() and row["duration_s"] > 0.0
-
-
-def test_softmax_ce_mode_predicts_one_hot():
-    ds = _dataset(n=30, seed=16)
-    # collapse labels to a single-label problem
-    one_hot = np.eye(ds.num_labels, dtype=np.uint8)[np.arange(len(ds)) % ds.num_labels]
-    ds = Dataset(ds.features, one_hot, ds.text_len)
-    space = _space(ds)
-    genotype = _genotype(space)
-    encoder = instantiate(genotype, space)
-    weights = pretrain(genotype, space, CCFG, INIT_ONLY, ds, seed=0)
-    pcfg = PipelineConfig(clf_epochs=10, clf_lr=0.05, classifier_loss="softmax_ce")
-    model = fit_classifier(encoder, weights, ds, pcfg, seed=0)
-    preds = predict_bits(encoder, model, ds, classifier_loss="softmax_ce")
-    assert np.all(preds.sum(axis=1) == 1)
 
 
 # Pinned outputs of a tiny end-to-end run. Any change to an RNG draw or to
