@@ -10,28 +10,27 @@ search, pretrain, fit and run-all share one runner: each calls
 ``pipeline.run_pipeline`` with the artifacts given by ``--genotype`` and
 ``--weights``, stops after the stage it names (fit and run-all run to the
 end), and ends the log with one ``command`` row (command, config,
-genotype hash, weighted F1). Each sweep-r cell is a run-all. eval only
-scores a model and runs no stage; its log gets one row shaped like a stage
-row. ``_Reporter`` is the one place that stamps provenance: every row it
-writes carries the config hash, the build id and the seed.
+genotype hash, weighted F1). Each sweep-r cell is a run-all. eval scores a
+fitted model through ``pipeline.score``, as the fit stage does, into one
+stage row; a ``--weights`` file must hold each weight its genotype needs,
+in its shape. ``_Reporter`` is the one place that stamps provenance: every
+row it writes carries the config hash, the build id and the seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import data as dataio
-from .autodiff import NonFiniteError
 from .checkpoint import load_weights
 from .config import ConfigError, RunConfig, build_id
-from .pipeline import predict_bits, run_pipeline, weighted_f1
+from .pipeline import run_pipeline, score
 from .searchspace import Genotype, instantiate, validate_genotype
 from .util import atomic_open
 
@@ -65,8 +64,6 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg = cfg.with_seed(args.seed)
     if getattr(args, "freeze_encoder", None) is not None:
-        import dataclasses
-
         cfg = dataclasses.replace(
             cfg, pipeline=dataclasses.replace(cfg.pipeline, freeze_encoder=args.freeze_encoder)
         )
@@ -113,6 +110,15 @@ def cmd_audit_data(args) -> int:
     return 0
 
 
+def _checkpoint(path, shapes: dict) -> dict:
+    """The MMNW file at ``path``, with each name in ``shapes`` in its shape (other names may come along)."""
+    weights = load_weights(path)
+    for name, shape in shapes.items():
+        if name not in weights or weights[name].shape != shape:
+            raise CliError(f"{path}: checkpoint needs {name!r} of shape {shape}")
+    return weights
+
+
 def _run_guard(out: Path):
     marker = out / ".incomplete"
     marker.write_text("run in progress\n")
@@ -123,31 +129,22 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     t0 = time.perf_counter()
-    if args.predictions:
-        doc = json.loads(Path(args.predictions).read_text())
-        score = weighted_f1(np.asarray(doc["predictions"]), np.asarray(doc["truth"]))
-    else:
-        if not (args.genotype and args.weights):
-            raise CliError("eval needs --predictions, or --genotype and --weights")
-        ds = _load_dataset(args.data, cfg)
-        space = cfg.space_config(ds.image_dims, ds.text_dims)
-        genotype = _genotype_from_file(args.genotype, space)
-        encoder = instantiate(genotype, space)
-        model = load_weights(args.weights)
-        splits = dataio.split(ds, cfg.pipeline.labeled_ratio, cfg.seed)
-        if len(splits.test) == 0:
-            raise CliError("test split is empty at this labeled_ratio")
-        try:
-            preds = predict_bits(encoder, model, splits.test)
-        except NonFiniteError as e:
-            raise CliError(f"eval: non-finite test-set encoding: {e}") from e
-        score = weighted_f1(preds, splits.test.labels_matrix())
-    row = {"stage": "eval", "metrics": {"weighted_f1": score}, "genotype_hash": None,
+    ds = _load_dataset(args.data, cfg)
+    space = cfg.space_config(ds.image_dims, ds.text_dims)
+    genotype = _genotype_from_file(args.genotype, space)
+    encoder = instantiate(genotype, space)
+    clf = {"clf/W": (space.hidden_dim, ds.num_labels), "clf/b": (ds.num_labels,)}
+    model = _checkpoint(args.weights, {**encoder.weight_shapes(), **clf})
+    test = dataio.split(ds, cfg.pipeline.labeled_ratio, cfg.seed).test
+    if len(test) == 0:
+        raise CliError("test split is empty at this labeled_ratio")
+    f1 = score(encoder, model, test)
+    row = {"stage": "eval", "metrics": {"weighted_f1": f1}, "genotype_hash": genotype.hash(),
            "duration_s": round(time.perf_counter() - t0, 6)}
     reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)  # a failed eval leaves no log behind
     reporter(row)
     reporter.close()
-    print(f"weighted_f1 = {score:.6f}")
+    print(f"weighted_f1 = {f1:.6f}")
     return 0
 
 
@@ -163,7 +160,8 @@ def _run_stages(cfg: RunConfig, out: Path, command: str, data_path, last_stage="
     ds = _load_dataset(data_path, cfg)
     space = cfg.space_config(ds.image_dims, ds.text_dims)
     genotype = _genotype_from_file(genotype_path, space) if genotype_path else None
-    pretrained = load_weights(weights_path) if weights_path else None
+    shapes = instantiate(genotype, space).weight_shapes() if genotype else {}  # a search comes first otherwise
+    pretrained = _checkpoint(weights_path, shapes) if weights_path else None
     if command in ("run-all", "sweep-r"):
         (out / "reports.jsonl").unlink(missing_ok=True)
     reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)
@@ -218,8 +216,6 @@ def cmd_sweep_r(args) -> int:
     seeds = [int(x) for x in args.seeds.split(",") if x.strip()]
     if not grid or not seeds:
         raise CliError("sweep-r needs non-empty --r-grid and --seeds")
-    import dataclasses
-
     # the split sizes follow from n and r alone: refuse the grid before any cell trains
     n = len(_load_dataset(args.data, cfg))
     for r in grid:
@@ -293,11 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freeze-encoder", action=argparse.BooleanOptionalAction, default=None)
     p.set_defaults(fn=cmd_run, last_stage="fit")
 
-    p = sub.add_parser("eval", help="score predictions or a fitted model")
+    p = sub.add_parser("eval", help="score a fitted model on the test split")
     common(p)
-    p.add_argument("--genotype")
-    p.add_argument("--weights", help="fitted model MMNW checkpoint")
-    p.add_argument("--predictions", help="JSON file with 'predictions' and 'truth' bit matrices")
+    p.add_argument("--genotype", required=True)
+    p.add_argument("--weights", required=True, help="fitted model MMNW checkpoint")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("run-all", help="stages 1-3 plus evaluation")

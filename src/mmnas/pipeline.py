@@ -34,14 +34,16 @@ every source.
 
 The classifier's loss is per-label sigmoid binary cross entropy (the
 benchmark is multilabel), and it predicts a label where its logit is >= 0,
-that is, where the label's probability is >= 0.5.
+that is, where the label's probability is >= 0.5. ``score`` alone turns
+those predictions into the weighted F1, for the fit stage and ``eval``.
 """
 
 from __future__ import annotations
 
 import itertools
+import pathlib
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -100,8 +102,6 @@ class PipelineConfig:
             raise ValueError("classifier_loss must be 'bce'")
 
     def to_dict(self) -> dict:
-        from dataclasses import asdict
-
         return asdict(self)
 
 
@@ -231,7 +231,17 @@ def predict_bits(encoder, model: dict, ds: Dataset, classifier_loss: str = "bce"
     classifier_loss: ignored; the benchmark passes it, and ROADMAP item 10 removes it.
     """
     h = encode_dataset(encoder, model, ds)
-    return (h @ model["clf/W"] + model["clf/b"] >= 0.0).astype(np.uint8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (ad.linear(h, model["clf/W"], model["clf/b"]).data >= 0.0).astype(np.uint8)
+
+
+def score(encoder, model: dict, test: Dataset) -> float:
+    """Weighted F1 of a fitted model on ``test``; a non-finite encoding or logit is a ``PipelineError``."""
+    try:
+        bits = predict_bits(encoder, model, test)
+    except ad.NonFiniteError as e:
+        raise PipelineError(f"score: non-finite test-set prediction: {e}") from e
+    return weighted_f1(bits, test.labels_matrix())
 
 
 def weighted_f1(predictions: np.ndarray, truth: np.ndarray) -> float:
@@ -294,8 +304,6 @@ def run_pipeline(
     encoder weights, the fitted model and the test weighted F1 (absent
     when the test split is empty).
     """
-    import pathlib
-
     stages = ("search", "pretrain", "fit")
     if last_stage not in stages:
         raise PipelineError(f"last_stage must be one of {stages}, got {last_stage!r}")
@@ -344,11 +352,7 @@ def run_pipeline(
     model = fit_classifier(encoder, pretrained, splits.labeled_train, pcfg, seed, report)
     metrics = {"labeled_samples": len(splits.labeled_train)}
     if len(splits.test) > 0:
-        try:
-            preds = predict_bits(encoder, model, splits.test)
-        except ad.NonFiniteError as e:
-            raise PipelineError(f"fit: non-finite test-set encoding: {e}") from e
-        metrics["weighted_f1"] = weighted_f1(preds, splits.test.labels_matrix())
+        metrics["weighted_f1"] = score(encoder, model, splits.test)
         metrics["test_samples"] = len(splits.test)
         artifacts["weighted_f1"] = metrics["weighted_f1"]
     record("fit", metrics, t0)

@@ -1,11 +1,11 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mmnas.cli import main
 from mmnas.config import RunConfig
+from mmnas.searchspace import Genotype
 
 TINY = {
     "seed": 0,
@@ -118,20 +118,10 @@ def test_staged_commands_compose(tmp_path, tiny_config):
     )
     rows = _reports(e)
     assert rows[-1]["metrics"]["weighted_f1"] >= 0.0
+    assert rows[-1]["genotype_hash"] == Genotype.from_json(Path(genotype).read_text()).hash()
     # stage rows carry their real wall time
     assert rows[-1]["duration_s"] > 0.0
     assert [r["duration_s"] > 0.0 for r in _reports(s) if r.get("stage") == "search"] == [True]
-
-
-def test_eval_on_perfect_prediction_fixture(tmp_path, tiny_config, capsys):
-    truth = (np.random.default_rng(0).random((10, 3)) < 0.4).astype(int).tolist()
-    fixture = tmp_path / "preds.json"
-    fixture.write_text(json.dumps({"predictions": truth, "truth": truth}))
-    out = tmp_path / "e"
-    assert main(["eval", "--config", tiny_config, "--predictions", str(fixture), "--out-dir", str(out)]) == 0
-    assert "weighted_f1 = 1.000000" in capsys.readouterr().out
-    rows = _reports(out)
-    assert rows[-1]["metrics"]["weighted_f1"] == 1.0
 
 
 def test_run_all_into_a_used_out_dir_starts_a_fresh_log(tmp_path, tiny_config):
@@ -249,25 +239,33 @@ def test_a_non_finite_frozen_encoding_gives_one_structured_error(tmp_path, tiny_
     assert (out / ".incomplete").exists() and not (out / "model.mmnw").exists()
 
 
-def test_a_non_finite_test_set_encoding_gives_one_structured_error(tmp_path, tiny_config, capsys, monkeypatch):
+# a change to a fitted model that makes scoring it non-finite, and how its error line starts
+NON_FINITE_SCORING = {
+    "encoding": (lambda model: {k: w * 1e300 for k, w in model.items()}, "score: non-finite test-set prediction: "),
+    "logits": (lambda model: {**model, "clf/W": model["clf/W"] * 1e308},
+               "score: non-finite test-set prediction: linear: non-finite output"),
+}
+
+
+@pytest.mark.parametrize("value", NON_FINITE_SCORING)
+def test_a_non_finite_test_set_encoding_gives_one_structured_error(tmp_path, tiny_config, capsys, monkeypatch, value):
     import mmnas.pipeline
 
-    encode, calls = mmnas.pipeline.encode_dataset, []
+    change, start = NON_FINITE_SCORING[value]
+    fit, calls = mmnas.pipeline.fit_classifier, []
 
-    def overflowing_second_call(encoder, weights, ds):
-        calls.append(len(ds))
-        if len(calls) == 2:  # the test set's, after the classifier is fitted
-            weights = {name: w * 1e300 for name, w in weights.items()}
-        return encode(encoder, weights, ds)
+    def fit_then_change(*args, **kwargs):
+        calls.append(None)
+        return change(fit(*args, **kwargs))
 
-    monkeypatch.setattr(mmnas.pipeline, "encode_dataset", overflowing_second_call)
+    monkeypatch.setattr(mmnas.pipeline, "fit_classifier", fit_then_change)
     out = tmp_path / "o"
     code = main(["run-all", "--config", tiny_config, "--out-dir", str(out)])
-    assert code == 1 and len(calls) == 2
+    assert code == 1 and len(calls) == 1
     err = _one_error_line(capsys)
     assert err["type"] == "PipelineError"
-    assert err["error"].startswith("fit: non-finite test-set encoding: ")
-    assert (out / ".incomplete").exists()
+    assert err["error"].startswith(start)
+    assert (out / ".incomplete").exists() and not (out / "model.mmnw").exists()
 
 
 def test_pretrain_refuses_to_write_a_checkpoint_its_loader_refuses(tmp_path, tiny_config, capsys):
@@ -285,7 +283,7 @@ def test_pretrain_refuses_to_write_a_checkpoint_its_loader_refuses(tmp_path, tin
 
 def test_search_with_unusable_genotype_writes_nothing(tmp_path, tiny_config, monkeypatch, capsys):
     import mmnas.bilevel
-    from mmnas.searchspace import CellGene, Genotype
+    from mmnas.searchspace import CellGene
 
     def all_pruned(arch):
         return Genotype(cells=(CellGene(inputs=("image:0", "text:0"), steps=()),), config_hash=arch.config.hash())
@@ -405,7 +403,7 @@ def test_run_all_log_holds_what_the_benchmark_reads(tmp_path, tiny_config):
     from mmnas.checkpoint import load_weights
     from mmnas.data import load, split
     from mmnas.pipeline import predict_bits, weighted_f1
-    from mmnas.searchspace import CellGene, Genotype, StepGene, instantiate
+    from mmnas.searchspace import CellGene, StepGene, instantiate
 
     cfg = RunConfig.from_file(tiny_config)
     assert main(["gen-data", "--config", tiny_config, "--out-dir", str(tmp_path / "d")]) == 0
@@ -477,15 +475,61 @@ def _eval_of_changed_model(tmp_path, tiny_config, change) -> list:
             "--out-dir", str(tmp_path / "e")]
 
 
-def test_eval_of_a_model_whose_test_encoding_overflows_gives_one_structured_error(tmp_path, tiny_config, capsys):
-    argv = _eval_of_changed_model(tmp_path, tiny_config, lambda model: {k: w * 1e300 for k, w in model.items()})
+def _failed_eval(tmp_path, tiny_config, capsys, value) -> None:
+    change, start = NON_FINITE_SCORING[value]
+    argv = _eval_of_changed_model(tmp_path, tiny_config, change)
     capsys.readouterr()
     code = main(argv)
     assert code == 1
     err = _one_error_line(capsys)
-    assert err["type"] == "CliError"
-    assert err["error"].startswith("eval: non-finite test-set encoding: ")
+    assert err["type"] == "PipelineError"
+    assert err["error"].startswith(start)
     assert not (tmp_path / "e" / "reports.jsonl").exists()
+
+
+def test_eval_of_a_model_whose_test_encoding_overflows_gives_one_structured_error(tmp_path, tiny_config, capsys):
+    _failed_eval(tmp_path, tiny_config, capsys, "encoding")
+
+
+def test_eval_of_a_model_whose_logits_overflow_gives_one_structured_error(tmp_path, tiny_config, capsys):
+    # the weights are finite, and so is the encoding; it used to warn and score inf logits
+    _failed_eval(tmp_path, tiny_config, capsys, "logits")
+
+
+def test_eval_of_an_encoder_checkpoint_names_the_classifier_weight_it_lacks(tmp_path, tiny_config, capsys):
+    out = tmp_path / "r"
+    assert main(["run-all", "--config", tiny_config, "--out-dir", str(out)]) == 0
+    weights = out / "encoder.mmnw"
+    capsys.readouterr()
+    argv = ["eval", "--config", tiny_config, "--genotype", str(out / "genotype.json"), "--weights", str(weights),
+            "--out-dir", str(tmp_path / "e")]
+    assert main(argv) == 1  # it used to end in a KeyError traceback
+    expected = {"type": "CliError", "error": f"{weights}: checkpoint needs 'clf/W' of shape (6, 4)"}
+    assert _one_error_line(capsys) == expected
+    assert not (tmp_path / "e" / "reports.jsonl").exists()
+
+
+def test_fit_names_the_first_weight_its_checkpoint_lacks_or_misshapes(tmp_path, tiny_config, capsys):
+    from mmnas.checkpoint import load_weights, save_weights
+
+    out = tmp_path / "r"
+    assert main(["run-all", "--config", tiny_config, "--out-dir", str(out)]) == 0
+    encoder = load_weights(out / "encoder.mmnw")
+    faulty = tmp_path / "faulty.mmnw"
+
+    def fit(weights, into):
+        return main(["fit", "--config", tiny_config, "--genotype", str(out / "genotype.json"), "--weights",
+                     str(weights), "--out-dir", str(tmp_path / into)])
+
+    for into, weights in (("missing", {k: w for k, w in encoder.items() if k != "cell0/out/W"}),
+                          ("misshaped", {**encoder, "cell0/out/W": encoder["cell0/out/W"][:-1]})):
+        save_weights(faulty, weights)
+        capsys.readouterr()
+        assert fit(faulty, into) == 1, into  # a missing name used to end in a KeyError traceback
+        expected = {"type": "CliError", "error": f"{faulty}: checkpoint needs 'cell0/out/W' of shape (6, 6)"}
+        assert _one_error_line(capsys) == expected, into
+        assert not (tmp_path / into / "model.mmnw").exists()
+    assert fit(out / "model.mmnw", "extra") == 0  # names the genotype does not need may come along
 
 
 def test_eval_of_a_model_whose_probabilities_underflow_to_zero_prints_no_warning(tmp_path, tiny_config, capsys):
