@@ -111,7 +111,7 @@ def cmd_audit_data(args) -> int:
 
 
 def _checkpoint(path, shapes: dict) -> dict:
-    """The MMNW file at ``path``, with each name in ``shapes`` in its shape (other names may come along)."""
+    """The MMNW file at ``path``; a ``CliError`` unless it holds each name in ``shapes`` in that shape (or more)."""
     weights = load_weights(path)
     for name, shape in shapes.items():
         if name not in weights or weights[name].shape != shape:
