@@ -97,11 +97,6 @@ class SearchConfig:
         if self.lr_weights < 0 or self.lr_arch < 0:
             raise ValueError("learning rates must be >= 0")
 
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
 
 @dataclass
 class SearchState:
@@ -309,8 +304,6 @@ def train_epoch(batches, batch_loss, stepped, opt, error, *, epoch, phase, lr, b
 
 
 def _check_compatible(space: SearchSpaceConfig, ds: Dataset) -> None:
-    if tuple(space.modality_names) != ("image", "text"):
-        raise SearchError("dataset pipeline expects modalities ('image', 'text')")
     if space.features_per_modality != (ds.image_dims, ds.text_dims):
         raise SearchError(
             f"search space dims {space.features_per_modality} do not match dataset "

@@ -157,11 +157,12 @@ def _run_stages(cfg: RunConfig, out: Path, command: str, data_path, last_stage="
     fit stage or on an empty test split). ``run-all`` and ``sweep-r``
     cells start a fresh log; the staged commands append to the one they share.
     """
+    if weights_path and not genotype_path:
+        raise CliError(f"{command}: --weights needs --genotype, the genotype its checkpoint was pretrained for")
     ds = _load_dataset(data_path, cfg)
     space = cfg.space_config(ds.image_dims, ds.text_dims)
     genotype = _genotype_from_file(genotype_path, space) if genotype_path else None
-    shapes = instantiate(genotype, space).weight_shapes() if genotype else {}  # a search comes first otherwise
-    pretrained = _checkpoint(weights_path, shapes) if weights_path else None
+    pretrained = _checkpoint(weights_path, instantiate(genotype, space).weight_shapes()) if weights_path else None
     if command in ("run-all", "sweep-r"):
         (out / "reports.jsonl").unlink(missing_ok=True)
     reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-all", help="stages 1-3 plus evaluation")
     common(p)
     p.add_argument("--genotype", help="skip the search stage with this genotype")
-    p.add_argument("--weights", help="skip the pretraining stage with this checkpoint")
+    p.add_argument("--weights", help="skip the pretraining stage with this checkpoint (needs --genotype)")
     p.add_argument("--freeze-encoder", action=argparse.BooleanOptionalAction, default=None)
     p.set_defaults(fn=cmd_run, last_stage="fit")
 

@@ -64,9 +64,6 @@ class SpaceSection:
             if integer(getattr(self, f.name), f.name) < 1:
                 raise ValueError(f"{f.name} must be >= 1, got {getattr(self, f.name)}")
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -111,16 +108,9 @@ class RunConfig:
         return dataclasses.replace(self, seed=int(seed))
 
     def to_dict(self) -> dict:
-        d = self.search.to_dict()
-        d.pop("seed")
-        return {
-            "seed": self.seed,
-            "data": self.data.to_dict(),
-            "space": self.space.to_dict(),
-            "contrastive": self.contrastive.to_dict(),
-            "search": d,
-            "pipeline": self.pipeline.to_dict(),
-        }
+        d = dataclasses.asdict(self)
+        del d["search"]["seed"]  # the run seed is the top-level one
+        return d
 
     def hash(self) -> str:
         return short_hash(self.to_dict())
@@ -130,7 +120,6 @@ class RunConfig:
 
     def space_config(self, image_dims, text_dims) -> SearchSpaceConfig:
         return SearchSpaceConfig(
-            modality_names=("image", "text"),
             features_per_modality=(tuple(image_dims), tuple(text_dims)),
             num_cells=self.space.num_cells,
             steps_per_cell=self.space.steps_per_cell,
@@ -138,7 +127,7 @@ class RunConfig:
         )
 
     def search_config(self) -> SearchConfig:
-        return SearchConfig(**{**self.search.to_dict(), "seed": self.seed})
+        return dataclasses.replace(self.search, seed=self.seed)
 
 
 @functools.cache

@@ -110,22 +110,6 @@ class ContrastiveConfig:
         if self.proj_hidden_dim < 1 or self.proj_dim < 1:
             raise ContrastiveError("projection head dims must be >= 1")
 
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
-
-
-_FLIP_CACHE: dict = {}
-
-
-def _flip_pattern(dim: int) -> np.ndarray:
-    pat = _FLIP_CACHE.get(dim)
-    if pat is None:
-        pat = np.where(np.arange(dim) % 2 == 0, 1.0, -1.0)
-        _FLIP_CACHE[dim] = pat
-    return pat
-
 
 class _LayerDraws:
     """Random parameters one image layer drew, gathered over the batch rows."""
@@ -150,7 +134,7 @@ def _apply_image_layer(x: np.ndarray, dr: _LayerDraws, cfg: ContrastiveConfig) -
         hit = (cols >= starts) & (cols < starts + span)
         out[dr.crop_rows] = np.where(hit, 0.0, out[dr.crop_rows])
     if dr.flip_rows:
-        out[dr.flip_rows] *= _flip_pattern(d)
+        out[dr.flip_rows, 1::2] *= -1.0
     if dr.jitter_rows:
         # contiguous channels sized as np.array_split(range(d), k) sizes them
         k = min(4, d)

@@ -13,7 +13,8 @@ A dataset holds no text token values, only ``text_len``, the length of
 the text mask (see ``contrastive``). MMNF does not store it: the loader
 takes it from its caller.
 
-MMNF layout, all integers little-endian:
+MMNF holds the two modalities of ``MODALITIES``, in that order. Its
+layout, all integers little-endian:
 
   magic  b"MMNF" | version u32 | num_samples u32 | num_modalities u32
   per modality: layer_count u32, then one u32 dim per layer
@@ -25,7 +26,7 @@ MMNF layout, all integers little-endian:
 from __future__ import annotations
 
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .util import (
     seeded_rng,
 )
 
+MODALITIES = ("image", "text")
 MMNF_MAGIC = b"MMNF"
 MMNF_VERSION = 1
 
@@ -99,9 +101,6 @@ class SyntheticSpec:
         out = [f"image:{l}" for l in range(len(self.image_layer_dims))]
         out += [f"text:{l}" for l in range(len(self.text_layer_dims))]
         return out
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class Dataset:
@@ -258,7 +257,7 @@ def load(path, text_len: int = 16, vocab_size: int = 1000) -> Dataset:
         )
 
     features = {}
-    for modality, dims in zip(("image", "text"), per_modality):
+    for modality, dims in zip(MODALITIES, per_modality):
         for l, d in enumerate(dims):
             block = np.frombuffer(raw, dtype="<f4", count=n * d, offset=off)
             if not np.isfinite(block).all():

@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 import pathlib
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,9 +100,6 @@ class PipelineConfig:
             raise ValueError("pretrain batches need >= 2 samples, classifier batches >= 1")
         if self.classifier_loss != "bce":  # the benchmark reads the field; ROADMAP item 10 removes it
             raise ValueError("classifier_loss must be 'bce'")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _error(stage: str, epoch: int):
@@ -327,7 +324,7 @@ def run_pipeline(
                 f"(labeled_ratio={pcfg.labeled_ratio})"
             )
         t0 = time.perf_counter()
-        scfg = SearchConfig(**{**scfg.to_dict(), "seed": seed})
+        scfg = replace(scfg, seed=seed)
         genotype, state = run_search(scfg, space, ccfg, splits.search_train, splits.search_valid, report=report)
         record("search", {"best_valid_loss": state.best_valid_loss, "epochs": state.epoch}, t0)
         if out is not None:

@@ -96,13 +96,13 @@ the three plans on the spot and runs the same code.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NonFiniteError, Tensor
+from .data import MODALITIES
 from .util import canonical_json, flat_views, init_linear, integer, short_hash
 
 PRIMITIVES = ("Sum", "ScaledDotAttention", "LinearGLU", "ConcatFC", "Zero")
@@ -125,54 +125,43 @@ class GenotypeError(SpaceError):
 class SearchSpaceConfig:
     """Static shape of the search space.
 
+    The modalities are ``data.MODALITIES``, in that order.
     features_per_modality[m][l] is the raw dimension of backbone layer l of
     modality m; every such feature is linearly projected to ``hidden_dim``
     before entering the fusion model.
     """
 
-    modality_names: tuple = ("image", "text")
     features_per_modality: tuple = ((32, 32), (32, 32))
     num_cells: int = 1
     steps_per_cell: int = 2
     hidden_dim: int = 16
 
     def __post_init__(self):
-        names = tuple(self.modality_names)
         feats = tuple(tuple(integer(d, "layer dim", SpaceError) for d in dims) for dims in self.features_per_modality)
         for name in ("num_cells", "steps_per_cell", "hidden_dim"):
             integer(getattr(self, name), name, SpaceError)
-        object.__setattr__(self, "modality_names", names)
         object.__setattr__(self, "features_per_modality", feats)
-        if len(names) != len(feats) or not names:
-            raise SpaceError("modality_names and features_per_modality must align and be non-empty")
-        if len(set(names)) != len(names) or any(":" in n for n in names):
-            raise SpaceError("modality names must be unique and colon-free")
-        reserved = [n for n in names if n in ("cell", "step")]
-        if reserved:
-            raise SpaceError(f"modality name {reserved[0]!r} is reserved: genotypes use 'cell:k' and 'step:k'")
+        if len(feats) != len(MODALITIES):
+            raise SpaceError(
+                f"features_per_modality needs one tuple of layer dims per modality {MODALITIES}, got {len(feats)}"
+            )
         if self.num_cells < 1 or self.steps_per_cell < 1 or self.hidden_dim < 1:
             raise SpaceError("num_cells, steps_per_cell and hidden_dim must be >= 1")
         for dims in feats:
             if not dims or any(d < 1 for d in dims):
                 raise SpaceError("every modality needs at least one layer of positive dim")
-        if sum(len(d) for d in feats) < 2:
-            raise SpaceError("need at least two backbone feature sources (cells take two inputs)")
-
-    @property
-    def num_modalities(self) -> int:
-        return len(self.modality_names)
 
     def sources(self) -> list:
         """Backbone feature sources in canonical order, e.g. 'image:0'."""
         out = []
-        for name, dims in zip(self.modality_names, self.features_per_modality):
+        for name, dims in zip(MODALITIES, self.features_per_modality):
             out.extend(f"{name}:{l}" for l in range(len(dims)))
         return out
 
     def source_dim(self, source: str) -> int:
         name, _, layer = source.partition(":")
         try:
-            m = self.modality_names.index(name)
+            m = MODALITIES.index(name)
             return self.features_per_modality[m][int(layer)]
         except (ValueError, IndexError):
             raise SpaceError(f"unknown source {source!r}") from None
@@ -181,8 +170,10 @@ class SearchSpaceConfig:
         return len(self.sources()) + cell
 
     def to_dict(self) -> dict:
+        # the modalities are not a setting, but their key stays: this dict is
+        # hashed into every genotype's config_hash, which saved genotypes pin
         return {
-            "modality_names": list(self.modality_names),
+            "modality_names": list(MODALITIES),
             "features_per_modality": [list(d) for d in self.features_per_modality],
             "num_cells": self.num_cells,
             "steps_per_cell": self.steps_per_cell,
@@ -581,7 +572,6 @@ def mixed_cell_input(alpha, candidates: list, plan: _SlotPlan | None = None) -> 
     return ad.fused("mixed_cell_input", [alpha, *candidates], ad.weighted_sum(datas, w), backward)
 
 
-@functools.lru_cache(maxsize=None)
 def _scatter(slots: tuple) -> np.ndarray:
     """The (2, P, J) 0/1 matrices of a pair list given as pool indices:
     entry [s, p, j] is 1 iff pair j holds pool entry p in slot s."""
@@ -589,7 +579,6 @@ def _scatter(slots: tuple) -> np.ndarray:
     for j, (u, v) in enumerate(slots):
         scatter[0, u, j] = 1.0
         scatter[1, v, j] = 1.0
-    scatter.flags.writeable = False
     return scatter
 
 

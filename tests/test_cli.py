@@ -532,6 +532,20 @@ def test_fit_names_the_first_weight_its_checkpoint_lacks_or_misshapes(tmp_path, 
     assert fit(out / "model.mmnw", "extra") == 0  # names the genotype does not need may come along
 
 
+def test_run_all_refuses_weights_without_a_genotype_before_any_stage_runs(tmp_path, tiny_config, capsys):
+    out = tmp_path / "r"
+    assert main(["run-all", "--config", tiny_config, "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    into = tmp_path / "w"
+    # the checkpoint could only be checked against the searched genotype, after the whole search
+    assert main(["run-all", "--config", tiny_config, "--weights", str(out / "encoder.mmnw"),
+                 "--out-dir", str(into)]) == 1
+    expected = {"type": "CliError",
+                "error": "run-all: --weights needs --genotype, the genotype its checkpoint was pretrained for"}
+    assert _one_error_line(capsys) == expected
+    assert not (into / "genotype.json").exists() and not (into / "reports.jsonl").exists()
+
+
 def test_eval_of_a_model_whose_probabilities_underflow_to_zero_prints_no_warning(tmp_path, tiny_config, capsys):
     # exp(-logit) overflows to inf for every logit, so every probability is 0 and no label is predicted
     argv = _eval_of_changed_model(tmp_path, tiny_config, lambda model: {**model, "clf/b": model["clf/b"] - 1e4})

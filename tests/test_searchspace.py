@@ -573,11 +573,10 @@ def test_missing_source_rejected():
         enc.forward(w, arch.named(), _features(cfg)[:1])
 
 
-@pytest.mark.parametrize("name", ["cell", "step"])
-def test_genotype_reference_names_rejected_as_modalities(name):
-    # their sources "cell:0" and "step:0" would read as genotype references
-    with pytest.raises(SpaceError, match=f"modality name '{name}' is reserved"):
-        SearchSpaceConfig(modality_names=(name, "text"), features_per_modality=((3,), (3,)))
+@pytest.mark.parametrize("dims", [((3,),), ((3,), (3,), (3,))], ids=["one-modality", "three-modalities"])
+def test_layer_dims_of_other_than_the_two_modalities_rejected(dims):
+    with pytest.raises(SpaceError, match=r"one tuple of layer dims per modality \('image', 'text'\), got"):
+        SearchSpaceConfig(features_per_modality=dims)
 
 
 # ---------------------------------------------------------------------------
