@@ -116,34 +116,11 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, on_tape={self.tape is not None})"
 
-    # operator sugar; every method delegates to the module-level primitive
+    # operator sugar for ``add`` and ``getitem``; every other op is called by name
     def __add__(self, other):
         return add(self, other)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -474,19 +451,12 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     return fused("sum", (ta,), np.asarray(out, dtype=np.float64), bwd)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a) -> Tensor:
+    """The mean of every entry, as a 0-d tensor."""
     (ta,) = _coerce((a,))
-    out = np.mean(ta.data, axis=axis, keepdims=keepdims)
-    shape = ta.data.shape
-    count = ta.data.size if axis is None else shape[axis]
-
-    def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g / count, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / count, shape).copy(),)
-
-    return fused("mean", (ta,), np.asarray(out, dtype=np.float64), bwd)
+    shape, count = ta.data.shape, ta.data.size
+    return fused("mean", (ta,), np.asarray(np.mean(ta.data), dtype=np.float64),
+                 lambda g: (np.broadcast_to(g / count, shape).copy(),))
 
 
 def l2norm(a, axis=None, keepdims: bool = False) -> Tensor:

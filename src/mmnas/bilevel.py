@@ -29,11 +29,11 @@ epoch, phase and batch, one optimizer step, and one report row per epoch.
 A batch runs with numpy's overflow warnings off; the tape's finiteness
 check is the one signal of a non-finite value.
 
-Augmentation reads no model state, so each epoch's augmented view
-batches (train, then valid, then the evaluation pass) come from one
-``view_stream``, with views of every source, since the mixed encoder reads
-them all (pretraining asks for only the sources its derived encoder
-reads). When the process may use two or more CPUs, the ``fork``
+Augmentation reads no model state, so a search's augmented view batches
+(per epoch, ``epoch_sections``: train, valid, then the evaluation pass) come
+from one ``view_stream``, with views of every source, since the mixed
+encoder reads them all (pretraining asks for only the sources its derived
+encoder reads). When the process may use two or more CPUs, the ``fork``
 start method exists and the process is not itself a daemonic
 multiprocessing worker, a forked worker computes them ahead of training
 and sends them over a pipe; the pipe's buffer holds only a few batches,
@@ -319,8 +319,21 @@ def contrastive_batch_loss(encoder, head, weights, arch, feats, temperature, pla
     return ntxent_loss(z, temperature)
 
 
+def epoch_sections(scfg: SearchConfig, train: Dataset, valid: Dataset, epoch: int) -> list:
+    """The ``view_stream`` sections of search epoch ``epoch`` (from 0): the
+    shuffled train split, the shuffled valid split, then the valid split in
+    order for the checkpoint pass, each with its own augmentation stream."""
+    sections = [
+        (ds, *(seeded_rng(scfg.seed, tag, epoch, i) for tag in (TAG_SHUFFLE, TAG_AUGMENT)))
+        for i, ds in enumerate((train, valid))
+    ]
+    sections.append((valid, None, seeded_rng(scfg.seed, TAG_AUGMENT, epoch, 2)))
+    return sections
+
+
 def search_epoch(
     state: SearchState,
+    views,
     train: Dataset,
     valid: Dataset,
     scfg: SearchConfig,
@@ -331,7 +344,9 @@ def search_epoch(
     opt_arch: Adam,
     report=None,
 ) -> list:
-    """One train+valid alternation plus the checkpoint evaluation pass."""
+    """One train+valid alternation plus the checkpoint evaluation pass,
+    reading its batches from ``views``, a ``view_stream`` whose next
+    sections are ``epoch_sections(scfg, train, valid, state.epoch)``."""
     def best(mean_loss):
         if phase == "eval" and mean_loss < state.best_valid_loss:
             state.best_valid_loss = mean_loss
@@ -365,23 +380,15 @@ def search_epoch(
         ("valid", valid, "arch", opt_arch, scfg.lr_arch),
         ("eval", valid, None, None, 0.0),
     )
-    sections = [
-        (ds, *(seeded_rng(scfg.seed, tag, state.epoch, i) for tag in (TAG_SHUFFLE, TAG_AUGMENT)))
-        for i, ds in enumerate((train, valid))
-    ]
-    # checkpoint pass: the valid split in order, with its own augmentation stream
-    sections.append((valid, None, seeded_rng(scfg.seed, TAG_AUGMENT, state.epoch, 2)))
-    # the mixed encoder reads every source
-    with view_stream(sections, scfg.batch_size, ccfg, encoder.sources) as views:
-        for phase, ds, stepped, opt, lr in phases:
-            # the batch count does not depend on the shuffle
-            n_batches = len(batch_indices(len(ds), scfg.batch_size))
-            if not n_batches:
-                raise SearchError(f"{phase} split too small for one batch (needs >= 2 samples)")
-            batches = itertools.islice(views, n_batches)
-            row = train_epoch(batches, batch_loss, sets.get(stepped), opt, error, epoch=epoch, phase=phase, lr=lr,
-                              best=best, report=report)
-            records.append(row)
+    for phase, ds, stepped, opt, lr in phases:
+        # the batch count does not depend on the shuffle
+        n_batches = len(batch_indices(len(ds), scfg.batch_size))
+        if not n_batches:
+            raise SearchError(f"{phase} split too small for one batch (needs >= 2 samples)")
+        batches = itertools.islice(views, n_batches)
+        row = train_epoch(batches, batch_loss, sets.get(stepped), opt, error, epoch=epoch, phase=phase, lr=lr,
+                          best=best, report=report)
+        records.append(row)
     state.epoch = epoch
     return records
 
@@ -421,8 +428,11 @@ def run_search(
     state = init_search_state(scfg, space, ccfg)
     opt_w = MomentumSGD(scfg.lr_weights, scfg.momentum)
     opt_arch = Adam(scfg.lr_arch)
-    for _ in range(scfg.max_epochs):
-        search_epoch(state, train, valid, scfg, ccfg, encoder, head, opt_w, opt_arch, report)
+    sections = [s for epoch in range(scfg.max_epochs) for s in epoch_sections(scfg, train, valid, epoch)]
+    # the mixed encoder reads every source
+    with view_stream(sections, scfg.batch_size, ccfg, encoder.sources) as views:
+        for _ in range(scfg.max_epochs):
+            search_epoch(state, views, train, valid, scfg, ccfg, encoder, head, opt_w, opt_arch, report)
     genotype = derive_genotype(state.best_arch)
     try:
         validate_genotype(genotype, space)

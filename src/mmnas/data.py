@@ -38,6 +38,7 @@ from .util import (
     TAG_SPLIT,
     atomic_open,
     integer,
+    real,
     seeded_rng,
 )
 
@@ -67,12 +68,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "image_layer_dims", tuple(int(d) for d in self.image_layer_dims))
-        object.__setattr__(self, "text_layer_dims", tuple(int(d) for d in self.text_layer_dims))
-        object.__setattr__(
-            self, "signal_plan", tuple((str(s), float(snr)) for s, snr in self.signal_plan)
-        )
-        for name in ("seed", "num_samples", "num_labels", "latent_dim", "text_len"):
+        for name in ("image_layer_dims", "text_layer_dims"):
+            dims = tuple(integer(d, name[:-1], DataError) for d in getattr(self, name))
+            object.__setattr__(self, name, dims)
+        # an SNR is stored as a float, so an integer SNR keeps the config's hash
+        plan = ((str(s), float(real(snr, f"signal-to-noise ratio of {s}", DataError))) for s, snr in self.signal_plan)
+        object.__setattr__(self, "signal_plan", tuple(plan))
+        for name in ("seed", "num_samples", "num_labels", "latent_dim", "text_len", "vocab_size"):
             integer(getattr(self, name), name, DataError)
         if self.num_samples < 1:
             raise DataError("num_samples must be >= 1")

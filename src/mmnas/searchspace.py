@@ -49,11 +49,13 @@ upstream gradient G, with cc = concat(x, y):
 
 Every node here is recorded by ``autodiff.fused``. The derived encoder
 records each step's kernel as one node (``primitive_node``). The search
-records each mixed step as one node (``mixed_step``): wb = softmax(beta),
-the slot inputs in0 = sum_p c0[p] pool_p and in1 likewise (c = scatter @
-wb, see ``mixed_step``), the shared cc, every primitive's kernel in
-``PRIMITIVES`` order, wg = softmax(gamma) and out = sum_p wg[p] out_p. Its
-backward pass is the closed form of that chain, for an upstream gradient G:
+records each mixed step as one node (``mixed_step``) over its pool (slot A,
+slot B, then earlier steps): wb = softmax(beta) over the pool's ordered
+pairs, the slot inputs in0 = sum_p c0[p] pool_p and in1 likewise (c =
+scatter @ wb, see ``mixed_step``), the shared cc, every primitive's kernel
+in ``PRIMITIVES`` order, wg = softmax(gamma) and out = sum_p wg[p] out_p.
+Its backward pass is the closed form of that chain, for an upstream
+gradient G:
 
   G_p    = wg[p] G, into each primitive's vjp
   gamma  dwg[p] = <G, out_p>; dgamma = (dwg - <dwg, wg>) * wg
@@ -86,12 +88,13 @@ and ``mix`` nodes it replaces; alpha receives slot B's part first.
 
 Plans: within a search phase one set (weights or logits) is constant, so
 ``MixedFusionEncoder.plan`` builds once per phase what every batch would
-rebuild: per step the scatter matrices of its pairs, its shape-checked
-weight arrays and which operands are on the tape; for logits off the tape
-(train phase, eval pass) the softmax of each cell slot (slot B masked),
-c0 = S0 @ softmax(beta), c1 and softmax(gamma). ``forward`` hands each part
-to ``mixed_cell_input`` and ``mixed_step``; called without a plan, each of
-the three plans on the spot and runs the same code.
+rebuild: per step the scatter matrices of its pool's ordered pairs, its
+shape-checked weight arrays (read as ``cell<c>/step<s>/<op>/<param>``, the
+names of ``weight_shapes``) and which operands are on the tape; for logits
+off the tape (train phase, eval pass) the softmax of each cell slot (slot B
+masked), c0 = S0 @ softmax(beta), c1 and softmax(gamma). ``forward`` hands
+each part to ``mixed_cell_input`` and ``mixed_step``; called without a
+plan, each of the three plans on the spot and runs the same code.
 """
 
 from __future__ import annotations
@@ -393,12 +396,12 @@ def primitive_param_shapes(op: str, hidden: int) -> dict:
     raise SpaceError(f"unknown primitive {op!r}")
 
 
-def apply_primitive(op: str, x: np.ndarray, y: np.ndarray, params, hidden: int, cc=None):
+def apply_primitive(op: str, x: np.ndarray, y: np.ndarray, weights: tuple, hidden: int, cc=None):
     """Apply one primitive to raw (batch x hidden) arrays: ``(value, vjp)``.
 
-    ``params`` maps the primitive's weight names to raw arrays, or is the
-    tuple of them in ``primitive_param_shapes`` order that ``_weights_of``
-    has already checked (a step plan's). LinearGLU and ConcatFC read
+    ``weights`` is the tuple of the primitive's raw weights in
+    ``primitive_param_shapes`` order, as ``_weights_of`` checked them (a
+    step plan's, or ``primitive_node``'s). LinearGLU and ConcatFC read
     ``cc = concat([x, y], axis=1)``, built here unless the caller passes it.
     ``vjp(g, need)`` returns, for an upstream gradient ``g``, the gradient
     of each operand: ``(dx, dy)`` for Sum and attention, ``(dcc,)`` for
@@ -408,7 +411,6 @@ def apply_primitive(op: str, x: np.ndarray, y: np.ndarray, params, hidden: int, 
     """
     if x.shape != y.shape or x.ndim != 2 or x.shape[1] != hidden:
         raise SpaceError(f"{op}: inputs must both be batch x {hidden}, got {x.shape} / {y.shape}")
-    weights = params if type(params) is tuple else _weights_of(op, params, hidden)
     if op == "Sum":
         return x + y, _sum_vjp
     if op == "Zero":
@@ -423,10 +425,11 @@ def apply_primitive(op: str, x: np.ndarray, y: np.ndarray, params, hidden: int, 
 
 
 def _weights_of(op: str, params: dict, hidden: int) -> tuple:
-    """The raw weights of ``op`` in ``primitive_param_shapes`` order, shape-checked."""
+    """The raw weights of ``op`` (``params`` maps each param name to a tape
+    leaf or an array) in ``primitive_param_shapes`` order, shape-checked."""
     weights = []
     for name, shape in primitive_param_shapes(op, hidden).items():
-        w = params[name]
+        w = _array(params[name])
         if w.shape != shape:
             raise SpaceError(f"{op}: weight {name} has shape {w.shape}, expected {shape}")
         weights.append(w)
@@ -499,10 +502,9 @@ def _array(v) -> np.ndarray:
 def primitive_node(op: str, x: Tensor, y: Tensor, params: dict, hidden: int) -> Tensor:
     """``apply_primitive`` recorded as one ``fused`` node, as the derived
     encoder applies a step; ``params`` values are tape leaves or raw arrays."""
-    names = list(primitive_param_shapes(op, hidden))
-    operands = [x, y, *(params[name] for name in names)]
+    operands = [x, y, *(params[name] for name in primitive_param_shapes(op, hidden))]
     need = tuple(map(_on_tape, operands))
-    value, vjp = apply_primitive(op, _array(x), _array(y), {n: _array(params[n]) for n in names}, hidden)
+    value, vjp = apply_primitive(op, _array(x), _array(y), _weights_of(op, params, hidden), hidden)
     if op in ("LinearGLU", "ConcatFC"):
         def backward(g):
             dcc, *dw = vjp(g, (need[0] or need[1], *need[2:]))
@@ -572,38 +574,39 @@ def mixed_cell_input(alpha, candidates: list, plan: _SlotPlan | None = None) -> 
     return ad.fused("mixed_cell_input", [alpha, *candidates], ad.weighted_sum(datas, w), backward)
 
 
-def _scatter(slots: tuple) -> np.ndarray:
-    """The (2, P, J) 0/1 matrices of a pair list given as pool indices:
-    entry [s, p, j] is 1 iff pair j holds pool entry p in slot s."""
-    scatter = np.zeros((2, 1 + max(max(pair) for pair in slots), len(slots)))
-    for j, (u, v) in enumerate(slots):
+def _scatter(pool_size: int) -> np.ndarray:
+    """The (2, P, J) 0/1 matrices of the J ordered pairs of a pool of P
+    entries: entry [s, p, j] is 1 iff pair j holds pool entry p in slot s."""
+    pairs = ordered_pairs(pool_size)
+    scatter = np.zeros((2, pool_size, len(pairs)))
+    for j, (u, v) in enumerate(pairs):
         scatter[0, u, j] = 1.0
         scatter[1, v, j] = 1.0
     return scatter
 
 
 class _StepPlan:
-    """A mixed step for one phase: the scatter matrices of its pairs' pool
-    indices (``slots``), each primitive's shape-checked weights, the names
-    of those on the tape (``names`` maps each primitive to {param name ->
-    key of ``operands``}), and ``coef`` (wb, c0, c1) and ``wg`` when beta
-    and gamma are off the tape."""
+    """A mixed step for one phase: the scatter matrices of the ordered pairs
+    of its pool of ``pool_size`` entries, each primitive's shape-checked
+    weights (``weights[prefix + "<op>/<param>"]``), the names of those on
+    the tape, and ``coef`` (wb, c0, c1) and ``wg`` when beta and gamma are
+    off the tape."""
 
     __slots__ = ("beta", "gamma", "scatter", "need_beta", "need_gamma", "coef", "wg", "weights", "taped", "needs")
 
-    def __init__(self, beta, gamma, slots: tuple, names: dict, operands: dict, hidden: int):
+    def __init__(self, beta, gamma, pool_size: int, weights: dict, hidden: int, prefix: str = ""):
         self.beta, self.gamma = _array(beta), _array(gamma)
-        if self.beta.ndim != 1 or len(slots) != self.beta.shape[0]:
+        self.scatter = _scatter(pool_size)
+        if self.beta.ndim != 1 or self.beta.shape[0] != self.scatter.shape[2]:
             raise SpaceError("beta length does not match pair candidate count")
         if self.gamma.ndim != 1 or self.gamma.shape[0] != len(PRIMITIVES):
             raise SpaceError("gamma length does not match primitive count")
-        self.scatter = _scatter(slots)
         self.need_beta, self.need_gamma = _on_tape(beta), _on_tape(gamma)
         self.coef = None if self.need_beta else self.beta_coefficients()
         self.wg = None if self.need_gamma else _softmax_np(self.gamma)
-        self.weights = [_weights_of(op, {k: _array(operands[n]) for k, n in names[op].items()}, hidden)
-                        for op in PRIMITIVES]
-        on = {op: tuple(_on_tape(operands[n]) for n in names[op].values()) for op in PRIMITIVES}
+        names = {op: {k: f"{prefix}{op}/{k}" for k in primitive_param_shapes(op, hidden)} for op in PRIMITIVES}
+        self.weights = [_weights_of(op, {k: weights[n] for k, n in names[op].items()}, hidden) for op in PRIMITIVES]
+        on = {op: tuple(_on_tape(weights[n]) for n in names[op].values()) for op in PRIMITIVES}
         self.taped = [n for op in PRIMITIVES for n, t in zip(names[op].values(), on[op]) if t]
         # per primitive, which vjp gradients a batch needs, by whether it needs the slot inputs'
         self.needs = {b: [(b,) * _VJP_INPUTS[op] + on[op] for op in PRIMITIVES] for b in (False, True)}
@@ -613,42 +616,28 @@ class _StepPlan:
         return wb, self.scatter[0] @ wb, self.scatter[1] @ wb
 
 
-def mixed_step(beta, gamma, pair_candidates: list, prim_params: dict, hidden: int,
-               plan: _StepPlan | None = None) -> Tensor:
+def mixed_step(beta, gamma, pool: list, weights: dict, hidden: int, plan: _StepPlan | None = None) -> Tensor:
     """Beta-mixture per input slot, then gamma-mixture over primitives, as
     one tape node (see the module docstring for its backward pass).
 
-    ``pair_candidates`` is the ordered-pair list over the step's pool;
-    ``prim_params`` maps primitive name -> {param name -> weight}. Logits,
-    pool entries and weights are tape leaves or plain arrays. A caller that
-    runs the step for a whole phase passes its ``plan`` (one step of
-    ``MixedFusionEncoder.plan``), and then the pool itself in place of the
-    pairs and, in place of ``prim_params``, the name -> weight map the plan
-    was built from.
+    ``pool`` is the step's candidate pool: slot A, slot B, then earlier
+    steps; beta ranges over ``ordered_pairs(len(pool))``. The step reads
+    each primitive's weights as ``weights["<op>/<param>"]``. Logits, pool
+    entries and weights are tape leaves or plain arrays. A caller that runs
+    the step for a whole phase passes its ``plan`` (one step of
+    ``MixedFusionEncoder.plan``), built from the same ``weights``, whose
+    names then carry the plan's prefix.
 
     The beta mixture is linear, so it is computed per pool entry rather
     than per pair (the pair-marginal identity): with w = softmax(beta),
 
       in0 = sum_j w_j pair_j[0] = sum_p (sum_{j: pair_j[0] is pool_p} w_j) pool_p
 
-    and likewise in1 with pair_j[1]. Without a plan the pool is recovered
-    from the pairs by identity, in first-seen order, and each slot's
-    coefficients come from a 0/1 scatter matrix S[p, j] = 1 iff pair j
-    holds pool_p in that slot.
+    and likewise in1 with pair_j[1]. Each slot's coefficients come from a
+    0/1 scatter matrix S[p, j] = 1 iff pair j holds pool_p in that slot.
     """
     if plan is None:
-        pool, index, slots = [], {}, []
-        for u, v in pair_candidates:
-            for t in (u, v):
-                if id(t) not in index:
-                    index[id(t)] = len(pool)
-                    pool.append(t)
-            slots.append((index[id(u)], index[id(v)]))
-        names = {op: {k: (op, k) for k in primitive_param_shapes(op, hidden)} for op in PRIMITIVES}
-        prim_params = {n: prim_params[op][k] for op in PRIMITIVES for k, n in names[op].items()}
-        plan = _StepPlan(beta, gamma, tuple(slots), names, prim_params, hidden)
-    else:
-        pool = pair_candidates
+        plan = _StepPlan(beta, gamma, len(pool), weights, hidden)
     datas = [_array(t) for t in pool]
     for d in datas:
         if d.shape != datas[0].shape:
@@ -661,15 +650,15 @@ def mixed_step(beta, gamma, pair_candidates: list, prim_params: dict, hidden: in
     in0, in1 = ad.weighted_sum(datas, c0), ad.weighted_sum(datas, c1)
     cc = np.concatenate([in0, in1], axis=1)  # shared by LinearGLU and ConcatFC
     outs, vjps = [], []
-    for op, weights in zip(PRIMITIVES, plan.weights):
-        value, vjp = apply_primitive(op, in0, in1, weights, hidden, cc)
+    for op, op_weights in zip(PRIMITIVES, plan.weights):
+        value, vjp = apply_primitive(op, in0, in1, op_weights, hidden, cc)
         outs.append(value)
         vjps.append(vjp)
     wg = _softmax_np(plan.gamma) if need_gamma else plan.wg
     out = ad.weighted_sum(outs, wg)
     needs = plan.needs[need_in]
     taped_pool = [pool[p] for p in pool_on]
-    operands = [beta, gamma, *(prim_params[n] for n in plan.taped), *taped_pool, *taped_pool]
+    operands = [beta, gamma, *(weights[n] for n in plan.taped), *taped_pool, *taped_pool]
 
     def backward(g):
         gsum, att, glu, fc, _ = (
@@ -751,13 +740,6 @@ class _FusionEncoder:
             projected[src] = ad.linear(features[src], weights[f"proj/{src}/W"], weights[f"proj/{src}/b"])
         return projected
 
-    def _step_names(self, c: int, s: int) -> dict:
-        """Primitive name -> {param name -> weight name} for step s of cell c."""
-        return {
-            op: {pname: f"cell{c}/step{s}/{op}/{pname}" for pname in primitive_param_shapes(op, self.config.hidden_dim)}
-            for op in self.cell_ops[c][s]
-        }
-
     def _cell_output(self, weights: dict, c: int, step_outs: list) -> Tensor:
         merged = ad.concat(step_outs, axis=1) if len(step_outs) > 1 else step_outs[0]
         return ad.linear(merged, weights[f"cell{c}/out/W"], weights[f"cell{c}/out/b"])
@@ -787,8 +769,8 @@ class MixedFusionEncoder(_FusionEncoder):
         for c in range(cfg.num_cells):
             alpha, count = arch[f"alpha/c{c}"], cfg.num_cell_candidates(c)
             steps = [
-                _StepPlan(arch[f"beta/c{c}/s{s}"], arch[f"gamma/c{c}/s{s}"], tuple(ordered_pairs(2 + s)),
-                          self._step_names(c, s), weights, cfg.hidden_dim)
+                _StepPlan(arch[f"beta/c{c}/s{s}"], arch[f"gamma/c{c}/s{s}"], 2 + s, weights, cfg.hidden_dim,
+                          f"cell{c}/step{s}/")
                 for s in range(cfg.steps_per_cell)
             ]
             cells.append(((_SlotPlan(alpha, count, False), _SlotPlan(alpha, count, True)), steps))
@@ -829,6 +811,7 @@ def derive_genotype(arch: ArchParams) -> Genotype:
     arch.validate()
     cfg = arch.config
     zero_idx = PRIMITIVES.index("Zero")
+    non_zero = [i for i in range(len(PRIMITIVES)) if i != zero_idx]
     cells = []
     for c in range(cfg.num_cells):
         names = cell_candidate_names(cfg, c)
@@ -841,35 +824,19 @@ def derive_genotype(arch: ArchParams) -> Genotype:
         pruned = {s for s, m in enumerate(margins) if m > 0}
         if len(pruned) == cfg.steps_per_cell:
             pruned.remove(min(pruned, key=lambda s: (margins[s], s)))
-        emitted = []          # StepGene list
-        emitted_index = {}    # original step idx -> emitted idx
+        emitted = []  # StepGene list
+        pool = list(inputs)  # name of each pool entry: the inputs, then each step's, None if pruned
         for s in range(cfg.steps_per_cell):
             if s in pruned:
+                pool.append(None)
                 continue
-            gw = gws[s]
-            non_zero = [i for i in range(len(PRIMITIVES)) if i != zero_idx]
+            gw, bw = gws[s], _softmax_np(arch.beta[c][s])
             op_idx = max(non_zero, key=lambda i: (gw[i], -i))
-            # pool: 0 = input A, 1 = input B, 2+k = original step k
-            pairs = ordered_pairs(2 + s)
-            bw = _softmax_np(arch.beta[c][s])
-
-            def pair_valid(pair):
-                return all(p < 2 or (p - 2) in emitted_index for p in pair)
-
-            valid = [j for j, pair in enumerate(pairs) if pair_valid(pair)]
-            if not valid:
-                continue  # every candidate pair references pruned steps
-            best = max(valid, key=lambda j: (bw[j], -j))
-
-            def pool_name(p):
-                if p == 0:
-                    return inputs[0]
-                if p == 1:
-                    return inputs[1]
-                return f"step:{emitted_index[p - 2]}"
-
-            emitted_index[s] = len(emitted)
-            emitted.append(StepGene(pair=(pool_name(pairs[best][0]), pool_name(pairs[best][1])), op=PRIMITIVES[op_idx]))
+            # the pair of the two inputs is always a candidate
+            pairs = [(pool[u], pool[v]) for u, v in ordered_pairs(2 + s)]
+            best = max((j for j, pair in enumerate(pairs) if None not in pair), key=lambda j: (bw[j], -j))
+            emitted.append(StepGene(pair=pairs[best], op=PRIMITIVES[op_idx]))
+            pool.append(f"step:{len(emitted) - 1}")
         cells.append(CellGene(inputs=inputs, steps=tuple(emitted)))
     return Genotype(cells=tuple(cells), config_hash=cfg.hash())
 
@@ -941,12 +908,13 @@ class DerivedFusionEncoder(_FusionEncoder):
         """``features`` maps source name -> raw array (extra sources ignored),
         or is a list aligned with ``self.sources``."""
         env = self._project(weights, features)  # gains "cell:k" -> output of cell k
+        hidden = self.config.hidden_dim
         for c, cell in enumerate(self.genotype.cells):
             refs = {src: env[src] for src in cell.inputs}  # gains "step:k" -> output of step k
             for s, step in enumerate(cell.steps):
                 x, y = (refs[src] for src in step.pair)
-                params = {k: weights[n] for k, n in self._step_names(c, s)[step.op].items()}
-                refs[f"step:{s}"] = primitive_node(step.op, x, y, params, self.config.hidden_dim)
+                params = {k: weights[f"cell{c}/step{s}/{step.op}/{k}"] for k in primitive_param_shapes(step.op, hidden)}
+                refs[f"step:{s}"] = primitive_node(step.op, x, y, params, hidden)
             env[f"cell:{c}"] = self._cell_output(weights, c, [refs[f"step:{s}"] for s in range(len(cell.steps))])
         return env[f"cell:{len(self.genotype.cells) - 1}"]
 

@@ -309,19 +309,21 @@ def primitive_oracle(op, x, y, params, hidden):
     raise AssertionError(f"no oracle for primitive {op!r}")
 
 
-def mixed_step_oracle(beta, gamma, pair_candidates, prim_params, hidden):
-    """The original per-pair loop: both slots sum one weighted term per pair,
-    and every primitive is its unfused op chain.
+def mixed_step_oracle(beta, gamma, pool, weights, hidden):
+    """The original per-pair loop: both slots sum one weighted term per
+    ordered pair of ``pool`` (lexicographic, i != j), and every primitive is
+    its unfused op chain over ``weights["<op>/<param>"]``.
 
     Kept as the reference for the pair-marginal ``mixed_step``.
     """
     import mmnas.autodiff as ad
     from mmnas.searchspace import PRIMITIVES
 
+    pairs = [(pool[i], pool[j]) for i in range(len(pool)) for j in range(len(pool)) if i != j]
     wb = ad.softmax(beta, axis=0)
     in0 = None
     in1 = None
-    for j, (u, v) in enumerate(pair_candidates):
+    for j, (u, v) in enumerate(pairs):
         wj = wb[(j,)]
         t0 = ad.mul(u, wj)
         t1 = ad.mul(v, wj)
@@ -330,7 +332,8 @@ def mixed_step_oracle(beta, gamma, pair_candidates, prim_params, hidden):
     wg = ad.softmax(gamma, axis=0)
     out = None
     for p, op in enumerate(PRIMITIVES):
-        term = ad.mul(primitive_oracle(op, in0, in1, prim_params.get(op, {}), hidden), wg[(p,)])
+        params = {k[len(op) + 1:]: w for k, w in weights.items() if k.startswith(op + "/")}
+        term = ad.mul(primitive_oracle(op, in0, in1, params, hidden), wg[(p,)])
         out = term if out is None else out + term
     return out
 
@@ -359,37 +362,33 @@ def mix(w, parts, scatter=None):
     return ad.fused("mix", [w, *parts], ad.weighted_sum(datas, c), backward)
 
 
-def mixed_step_composed(beta, gamma, pair_candidates, prim_params, hidden):
+def mixed_step_composed(beta, gamma, pool, weights, hidden):
     """The mixed step as generic tape nodes: softmax, two scatter ``mix``
-    nodes for the slots, one shared concat, ``add`` for Sum, one ``fused``
-    node each for attention and GLU, ``relu(linear(..))`` for ConcatFC, a
-    constant for Zero, then the gamma softmax and ``mix``.
+    nodes for the slots over the ordered pairs of ``pool``, one shared
+    concat, ``add`` for Sum, one ``fused`` node each for attention and GLU,
+    ``relu(linear(..))`` for ConcatFC, a constant for Zero, then the gamma
+    softmax and ``mix``; ``weights`` maps ``"<op>/<param>"`` to a weight.
 
     Kept as the bitwise reference for the one-node ``mixed_step``: the tape
     adds this chain's gradients in the order the closed form must keep.
     """
     import mmnas.autodiff as ad
-    from mmnas.searchspace import PRIMITIVES
+    from mmnas.searchspace import PRIMITIVES, ordered_pairs
 
-    pool, index = [], {}
-    for pair in pair_candidates:
-        for t in pair:
-            if id(t) not in index:
-                index[id(t)] = len(pool)
-                pool.append(t)
-    scatter = np.zeros((2, len(pool), len(pair_candidates)))
-    for j, (u, v) in enumerate(pair_candidates):
-        scatter[0, index[id(u)], j] = 1.0
-        scatter[1, index[id(v)], j] = 1.0
+    pairs = ordered_pairs(len(pool))
+    scatter = np.zeros((2, len(pool), len(pairs)))
+    for j, (u, v) in enumerate(pairs):
+        scatter[0, u, j] = 1.0
+        scatter[1, v, j] = 1.0
     wb = ad.softmax(beta, axis=0)
     in0 = mix(wb, pool, scatter[0])
     in1 = mix(wb, pool, scatter[1])
     cc = ad.concat([in0, in1], axis=1)
-    outs = [_composed_primitive(op, in0, in1, prim_params.get(op, {}), hidden, cc) for op in PRIMITIVES]
+    outs = [_composed_primitive(op, in0, in1, weights, hidden, cc) for op in PRIMITIVES]
     return mix(ad.softmax(gamma, axis=0), outs)
 
 
-def _composed_primitive(op, x, y, params, hidden, cc):
+def _composed_primitive(op, x, y, weights, hidden, cc):
     import mmnas.autodiff as ad
 
     def data(w):
@@ -400,9 +399,9 @@ def _composed_primitive(op, x, y, params, hidden, cc):
     if op == "Zero":
         return ad.constant(np.zeros(x.shape))
     if op == "ConcatFC":
-        return ad.relu(ad.linear(cc, params["W"], params["b"]))
+        return ad.relu(ad.linear(cc, weights["ConcatFC/W"], weights["ConcatFC/b"]))
     if op == "ScaledDotAttention":
-        wq, wk, wv = params["Wq"], params["Wk"], params["Wv"]
+        wq, wk, wv = (weights[f"ScaledDotAttention/{k}"] for k in ("Wq", "Wk", "Wv"))
         xd, yd, mq, mk, mv = x.data, y.data, data(wq), data(wk), data(wv)
         q, k, v = xd @ mq, yd @ mk, yd @ mv
         c = float(1.0 / np.sqrt(hidden))
@@ -418,7 +417,7 @@ def _composed_primitive(op, x, y, params, hidden, cc):
 
         return ad.fused(op, [x, y, wq, wk, wv], p @ v, attention_backward)
     if op == "LinearGLU":
-        w1, w2 = params["W1"], params["W2"]
+        w1, w2 = weights["LinearGLU/W1"], weights["LinearGLU/W2"]
         cd, m1, m2 = cc.data, data(w1), data(w2)
         a = cd @ m1
         s = ad.stable_sigmoid(cd @ m2)
@@ -457,7 +456,6 @@ def mixed_forward_composed(config, weights: dict, arch: dict, features: list):
     the plans it runs from; operands are tape leaves or plain arrays.
     """
     import mmnas.autodiff as ad
-    from mmnas.searchspace import PRIMITIVES, ordered_pairs, primitive_param_shapes
 
     h = config.hidden_dim
     base = [ad.linear(f, weights[f"proj/{s}/W"], weights[f"proj/{s}/b"]) for s, f in zip(config.sources(), features)]
@@ -465,15 +463,22 @@ def mixed_forward_composed(config, weights: dict, arch: dict, features: list):
     for c in range(config.num_cells):
         pool = list(mixed_cell_slots_composed(arch[f"alpha/c{c}"], base + cell_outs))
         for s in range(config.steps_per_cell):
-            pairs = [(pool[i], pool[j]) for i, j in ordered_pairs(len(pool))]
-            pp = {
-                op: {k: weights[f"cell{c}/step{s}/{op}/{k}"] for k in primitive_param_shapes(op, h)}
-                for op in PRIMITIVES
-            }
-            pool.append(mixed_step_composed(arch[f"beta/c{c}/s{s}"], arch[f"gamma/c{c}/s{s}"], pairs, pp, h))
+            prefix = f"cell{c}/step{s}/"
+            step = {k[len(prefix):]: w for k, w in weights.items() if k.startswith(prefix)}
+            pool.append(mixed_step_composed(arch[f"beta/c{c}/s{s}"], arch[f"gamma/c{c}/s{s}"], pool, step, h))
         merged = ad.concat(pool[2:], axis=1) if len(pool) > 3 else pool[2]
         cell_outs.append(ad.linear(merged, weights[f"cell{c}/out/W"], weights[f"cell{c}/out/b"]))
     return cell_outs[-1]
+
+
+def search_one_epoch(state, train, valid, scfg, ccfg, encoder, head, opt_w, opt_arch, report=None):
+    """``search_epoch`` over a view stream of its one epoch's sections, as
+    ``run_search`` streams every epoch's from one; returns its rows."""
+    from mmnas.bilevel import epoch_sections, search_epoch, view_stream
+
+    sections = epoch_sections(scfg, train, valid, state.epoch)
+    with view_stream(sections, scfg.batch_size, ccfg, encoder.sources) as views:
+        return search_epoch(state, views, train, valid, scfg, ccfg, encoder, head, opt_w, opt_arch, report)
 
 
 def derived_forward_oracle(genotype, weights: dict, features: dict) -> np.ndarray:

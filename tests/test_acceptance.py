@@ -14,13 +14,14 @@ import pytest
 from helpers import (
     check_gradients,
     naive_ntxent,
+    search_one_epoch,
     sign_test_p,
     weighted_f1_oracle,
 )
 
 import mmnas.autodiff as ad
 from mmnas.autodiff import Tape
-from mmnas.bilevel import SearchConfig, run_search, search_epoch, init_search_state
+from mmnas.bilevel import SearchConfig, run_search, init_search_state
 from mmnas.checkpoint import load_weights, save_weights
 from mmnas.config import RunConfig
 from mmnas.contrastive import ContrastiveConfig, ProjectionHead, ntxent_loss
@@ -144,8 +145,7 @@ def test_criterion_1_gradient_suite():
         }
 
         def build(lv):
-            pp = {op: {k: lv[f"{op}/{k}"] for k in prim_params[op]} for op in PRIMITIVES}
-            out = mixed_step(lv["beta"], lv["gamma"], [(lv["u"], lv["v"]), (lv["v"], lv["u"])], pp, hidden)
+            out = mixed_step(lv["beta"], lv["gamma"], [lv["u"], lv["v"]], lv, hidden)
             return ad.tsum(ad.mul(out, ad.constant(wout)))
 
         check_gradients(build, params, tol=1e-5)
@@ -227,7 +227,7 @@ def test_criterion_4_phase_discipline_and_determinism():
         if rec["phase"] == "valid":
             assert {k: v.tobytes() for k, v in state.weights.items()} == snapshots["w"]
 
-    search_epoch(
+    search_one_epoch(
         state, splits.search_train, splits.search_valid, scfg, ccfg,
         MixedFusionEncoder(space), ProjectionHead(space.hidden_dim, ccfg.proj_hidden_dim, ccfg.proj_dim),
         MomentumSGD(scfg.lr_weights, scfg.momentum), Adam(scfg.lr_arch), report=watch,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import AdamOracle, MomentumSGDOracle, augment_view_oracle, mixed_forward_composed
+from helpers import AdamOracle, MomentumSGDOracle, augment_view_oracle, mixed_forward_composed, search_one_epoch
 
 import mmnas.autodiff as ad
 import mmnas.bilevel as bilevel
@@ -13,7 +13,6 @@ from mmnas.bilevel import (
     contrastive_batch_loss,
     init_search_state,
     run_search,
-    search_epoch,
     stack_view_features,
 )
 from mmnas.contrastive import ContrastiveConfig, ContrastiveError, ProjectionHead, ntxent_loss
@@ -52,7 +51,7 @@ def test_zero_learning_rates_are_a_recorded_noop():
     a_before = _weights_bytes(state.arch.named())
     encoder = MixedFusionEncoder(space)
     head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
-    records = search_epoch(
+    records = search_one_epoch(
         state, train, valid, scfg, CCFG, encoder, head,
         MomentumSGD(0.0, scfg.momentum), Adam(0.0),
     )
@@ -82,7 +81,7 @@ def test_phase_discipline_is_bitwise():
 
     encoder = MixedFusionEncoder(space)
     head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
-    search_epoch(
+    search_one_epoch(
         state, train, valid, scfg, CCFG, encoder, head,
         MomentumSGD(scfg.lr_weights, scfg.momentum), Adam(scfg.lr_arch), report=watch,
     )
@@ -192,7 +191,7 @@ def test_a_non_finite_entry_is_named_at_the_first_batch_that_reads_it(poisoned, 
     head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
     message = rf"^non-finite loss at epoch 1 {where}: leaf:{leaf}: non-finite output$"
     with pytest.raises(SearchError, match=message):
-        search_epoch(state, train, valid, scfg, CCFG, MixedFusionEncoder(space), head, opt_w, opt_arch)
+        search_one_epoch(state, train, valid, scfg, CCFG, MixedFusionEncoder(space), head, opt_w, opt_arch)
 
 
 # one epoch on _setup(): 7 train, 2 valid and 2 eval batches, one loss call each
@@ -338,7 +337,7 @@ def test_search_batch_reaches_the_boundaries_the_benchmark_traces(phase, monkeyp
     for name in ("apply_primitive", "mixed_step", "mixed_cell_input"):
         monkeypatch.setattr(searchspace, name, traced(name, getattr(searchspace, name)))
     ds, space, scfg, state, head, (opt_w, opt_arch) = _deep_epoch_setup(8)  # one batch per phase
-    search_epoch(state, ds, ds, scfg, CCFG, MixedFusionEncoder(space), head, opt_w, opt_arch)
+    search_one_epoch(state, ds, ds, scfg, CCFG, MixedFusionEncoder(space), head, opt_w, opt_arch)
 
     slot = [("enter", "mixed_cell_input", None), ("exit", "mixed_cell_input", None)]
     step = [("enter", "mixed_step", None)]
@@ -371,7 +370,7 @@ def test_no_batch_scans_the_set_its_phase_reads_as_plain_arrays(monkeypatch):
     monkeypatch.setattr(Tensor, "__init__", counting_init)
     monkeypatch.setattr(bilevel, "contrastive_batch_loss", batch_loss)
     ds, space, scfg, state, head, (opt_w, opt_arch) = _deep_epoch_setup(16)  # two batches per phase
-    search_epoch(state, ds, ds, scfg, CCFG, MixedFusionEncoder(space), head, opt_w, opt_arch)
+    search_one_epoch(state, ds, ds, scfg, CCFG, MixedFusionEncoder(space), head, opt_w, opt_arch)
     assert per_batch == [0] * 6
 
 
@@ -430,7 +429,7 @@ def test_each_phase_puts_only_what_it_steps_on_the_tape(monkeypatch):
         return backward(tape, root)
 
     monkeypatch.setattr(Tape, "backward", watch)
-    search_epoch(
+    search_one_epoch(
         state, train, valid, scfg, CCFG, MixedFusionEncoder(space),
         ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim),
         MomentumSGD(scfg.lr_weights, scfg.momentum), Adam(scfg.lr_arch),

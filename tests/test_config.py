@@ -68,13 +68,24 @@ def test_invalid_value_rejected_with_path():
         ({"space": {"hidden_dim": 0}}, "section 'space'.*hidden_dim must be >= 1"),
         ({"space": {"num_cells": 0}}, "section 'space'.*num_cells must be >= 1"),
         ({"space": {"steps_per_cell": 0}}, "section 'space'.*steps_per_cell must be >= 1"),
+        ({"data": {"image_layer_dims": [32.7, 32]}}, "section 'data'.*image_layer_dim must be an integer, got 32.7"),
+        ({"data": {"image_layer_dims": [True, 32]}}, "section 'data'.*image_layer_dim must be an integer, got True"),
+        ({"data": {"image_layer_dims": ["32", 32]}}, "section 'data'.*image_layer_dim must be an integer, got '32'"),
+        ({"data": {"vocab_size": 1000.5}}, "section 'data'.*vocab_size must be an integer"),
+        ({"data": {"signal_plan": [["image:0", True], ["text:1", 10]]}},
+         "section 'data'.*signal-to-noise ratio of image:0 must be a finite number, got True"),
+        ({"data": {"signal_plan": [["image:0", 10], ["text:1", "10"]]}},
+         "section 'data'.*signal-to-noise ratio of text:1 must be a finite number, got '10'"),
+        ({"data": {"signal_plan": [["image:0", float("nan")], ["text:1", 10]]}},
+         "section 'data'.*signal-to-noise ratio of image:0 must be a finite number, got nan"),
     ],
     ids=["int-section", "list-section", "null-section", "null-seed", "string-seed", "float-seed", "bool-seed",
          "null-data-seed", "list-config", "float-batch-size", "float-max-epochs", "bool-max-epochs",
          "float-hidden-dim", "float-num-cells", "bool-steps-per-cell", "float-pretrain-epochs",
          "float-clf-batch-size", "float-blur-width", "float-proj-dim", "string-freeze-encoder", "softmax-ce-loss",
          "bool-temperature", "bool-pretrain-lr", "nan-noise-scale", "inf-lr-weights", "string-crop-prob",
-         "null-lr-arch", "zero-hidden-dim", "zero-num-cells", "zero-steps-per-cell"],
+         "null-lr-arch", "zero-hidden-dim", "zero-num-cells", "zero-steps-per-cell", "float-layer-dim",
+         "bool-layer-dim", "string-layer-dim", "float-vocab-size", "bool-snr", "string-snr", "nan-snr"],
 )
 def test_wrongly_typed_values_raise_config_error(doc, match):
     with pytest.raises(ConfigError, match=match):
@@ -110,6 +121,14 @@ def test_wrongly_typed_values_raise_config_error(doc, match):
 def test_count_fields_must_be_integers_when_constructed(make, kwargs, error, match):
     with pytest.raises(error, match=match):
         make(**kwargs)
+
+
+def test_integer_snrs_are_stored_as_floats_and_keep_the_hash():
+    doc = {"data": {"signal_plan": [["image:0", 10], ["text:1", 10]]}}
+    cfg = RunConfig.from_dict(doc)
+    assert cfg.data.signal_plan == (("image:0", 10.0), ("text:1", 10.0))
+    assert all(type(snr) is float for _, snr in cfg.data.signal_plan)
+    assert cfg.hash() == RunConfig().hash()
 
 
 def test_valid_numbers_keep_their_type_and_the_hash():

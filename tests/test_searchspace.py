@@ -199,12 +199,17 @@ def _step_params(hidden, seed=0):
     return out
 
 
+def _step_weights(hidden, seed=0):
+    """``_step_params`` as the flat ``"<op>/<param>"`` map a mixed step reads."""
+    return {f"{op}/{k}": v for op, d in _step_params(hidden, seed).items() for k, v in d.items()}
+
+
 def test_mixed_step_gamma_saturated_on_zero():
     rng = np.random.default_rng(1)
     u, v = ad.constant(rng.standard_normal((3, 4))), ad.constant(rng.standard_normal((3, 4)))
     gamma = np.full(len(PRIMITIVES), -50.0)
     gamma[PRIMITIVES.index("Zero")] = 50.0
-    out = mixed_step(ad.constant([0.0, 0.0]), ad.constant(gamma), [(u, v), (v, u)], _step_params(4), 4)
+    out = mixed_step(ad.constant([0.0, 0.0]), ad.constant(gamma), [u, v], _step_weights(4), 4)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-12)
 
 
@@ -214,7 +219,7 @@ def test_mixed_step_sum_composition():
     beta = np.array([50.0, -50.0])  # saturate on pair (u, v)
     gamma = np.full(len(PRIMITIVES), -50.0)
     gamma[PRIMITIVES.index("Sum")] = 50.0
-    out = mixed_step(ad.constant(beta), ad.constant(gamma), [(u, v), (v, u)], _step_params(4), 4)
+    out = mixed_step(ad.constant(beta), ad.constant(gamma), [u, v], _step_weights(4), 4)
     np.testing.assert_allclose(out.data, u.data + v.data, atol=1e-12)
 
 
@@ -224,24 +229,18 @@ def test_mixed_step_uniform_sum_zero_half_mixture():
     gamma = np.full(len(PRIMITIVES), -1e9)
     gamma[PRIMITIVES.index("Sum")] = 0.0
     gamma[PRIMITIVES.index("Zero")] = 0.0
-    out = mixed_step(ad.constant([50.0, -50.0]), ad.constant(gamma), [(u, v), (v, u)], _step_params(4), 4)
+    out = mixed_step(ad.constant([50.0, -50.0]), ad.constant(gamma), [u, v], _step_weights(4), 4)
     np.testing.assert_allclose(out.data, 0.5 * (u.data + v.data), atol=1e-12)
 
 
 def test_mixed_step_gradient():
     rng = np.random.default_rng(6)
-    params = _step_params(3, seed=7)
-    flat = {}
-    for op, d in params.items():
-        for k, v in d.items():
-            flat[f"{op}/{k}"] = v
+    flat = _step_weights(3, seed=7)
     u0 = rng.standard_normal((2, 3))
     v0 = rng.standard_normal((2, 3))
 
     def build(lv):
-        pp = {op: {k: lv[f"{op}/{k}"] for k in params[op]} for op in PRIMITIVES}
-        pairs = [(lv["u"], lv["v"]), (lv["v"], lv["u"])]
-        out = mixed_step(lv["beta"], lv["gamma"], pairs, pp, 3)
+        out = mixed_step(lv["beta"], lv["gamma"], [lv["u"], lv["v"]], lv, 3)
         return ad.tsum(ad.mul(out, ad.constant(np.linspace(0.2, 1.4, 6).reshape(2, 3))))
 
     check_gradients(
@@ -291,21 +290,18 @@ def test_mixed_cell_input_matches_the_per_candidate_oracle(count):
 def test_mixed_step_matches_the_per_pair_oracle(pool_size):
     rng = np.random.default_rng(40 + pool_size)
     hidden = 4
-    prim = _step_params(hidden, seed=pool_size)
+    prim = _step_weights(hidden, seed=pool_size)
     for _ in range(5):
         params = {
             "beta": rng.standard_normal(len(ordered_pairs(pool_size))),
             "gamma": rng.standard_normal(len(PRIMITIVES)),
             **{f"pool{p}": rng.standard_normal((5, hidden)) for p in range(pool_size)},
-            **{f"{op}/{k}": v.copy() for op, d in prim.items() for k, v in d.items()},
+            **{k: v.copy() for k, v in prim.items()},
         }
 
         def build(step):
             def fn(lv):
-                pool = [lv[f"pool{p}"] for p in range(pool_size)]
-                pairs = [(pool[i], pool[j]) for i, j in ordered_pairs(pool_size)]
-                pp = {op: {k: lv[f"{op}/{k}"] for k in prim[op]} for op in PRIMITIVES}
-                return step(lv["beta"], lv["gamma"], pairs, pp, hidden)
+                return step(lv["beta"], lv["gamma"], [lv[f"pool{p}"] for p in range(pool_size)], lv, hidden)
 
             return fn
 
@@ -331,7 +327,7 @@ def _step_operands(pool_size, hidden, seed):
         "beta": rng.standard_normal(len(ordered_pairs(pool_size))),
         "gamma": rng.standard_normal(len(PRIMITIVES)),
         **{f"pool{p}": rng.standard_normal((5, hidden)) for p in range(pool_size)},
-        **{f"{op}/{k}": v for op, d in _step_params(hidden, seed).items() for k, v in d.items()},
+        **_step_weights(hidden, seed),
     }
 
 
@@ -342,10 +338,8 @@ def _run_step(step, operands, pool_size, hidden, on_tape):
     group = {"beta": "logits", "gamma": "logits", **{f"pool{p}": "pool" for p in range(pool_size)}}
     lv = {k: tape.leaf(v, k) if group.get(k, "weights") in on_tape else v for k, v in operands.items()}
     pool = [lv[f"pool{p}"] for p in range(pool_size)]
-    pairs = [(pool[i], pool[j]) for i, j in ordered_pairs(pool_size)]
-    pp = {op: {k: lv[f"{op}/{k}"] for k in primitive_param_shapes(op, hidden)} for op in PRIMITIVES}
     before = len(tape)
-    out = step(lv["beta"], lv["gamma"], pairs, pp, hidden)
+    out = step(lv["beta"], lv["gamma"], pool, lv, hidden)
     nodes = len(tape) - before
     if out.tape is None:
         return out.data, {}, nodes
@@ -381,12 +375,10 @@ def test_mixed_step_tape_is_freed_without_the_cycle_collector():
         tape = Tape()
         operands = _step_operands(3, 4, 0)
         lv = {k: tape.leaf(v, k) for k, v in operands.items()}
-        pool = [lv[f"pool{p}"] for p in range(3)]
-        pp = {op: {k: lv[f"{op}/{k}"] for k in primitive_param_shapes(op, 4)} for op in PRIMITIVES}
-        out = mixed_step(lv["beta"], lv["gamma"], [(pool[i], pool[j]) for i, j in ordered_pairs(3)], pp, 4)
+        out = mixed_step(lv["beta"], lv["gamma"], [lv[f"pool{p}"] for p in range(3)], lv, 4)
         tape.backward(ad.tsum(out))
         ref = weakref.ref(tape)
-        del tape, lv, pool, pp, out
+        del tape, lv, out
         assert ref() is None
     finally:
         gc.enable()
@@ -403,6 +395,20 @@ def test_mixed_step_names_its_first_non_finite_part(operand, part):
     operands[operand][0, 1] = np.nan
     with pytest.raises(ad.NonFiniteError, match=f"^mixed_step: non-finite {part}$"):
         _run_step(mixed_step, operands, 2, 4, ("logits",))
+
+
+@pytest.mark.parametrize(
+    "operand, value, message",
+    [("beta", np.zeros(5), "beta length does not match pair candidate count"),
+     ("gamma", np.zeros(len(PRIMITIVES) - 1), "gamma length does not match primitive count"),
+     ("pool1", np.zeros((4, 4)), r"pool entry shapes differ: \[\(5, 4\), \(4, 4\), \(5, 4\)\]")],
+    ids=["beta-length", "gamma-length", "pool-shapes"],
+)
+def test_mixed_step_rejects_operands_that_do_not_fit_its_pool(operand, value, message):
+    # a pool of three entries has six ordered pairs
+    operands = {**_step_operands(3, 4, 2), operand: value}
+    with pytest.raises(SpaceError, match=f"^{message}$"):
+        _run_step(mixed_step, operands, 3, 4, ("logits", "pool"))
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +492,7 @@ def test_apply_primitive_vjp_computes_only_the_gradients_asked_for(op):
     # a phase that leaves the weights (or the inputs) off the tape pays for no
     # gradient of them; what it does ask for is bitwise the full vjp's
     x, y, params = _primitive_inputs(op, 4, 3, 0)
-    value, vjp = apply_primitive(op, x, y, params, 4)
+    value, vjp = apply_primitive(op, x, y, tuple(params.values()), 4)
     g = np.linspace(-1.0, 1.0, value.size).reshape(value.shape)
     inputs = {"Sum": 2, "ScaledDotAttention": 2, "LinearGLU": 1, "ConcatFC": 1, "Zero": 0}[op]
     slots = inputs + len(params)  # (dx, dy) or (dcc,), then one per weight

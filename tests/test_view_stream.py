@@ -19,9 +19,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from helpers import search_one_epoch
+
 import mmnas.bilevel as bilevel
 import mmnas.pipeline as pipeline
-from mmnas.bilevel import SearchConfig, SearchError, init_search_state, search_epoch
+from mmnas.bilevel import SearchConfig, SearchError, init_search_state, run_search
 from mmnas.contrastive import ContrastiveConfig, ContrastiveError, ProjectionHead
 from mmnas.data import SyntheticSpec, generate, split
 from mmnas.optim import Adam, MomentumSGD
@@ -71,7 +73,7 @@ def _search_epoch(lr=0.05):
     scfg = SearchConfig(max_epochs=1, batch_size=8, lr_weights=lr, seed=2)
     state = init_search_state(scfg, space, CCFG)
     head = ProjectionHead(space.hidden_dim, CCFG.proj_hidden_dim, CCFG.proj_dim)
-    records = search_epoch(
+    records = search_one_epoch(
         state, splits.search_train, splits.search_valid, scfg, CCFG, MixedFusionEncoder(space), head,
         MomentumSGD(scfg.lr_weights, scfg.momentum), Adam(scfg.lr_arch),
     )
@@ -127,6 +129,37 @@ def test_batches_are_identical_with_and_without_the_worker(stage, monkeypatch, t
     assert len(seen_w) == STAGES[stage][1]
     assert seen_w == seen_i
     assert out_w == out_i
+
+
+def test_a_search_takes_every_epoch_from_one_worker(monkeypatch, tmp_path):
+    # run_search opens one stream for all its epochs, as pretrain does, and
+    # its batches are those of one stream per epoch
+    log = tmp_path / "pids"
+    _log_pids(monkeypatch, log)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    seen = []
+
+    def batch_loss(encoder, head, weights, arch, feats, *rest):
+        seen.append([f.tobytes() for f in feats])
+        return BATCH_LOSS(encoder, head, weights, arch, feats, *rest)
+
+    monkeypatch.setattr(bilevel, "contrastive_batch_loss", batch_loss)
+    ds, space = _data()
+    splits = split(ds, 0.2, seed=0)
+    scfg = SearchConfig(max_epochs=3, batch_size=8, seed=2)
+    run_search(scfg, space, CCFG, splits.search_train, splits.search_valid)
+    pids = log.read_text().split()
+    assert len(pids) == 3 * 11 and len(set(pids)) == 1 and pids[0] != str(os.getpid())
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(bilevel, "stack_view_features", STACK_VIEW_FEATURES)
+    every = [
+        [f.tobytes() for f in batch]
+        for epoch in range(3)
+        for batch in bilevel._view_batches(
+            bilevel.epoch_sections(scfg, splits.search_train, splits.search_valid, epoch), 8, CCFG, space.sources()
+        )
+    ]
+    assert seen == every
 
 
 def test_a_derived_pretrain_receives_views_of_the_sources_it_reads(monkeypatch):
