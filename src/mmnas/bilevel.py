@@ -31,14 +31,17 @@ check is the one signal of a non-finite value.
 
 Augmentation reads no model state, so a search's augmented view batches
 (per epoch, ``epoch_sections``: train, valid, then the evaluation pass) come
-from one ``view_stream``, with views of every source, since the mixed
-encoder reads them all (pretraining asks for only the sources its derived
-encoder reads). When the process may use two or more CPUs, the ``fork``
-start method exists and the process is not itself a daemonic
-multiprocessing worker, a forked worker computes them ahead of training
-and sends them over a pipe; the pipe's buffer holds only a few batches,
-so a full pipe blocks the worker. Otherwise the same batches are computed
-inline. The batches, and so every result, are identical either way.
+from one ``view_stream``, one section iterator per phase, with views of
+every source, since the mixed encoder reads them all (pretraining asks for
+only the sources its derived encoder reads). The stream's batches are those
+of one inline generator, ``_view_batches``. When the process may use two or
+more CPUs, the ``fork`` start method exists and the process is not itself a
+daemonic multiprocessing worker, a forked worker runs that generator ahead
+of training and sends its batches over a pipe; the pipe's buffer holds only
+a few batches, so a full pipe blocks the worker. A worker that stops early
+(a failed batch, or killed) hands the rest of the stream to the inline
+generator, so an augmentation error is raised in the stage's own process.
+The batches, and so every result, are identical either way.
 """
 
 from __future__ import annotations
@@ -48,10 +51,8 @@ import gc
 import itertools
 import multiprocessing
 import os
-import pickle
 import signal
 import time
-import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,55 +155,39 @@ def _view_batches(sections, batch_size: int, ccfg: ContrastiveConfig, sources):
             yield stack_view_features(ds, idx, ccfg, augment_rng, sources)
 
 
-class _RemoteTraceback(Exception):
-    """The worker-side traceback of an error, attached as its ``__cause__``."""
-
-    def __str__(self) -> str:
-        return self.args[0]
-
-
-def _sendable(e: Exception) -> Exception:
-    """``e`` if it survives a pickle round trip, else a RuntimeError naming it."""
-    try:
-        pickle.loads(pickle.dumps(e))
-    except Exception:
-        return RuntimeError(f"augmentation worker raised an error that cannot be sent: {e!r}")
-    return e
-
-
 def _serve(batches, reader, conn) -> None:
-    """Worker body: send each batch, then None; an error and its traceback in its place."""
+    """Worker body: send each batch, then None; at any error just stop, and the reader computes the rest."""
     # the parent must be the pipe's only reader, so that a parent that dies
     # without ending this worker turns its next write into a BrokenPipeError
     reader.close()
     gc.freeze()  # never collect (so never copy) the objects inherited from the parent
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and ends this worker
-    with contextlib.suppress(BrokenPipeError):  # the parent stopped reading
-        try:
-            for feats in batches:
-                conn.send(feats)
-        except Exception as e:
-            conn.send((_sendable(e), traceback.format_exc()))
-        else:
-            conn.send(None)
+    with contextlib.suppress(Exception):  # the parent stopped reading, or a batch failed
+        for feats in batches:
+            conn.send(feats)
+        conn.send(None)
 
 
-def _received(conn, worker):
-    """Reader side of the pipe: yield each batch (a list), raise the worker's error (a tuple)."""
+def _received(conn, worker, batches):
+    """Reader side of the pipe: yield the worker's batches up to its None; if
+    the worker stops first (a failed batch, or killed), the rest from ``batches``.
+
+    ``batches`` is this process's copy of the worker's generator: fork left
+    it unstarted, its section rngs at their seeds, so its batches from
+    ``sent`` on are byte for byte the ones the worker would have sent.
+    """
+    sent = 0
     while True:
         try:
             msg = conn.recv()
-        except EOFError:
-            worker.join()
-            raise RuntimeError(
-                f"augmentation worker exited with code {worker.exitcode} before its last batch"
-            ) from None
+        except (EOFError, OSError):  # OSError: a worker killed mid-message
+            break
         if msg is None:
             return
-        if isinstance(msg, tuple):
-            error, tb = msg
-            raise error from _RemoteTraceback(tb)
+        sent += 1
         yield msg
+    worker.join()
+    yield from itertools.islice(batches, sent, None)
 
 
 def _worker_allowed() -> bool:
@@ -221,36 +206,40 @@ def _worker_allowed() -> bool:
 
 @contextlib.contextmanager
 def view_stream(sections, batch_size: int, ccfg: ContrastiveConfig, sources):
-    """Iterator over the two-view features of ``sources`` for every batch of ``sections``.
+    """Per section, an iterator over the two-view features of ``sources`` for its batches.
 
-    Sections and batches are as in ``_view_batches``. Where ``_worker_allowed``, a
-    forked worker computes the batches and sends them over a pipe, at most
-    a few batches ahead of the reader (a full pipe blocks it); it makes no
-    BLAS call. Otherwise each batch is computed inline when asked for.
-    Both give the same bytes in the same order. An error raised while
-    computing a batch is raised by the iterator at that batch, with its
-    type and message; from the worker it comes with the worker's traceback
-    as its ``__cause__`` (one that cannot be pickled arrives as a
-    ``RuntimeError`` naming it). Leaving the block ends the worker, and a
-    worker whose parent dies ends at its next write to the pipe.
+    Sections and batches are as in ``_view_batches``, the stream's one
+    source of batches and of errors; each section's iterator must be read
+    to its end before the next is taken. Where ``_worker_allowed``, a forked
+    worker runs a copy of that generator ahead of the reader and sends its
+    batches over a pipe, at most a few batches ahead (a full pipe blocks
+    it); it makes no BLAS call. Otherwise each batch is computed inline
+    when asked for. Both give the same bytes in the same order. A worker
+    that stops early, whether a batch failed or it was killed, hands the
+    rest of the stream to the inline generator, so an error raised while
+    computing a batch is raised in this process at that batch, with its
+    own type, message and traceback. Leaving the block ends the worker, and
+    a worker whose parent dies ends at its next write to the pipe.
     """
+    counts = [len(batch_indices(len(ds), batch_size)) for ds, _, _ in sections]  # independent of the shuffle
     batches = _view_batches(sections, batch_size, ccfg, sources)
-    if not _worker_allowed():
-        with contextlib.closing(batches):
-            yield batches
-        return
-    ctx = multiprocessing.get_context("fork")
-    conn, child_conn = ctx.Pipe(duplex=False)
-    worker = ctx.Process(target=_serve, args=(batches, conn, child_conn), name="mmnas-views", daemon=True)
-    worker.start()
-    child_conn.close()
-    try:
-        yield _received(conn, worker)
-    finally:
-        conn.close()
-        worker.terminate()  # a no-op once the worker has sent its last batch and exited
-        worker.join()
-        worker.close()
+    with contextlib.closing(batches):
+        if not _worker_allowed():
+            yield (itertools.islice(batches, n) for n in counts)
+            return
+        ctx = multiprocessing.get_context("fork")
+        conn, child_conn = ctx.Pipe(duplex=False)
+        worker = ctx.Process(target=_serve, args=(batches, conn, child_conn), name="mmnas-views", daemon=True)
+        worker.start()
+        child_conn.close()
+        stream = _received(conn, worker, batches)
+        try:
+            yield (itertools.islice(stream, n) for n in counts)
+        finally:
+            conn.close()
+            worker.terminate()  # a no-op once the worker has sent its last batch and exited
+            worker.join()
+            worker.close()
 
 
 def train_epoch(batches, batch_loss, stepped, opt, error, *, epoch, phase, lr, best=None, report=None) -> dict:
@@ -334,8 +323,6 @@ def epoch_sections(scfg: SearchConfig, train: Dataset, valid: Dataset, epoch: in
 def search_epoch(
     state: SearchState,
     views,
-    train: Dataset,
-    valid: Dataset,
     scfg: SearchConfig,
     ccfg: ContrastiveConfig,
     encoder: MixedFusionEncoder,
@@ -345,8 +332,8 @@ def search_epoch(
     report=None,
 ) -> list:
     """One train+valid alternation plus the checkpoint evaluation pass,
-    reading its batches from ``views``, a ``view_stream`` whose next
-    sections are ``epoch_sections(scfg, train, valid, state.epoch)``."""
+    each phase reading the next section of ``views``, a ``view_stream``
+    whose next three are ``epoch_sections(scfg, train, valid, state.epoch)``."""
     def best(mean_loss):
         if phase == "eval" and mean_loss < state.best_valid_loss:
             state.best_valid_loss = mean_loss
@@ -373,20 +360,16 @@ def search_epoch(
     sets = {"weights": (state.weights, state.flat_weights), "arch": (state.arch.named(), state.arch.flat)}
     operands = plan = None  # built by each phase's first batch
     records = []
-    # (phase, split, the set it differentiates and steps, its optimizer and rate); a phase
-    # reads the other sets as plain arrays, and the checkpoint pass steps none
+    # (phase, the set it differentiates and steps, its optimizer and rate), one per
+    # section of views; a phase reads the other sets as plain arrays, and the
+    # checkpoint pass steps none
     phases = (
-        ("train", train, "weights", opt_w, scfg.lr_weights),
-        ("valid", valid, "arch", opt_arch, scfg.lr_arch),
-        ("eval", valid, None, None, 0.0),
+        ("train", "weights", opt_w, scfg.lr_weights),
+        ("valid", "arch", opt_arch, scfg.lr_arch),
+        ("eval", None, None, 0.0),
     )
-    for phase, ds, stepped, opt, lr in phases:
-        # the batch count does not depend on the shuffle
-        n_batches = len(batch_indices(len(ds), scfg.batch_size))
-        if not n_batches:
-            raise SearchError(f"{phase} split too small for one batch (needs >= 2 samples)")
-        batches = itertools.islice(views, n_batches)
-        row = train_epoch(batches, batch_loss, sets.get(stepped), opt, error, epoch=epoch, phase=phase, lr=lr,
+    for phase, stepped, opt, lr in phases:
+        row = train_epoch(next(views), batch_loss, sets.get(stepped), opt, error, epoch=epoch, phase=phase, lr=lr,
                           best=best, report=report)
         records.append(row)
     state.epoch = epoch
@@ -432,7 +415,7 @@ def run_search(
     # the mixed encoder reads every source
     with view_stream(sections, scfg.batch_size, ccfg, encoder.sources) as views:
         for _ in range(scfg.max_epochs):
-            search_epoch(state, views, train, valid, scfg, ccfg, encoder, head, opt_w, opt_arch, report)
+            search_epoch(state, views, scfg, ccfg, encoder, head, opt_w, opt_arch, report)
     genotype = derive_genotype(state.best_arch)
     try:
         validate_genotype(genotype, space)

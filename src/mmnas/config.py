@@ -30,7 +30,7 @@ from .contrastive import ContrastiveConfig
 from .data import SyntheticSpec
 from .pipeline import PipelineConfig
 from .searchspace import SearchSpaceConfig
-from .util import canonical_json, integer, short_hash
+from .util import integer, short_hash
 
 
 class ConfigError(ValueError):
@@ -114,9 +114,6 @@ class RunConfig:
 
     def hash(self) -> str:
         return short_hash(self.to_dict())
-
-    def canonical(self) -> str:
-        return canonical_json(self.to_dict())
 
     def space_config(self, image_dims, text_dims) -> SearchSpaceConfig:
         return SearchSpaceConfig(

@@ -103,8 +103,9 @@ class ContrastiveConfig:
                 raise ContrastiveError(f"{name} must lie in [0, 1]")
         if not 0.0 <= self.crop_fraction <= 1.0:
             raise ContrastiveError("crop_fraction must lie in [0, 1]")
-        if self.jitter_scale < 0:
-            raise ContrastiveError("jitter_scale must be >= 0")
+        for name in ("jitter_scale", "noise_scale"):
+            if getattr(self, name) < 0:
+                raise ContrastiveError(f"{name} must be >= 0")
         if self.blur_width < 1:
             raise ContrastiveError("blur_width must be >= 1")
         if self.proj_hidden_dim < 1 or self.proj_dim < 1:

@@ -40,7 +40,6 @@ those predictions into the weighted F1, for the fit stage and ``eval``.
 
 from __future__ import annotations
 
-import itertools
 import pathlib
 import time
 from dataclasses import dataclass, replace
@@ -48,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .bilevel import SearchConfig, batch_indices, contrastive_batch_loss, run_search, train_epoch, view_stream
+from .bilevel import SearchConfig, contrastive_batch_loss, run_search, train_epoch, view_stream
 from .checkpoint import save_weights
 from .contrastive import ContrastiveConfig, ProjectionHead
 from .data import Dataset, SplitSet, split
@@ -138,10 +137,8 @@ def pretrain(
 
     # each epoch's rng shuffles its batches, then augments them
     rngs = [seeded_rng(seed, TAG_PRETRAIN_EPOCH, epoch) for epoch in range(pcfg.pretrain_epochs)]
-    n_batches = len(batch_indices(len(train), pcfg.pretrain_batch_size))  # the same for every shuffle
     with view_stream([(train, rng, rng) for rng in rngs], pcfg.pretrain_batch_size, ccfg, encoder.sources) as views:
-        for epoch in range(1, pcfg.pretrain_epochs + 1):
-            batches = itertools.islice(views, n_batches)
+        for epoch, batches in enumerate(views, 1):
             train_epoch(batches, batch_loss, (weights, flat), opt, _error("pretrain", epoch),
                         epoch=epoch, phase="pretrain", lr=pcfg.pretrain_lr, best=best, report=report)
     return weights

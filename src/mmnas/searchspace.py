@@ -337,11 +337,11 @@ def _names(values) -> tuple:
 
 
 def _ref_index(src: str, where: str) -> int:
-    """k of a "cell:k" / "step:k" reference."""
-    try:
-        return int(src.split(":", 1)[1])
-    except ValueError:
-        raise GenotypeError(f"{where}: malformed reference {src!r}") from None
+    """k of a "cell:k" / "step:k" reference, written as the encoders look it up."""
+    k = src.split(":", 1)[1]
+    if not (k.isdecimal() and k == str(int(k))):
+        raise GenotypeError(f"{where}: malformed reference {src!r}")
+    return int(k)
 
 
 def validate_genotype(genotype: Genotype, config: SearchSpaceConfig) -> None:

@@ -478,7 +478,7 @@ def search_one_epoch(state, train, valid, scfg, ccfg, encoder, head, opt_w, opt_
 
     sections = epoch_sections(scfg, train, valid, state.epoch)
     with view_stream(sections, scfg.batch_size, ccfg, encoder.sources) as views:
-        return search_epoch(state, views, train, valid, scfg, ccfg, encoder, head, opt_w, opt_arch, report)
+        return search_epoch(state, views, scfg, ccfg, encoder, head, opt_w, opt_arch, report)
 
 
 def derived_forward_oracle(genotype, weights: dict, features: dict) -> np.ndarray:

@@ -189,6 +189,23 @@ def test_malformed_genotype_gives_structured_error(tmp_path, tiny_config, capsys
     assert err["type"] == "GenotypeError"
 
 
+def test_a_reference_the_encoders_cannot_look_up_is_refused_before_any_stage(tmp_path, capsys):
+    # "step:+0" parses as step 0 with int(), but the derived encoder looks
+    # steps up as "step:0"; it used to end pretraining in a KeyError traceback
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_with(TINY, "space", steps_per_cell=2)))
+    space_hash = RunConfig.from_file(config).space_config((8, 8), (8, 8)).hash()
+    steps = [{"pair": ["image:0", "text:1"], "op": "Sum"}, {"pair": ["step:+0", "text:1"], "op": "Sum"}]
+    path = tmp_path / "genotype.json"
+    cells = [{"inputs": ["image:0", "text:1"], "steps": steps}]
+    path.write_text(json.dumps({"config_hash": space_hash, "cells": cells}))
+    out = tmp_path / "o"
+    assert main(["run-all", "--config", str(config), "--genotype", str(path), "--out-dir", str(out)]) == 1
+    err = _one_error_line(capsys)
+    assert err["type"] == "GenotypeError" and "malformed reference 'step:+0'" in err["error"]
+    assert not any((out / name).exists() for name in ("reports.jsonl", "genotype.json", "encoder.mmnw"))
+
+
 def test_failed_run_leaves_incomplete_marker(tmp_path, tiny_config):
     bad = json.loads((open(tiny_config).read()))
     bad["pipeline"]["labeled_ratio"] = 1.0  # empties the unlabeled pool

@@ -148,7 +148,7 @@ def test_round_trip_through_effective_dict():
     cfg = RunConfig.from_dict({"seed": 5, "space": {"hidden_dim": 8}, "data": {"num_samples": 10}})
     again = RunConfig.from_dict(cfg.to_dict())
     assert again == cfg
-    assert again.canonical() == cfg.canonical()
+    assert again.to_dict() == cfg.to_dict()
 
 
 def test_from_file_rejects_bad_json(tmp_path):

@@ -168,9 +168,10 @@ def test_a_batch_without_matrices_is_rejected():
         augment_views([8, 6], [], 10, ContrastiveConfig(), np.random.default_rng(0))
 
 
-def test_negative_jitter_scale_rejected():
-    with pytest.raises(ContrastiveError, match="jitter_scale"):
-        ContrastiveConfig(jitter_scale=-0.1)
+@pytest.mark.parametrize("name", ["jitter_scale", "noise_scale"])
+def test_negative_jitter_scale_rejected(name):
+    with pytest.raises(ContrastiveError, match=f"{name} must be >= 0"):
+        ContrastiveConfig(**{name: -0.1})
 
 
 def test_mask_prob_one_rejected():

@@ -856,6 +856,25 @@ GOOD_DOC = {
         },
     ],
 }
+
+
+def _step_ref(name):
+    """Cell 0's step 1 reads step 0 as ``name``."""
+    return lambda d: d["cells"][0]["steps"][1].update(pair=[name, "image:0"])
+
+
+def _cell_ref(name):
+    """Cell 1 writes its every "cell:0" as ``name``, so only the spelling is wrong."""
+
+    def edit(d):
+        cell = d["cells"][1]
+        cell["inputs"] = [name if s == "cell:0" else s for s in cell["inputs"]]
+        for step in cell["steps"]:
+            step["pair"] = [name if s == "cell:0" else s for s in step["pair"]]
+
+    return edit
+
+
 MALFORMED = {
     "cell-ref-not-int": lambda d: d["cells"][1].update(inputs=["cell:x", "text:0"]),
     "step-ref-not-int": lambda d: d["cells"][0]["steps"][1].update(pair=["step:x", "image:0"]),
@@ -865,6 +884,10 @@ MALFORMED = {
     "null-op": lambda d: d["cells"][0]["steps"][0].update(op=None),
     "int-op": lambda d: d["cells"][1]["steps"][1].update(op=3),
     "one-input": lambda d: d["cells"][0].update(inputs=["image:0"]),
+    # the encoders look a reference up by its exact "<kind>:<k>" string, so
+    # int()'s other spellings of k are malformed
+    **{ref: _step_ref(ref) for ref in ("step:+0", "step:00", "step: 0", "step:0_0")},
+    **{ref: _cell_ref(ref) for ref in ("cell: 0", "cell:+0", "cell:00")},
 }
 NOT_A_LIST = {
     "string-inputs": lambda d: d["cells"][0].update(inputs="image:0"),

@@ -1,9 +1,9 @@
 """The stream of augmented view batches behind pretraining and search.
 
-Each test runs a tiny ``pretrain`` (3 epochs of 5 batches) or one
+Most tests run a tiny ``pretrain`` (3 epochs of 5 batches) or one
 ``search_epoch`` (7 train, 2 valid and 2 eval batches) with the forked
 worker forced (the affinity probe reports two CPUs), most also with the
-inline path forced (one CPU).
+inline path forced (one CPU); one reads a ``view_stream`` directly.
 """
 
 import gc
@@ -195,8 +195,8 @@ def test_an_augmentation_error_surfaces_at_its_batch(stage, mode, monkeypatch):
     assert type(info.value) is ContrastiveError
     assert str(info.value) == f"injected at batch {k}"
     assert len(seen) == k
-    if mode == "worker":  # the worker's traceback comes along as the cause
-        assert "in failing" in str(info.value.__cause__)
+    # raised in this process, by the inline generator the worker handed over to
+    assert any(entry.name == "failing" for entry in info.traceback)
     assert multiprocessing.active_children() == []
 
 
@@ -221,10 +221,55 @@ def test_an_error_that_cannot_be_sent_still_surfaces(error, monkeypatch):
         raise error()
 
     monkeypatch.setattr(bilevel, "stack_view_features", failing)
-    with pytest.raises(RuntimeError, match="augmentation worker raised an error that cannot be sent: ") as info:
+    with pytest.raises(type(error())) as info:
         _run("pretrain", "worker", monkeypatch, [])
-    assert type(error()).__name__ in str(info.value)
-    assert "in failing" in str(info.value.__cause__)
+    assert type(info.value) is type(error())  # the worker sends no error, so none needs pickling
+    assert any(entry.name == "failing" for entry in info.traceback)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_a_worker_that_dies_leaves_the_rest_of_the_stream_to_its_reader(stage, monkeypatch):
+    parent = os.getpid()
+    calls = []
+
+    def dying(ds, idx, ccfg, rng, sources):
+        calls.append(1)
+        if os.getpid() != parent and len(calls) == 5:
+            os._exit(1)  # as if killed: the worker sends nothing more
+        return STACK_VIEW_FEATURES(ds, idx, ccfg, rng, sources)
+
+    monkeypatch.setattr(bilevel, "stack_view_features", dying)
+    runs = {}
+    for mode in CPUS:
+        calls.clear()
+        seen = []
+        runs[mode] = (_run(stage, mode, monkeypatch, seen), seen)
+        # the reader recomputed every batch: those it had received, then the rest
+        assert len(calls) == STAGES[stage][1], mode
+        assert multiprocessing.active_children() == []
+    assert len(runs["worker"][1]) == STAGES[stage][1]
+    assert runs["worker"] == runs["inline"]
+
+
+def test_the_stream_gives_one_iterator_per_section(monkeypatch, tmp_path):
+    # sections of 5, 3 and 2 samples at batch 2 hold 2, 1 and 1 batches
+    # (a singleton tail is dropped, as batch_indices does)
+    ds, space = _data()
+
+    def sections():
+        return [(ds.subset(range(n)), seeded_rng(n, 0), seeded_rng(n, 1)) for n in (5, 3, 2)]
+
+    every = [[f.tobytes() for f in batch] for batch in bilevel._view_batches(sections(), 2, CCFG, space.sources())]
+    for mode in CPUS:
+        log = tmp_path / f"{mode}.pids"
+        _log_pids(monkeypatch, log)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(CPUS[mode]))
+        with bilevel.view_stream(sections(), 2, CCFG, space.sources()) as views:
+            got = [[[f.tobytes() for f in batch] for batch in section] for section in views]
+        assert [len(section) for section in got] == [2, 1, 1], mode
+        assert sum(got, []) == every, mode
+        assert (set(log.read_text().split()) == {str(os.getpid())}) == (mode == "inline")
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("mode", CPUS)
@@ -283,12 +328,41 @@ _pretrain()
 """
 
 
-def _running(pid: int) -> bool:
+def _state(pid: int):
+    """The process state letter of ``pid`` ("R", "S", "Z", ...), None once it is gone."""
     try:
         stat = Path(f"/proc/{pid}/stat").read_text()
     except OSError:
-        return False
-    return stat[stat.rindex(")") + 2] != "Z"  # a zombie has exited
+        return None
+    return stat[stat.rindex(")") + 2]
+
+
+def _running(pid: int) -> bool:
+    return _state(pid) not in (None, "Z")  # a zombie has exited
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_a_worker_killed_mid_message_leaves_the_rest_of_the_stream_to_its_reader(monkeypatch):
+    # one batch (~400 kB) outgrows the pipe's buffer, so the worker sleeps
+    # halfway through sending the first; killed there, it leaves a cut
+    # message, which the reader drops before computing the stream itself
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ds = generate(SyntheticSpec(num_samples=400, image_layer_dims=(64, 64), text_layer_dims=(64, 64), seed=0))
+    sources = list(ds.features)
+
+    def sections():
+        return [(ds, seeded_rng(0, 0), seeded_rng(0, 1))]
+
+    every = [[f.tobytes() for f in batch] for batch in bilevel._view_batches(sections(), 100, CCFG, sources)]
+    with bilevel.view_stream(sections(), 100, CCFG, sources) as views:
+        (worker,) = multiprocessing.active_children()
+        deadline = time.monotonic() + 60
+        while _state(worker.pid) != "S" and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(worker.pid, signal.SIGKILL)
+        got = [[f.tobytes() for f in batch] for section in views for batch in section]
+    assert len(got) == 4 and got == every
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
