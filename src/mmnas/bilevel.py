@@ -34,18 +34,23 @@ Augmentation reads no model state, so a search's augmented view batches
 from one ``view_stream``, one section iterator per phase, with views of
 every source, since the mixed encoder reads them all (pretraining asks for
 only the sources its derived encoder reads). The stream's batches are those
-of one inline generator, ``_view_batches``. When the process may use two or
-more CPUs, the ``fork`` start method exists and the process is not itself a
-daemonic multiprocessing worker, a forked worker runs that generator ahead
-of training and sends its batches over a pipe; the pipe's buffer holds only
-a few batches, so a full pipe blocks the worker. A worker that stops early
-(a failed batch, or killed) hands the rest of the stream to the inline
-generator, so an augmentation error is raised in the stage's own process.
-The batches, and so every result, are identical either way.
+of one inline generator, ``_view_batches``, and each section owns its rngs.
+When the process may use two or more CPUs, the ``fork`` start method exists
+and the process is not itself a daemonic multiprocessing worker, a forked
+worker shares the stream with the stage's own process, whole sections at a
+time: the stage's process hands the worker the next section whenever it
+holds fewer than two, and computes the next one itself while the worker's
+pipe (1 MiB, about a pretraining section) is empty. Each batch is computed
+in one process. A worker that stops early (a failed batch, or killed)
+leaves the sections it held to the stage's process, which computes again
+the batches it had received of the current one; so an augmentation error
+is raised in the stage's process, at the batch that hit it. The batches,
+and so every result, are identical either way.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import gc
 import itertools
@@ -155,39 +160,105 @@ def _view_batches(sections, batch_size: int, ccfg: ContrastiveConfig, sources):
             yield stack_view_features(ds, idx, ccfg, augment_rng, sources)
 
 
-def _serve(batches, reader, conn) -> None:
-    """Worker body: send each batch, then None; at any error just stop, and the reader computes the rest."""
-    # the parent must be the pipe's only reader, so that a parent that dies
-    # without ending this worker turns its next write into a BrokenPipeError
-    reader.close()
+PIPE_SIZE = 1 << 20  # about a section of pretraining batches, so the worker can run a section ahead
+
+
+def _serve(section, parent_ends, assigned, conn) -> None:
+    """Worker body: for each section index read from ``assigned``, send the
+    batches of ``section(index)``; at any error, or once ``assigned`` ends, just stop."""
+    # the parent must be the batch pipe's only reader and the section pipe's
+    # only writer, so that a parent that dies without ending this worker
+    # turns its next write into a BrokenPipeError and its next read into an EOFError
+    for end in parent_ends:
+        end.close()
     gc.freeze()  # never collect (so never copy) the objects inherited from the parent
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent handles Ctrl-C and ends this worker
-    with contextlib.suppress(Exception):  # the parent stopped reading, or a batch failed
-        for feats in batches:
-            conn.send(feats)
-        conn.send(None)
+    with contextlib.suppress(Exception):  # the parent stopped reading or assigning, or a batch failed
+        while True:
+            for feats in section(assigned.recv()):
+                conn.send(feats)
 
 
-def _received(conn, worker, batches):
-    """Reader side of the pipe: yield the worker's batches up to its None; if
-    the worker stops first (a failed batch, or killed), the rest from ``batches``.
+def _received(conn, assign, counts, section):
+    """Reader side: every section's ``counts[i]`` batches in order, shared
+    between this process and the worker; the first two sections go to the
+    worker at once.
 
-    ``batches`` is this process's copy of the worker's generator: fork left
-    it unstarted, its section rngs at their seeds, so its batches from
-    ``sent`` on are byte for byte the ones the worker would have sent.
+    ``section(i)`` is this process's generator of section ``i``: fork left
+    its rngs at their seeds, so its batches are byte for byte the ones the
+    worker would send, and no two sections share an rng, so the order in
+    which sections are computed changes no byte. Only this process claims
+    sections, always the lowest unclaimed one: it sends the worker one over
+    ``assign`` whenever the worker holds fewer than two, and while the pipe
+    is empty it computes one batch of a section of its own ahead, claiming
+    one if it has none, and keeps each batch, or the error that a batch
+    raised, until training reaches it. If the worker stops (a failed batch,
+    or killed), the rest of its current section, counted from the batches
+    received, and each later section it held come from ``section``.
     """
-    sent = 0
-    while True:
+    held = collections.deque()  # the sections the worker holds, in order
+    claimed = 0  # sections below this one are claimed
+    ahead = None  # (i, kept batches or error, generator): this process's section ahead
+
+    def top_up():
+        nonlocal claimed
+        while len(held) < 2 and claimed < len(counts):
+            with contextlib.suppress(OSError):  # a dead worker shows as the batch pipe's end
+                assign.send(claimed)
+            held.append(claimed)
+            claimed += 1
+
+    def compute_ahead() -> bool:
+        """One batch of this process's section ahead; False if there is none to compute."""
+        nonlocal claimed, ahead
+        if ahead is None:
+            if claimed == len(counts):
+                return False
+            ahead = (claimed, [], section(claimed))
+            claimed += 1
+        i, kept, batches = ahead
+        if len(kept) == counts[i] or kept and isinstance(kept[-1], Exception):
+            return False
         try:
-            msg = conn.recv()
-        except (EOFError, OSError):  # OSError: a worker killed mid-message
-            break
-        if msg is None:
-            return
-        sent += 1
-        yield msg
-    worker.join()
-    yield from itertools.islice(batches, sent, None)
+            kept.append(next(batches))
+        except Exception as e:  # raised when training reaches this batch, never dropped
+            kept.append(e)
+        return True
+
+    def stream():
+        nonlocal claimed, ahead
+        for i, n in enumerate(counts):
+            if held and held[0] == i:
+                got = 0
+                while got < n:
+                    while not conn.poll() and compute_ahead():
+                        pass
+                    try:
+                        msg = conn.recv()
+                    except (EOFError, OSError):  # OSError: a worker killed mid-message
+                        break
+                    got += 1
+                    yield msg
+                held.popleft()
+                if got < n:  # the worker stopped: this process computes every section it held
+                    held.clear()
+                    claimed = len(counts)
+                    yield from itertools.islice(section(i), got, None)
+                top_up()
+                continue
+            if ahead is not None and ahead[0] == i:
+                _, kept, batches = ahead
+                ahead = None
+            else:  # a section the stopped worker held
+                kept, batches = [], section(i)
+            for batch in kept:
+                if isinstance(batch, Exception):
+                    raise batch
+                yield batch
+            yield from batches
+
+    top_up()
+    return stream()
 
 
 def _worker_allowed() -> bool:
@@ -208,38 +279,60 @@ def _worker_allowed() -> bool:
 def view_stream(sections, batch_size: int, ccfg: ContrastiveConfig, sources):
     """Per section, an iterator over the two-view features of ``sources`` for its batches.
 
-    Sections and batches are as in ``_view_batches``, the stream's one
-    source of batches and of errors; each section's iterator must be read
-    to its end before the next is taken. Where ``_worker_allowed``, a forked
-    worker runs a copy of that generator ahead of the reader and sends its
-    batches over a pipe, at most a few batches ahead (a full pipe blocks
-    it); it makes no BLAS call. Otherwise each batch is computed inline
-    when asked for. Both give the same bytes in the same order. A worker
-    that stops early, whether a batch failed or it was killed, hands the
-    rest of the stream to the inline generator, so an error raised while
-    computing a batch is raised in this process at that batch, with its
-    own type, message and traceback. Leaving the block ends the worker, and
-    a worker whose parent dies ends at its next write to the pipe.
+    Sections and batches are as in ``_view_batches``, whose bytes the stream
+    gives, and each section's iterator must be read to its end before the
+    next is taken. Sections that share an rng object are refused with a
+    ``ValueError``, since a section's bytes must not depend on where or
+    when another is computed. Where ``_worker_allowed``, this process and a
+    forked worker compute the stream between them, each section whole in
+    one process (``_received``): the worker at most two sections ahead of
+    the reader, over a pipe of up to ``PIPE_SIZE`` bytes (a full pipe
+    blocks it), and this process, while that pipe is empty, one section
+    ahead of its own; the worker makes no BLAS call. Otherwise each batch
+    is computed inline when asked for. Both give the same bytes in the same
+    order. An error raised while computing a batch, in either process, is
+    raised in this process when the reader reaches that batch, with its own
+    type, message and traceback; a worker that stops early, whether a batch
+    failed or it was killed, costs time, not the stream. Leaving the block
+    ends the worker, and a worker whose parent dies ends at its next read
+    or write of a pipe.
     """
+    owner = {}
+    for i, (_, *rngs) in enumerate(sections):
+        for rng in rngs:
+            if rng is not None and owner.setdefault(id(rng), i) != i:
+                raise ValueError(f"view_stream sections {owner[id(rng)]} and {i} share an rng")
     counts = [len(batch_indices(len(ds), batch_size)) for ds, _, _ in sections]  # independent of the shuffle
-    batches = _view_batches(sections, batch_size, ccfg, sources)
-    with contextlib.closing(batches):
-        if not _worker_allowed():
+    if not _worker_allowed():
+        with contextlib.closing(_view_batches(sections, batch_size, ccfg, sources)) as batches:
             yield (itertools.islice(batches, n) for n in counts)
-            return
-        ctx = multiprocessing.get_context("fork")
-        conn, child_conn = ctx.Pipe(duplex=False)
-        worker = ctx.Process(target=_serve, args=(batches, conn, child_conn), name="mmnas-views", daemon=True)
-        worker.start()
-        child_conn.close()
-        stream = _received(conn, worker, batches)
-        try:
+        return
+
+    import fcntl  # POSIX only; the worker runs only where os.sched_getaffinity exists
+
+    def section(i):
+        return _view_batches([sections[i]], batch_size, ccfg, sources)
+
+    ctx = multiprocessing.get_context("fork")
+    conn, child_conn = ctx.Pipe(duplex=False)
+    assigned, assign = ctx.Pipe(duplex=False)
+    with contextlib.suppress(OSError):  # the pipe keeps its default size where it cannot grow
+        fcntl.fcntl(conn.fileno(), fcntl.F_SETPIPE_SZ, PIPE_SIZE)
+    stream = _received(conn, assign, counts, section)
+    worker = ctx.Process(target=_serve, args=(section, (conn, assign), assigned, child_conn), name="mmnas-views",
+                         daemon=True)
+    worker.start()
+    child_conn.close()
+    assigned.close()
+    try:
+        with contextlib.closing(stream):
             yield (itertools.islice(stream, n) for n in counts)
-        finally:
-            conn.close()
-            worker.terminate()  # a no-op once the worker has sent its last batch and exited
-            worker.join()
-            worker.close()
+    finally:
+        conn.close()
+        assign.close()
+        worker.terminate()  # a no-op once the worker has exited
+        worker.join()
+        worker.close()
 
 
 def train_epoch(batches, batch_loss, stepped, opt, error, *, epoch, phase, lr, best=None, report=None) -> dict:

@@ -156,6 +156,8 @@ def _run_stages(cfg: RunConfig, out: Path, command: str, data_path, last_stage="
     config, the genotype hash and the test weighted F1 (None before the
     fit stage or on an empty test split). ``run-all`` and ``sweep-r``
     cells start a fresh log; the staged commands append to the one they share.
+    ``out/.incomplete`` marks the run from the moment its inputs are checked
+    until its last stage has ended, so a refused run leaves none.
     """
     if weights_path and not genotype_path:
         raise CliError(f"{command}: --weights needs --genotype, the genotype its checkpoint was pretrained for")
@@ -163,6 +165,7 @@ def _run_stages(cfg: RunConfig, out: Path, command: str, data_path, last_stage="
     space = cfg.space_config(ds.image_dims, ds.text_dims)
     genotype = _genotype_from_file(genotype_path, space) if genotype_path else None
     pretrained = _checkpoint(weights_path, instantiate(genotype, space).weight_shapes()) if weights_path else None
+    marker = _run_guard(out)
     if command in ("run-all", "sweep-r"):
         (out / "reports.jsonl").unlink(missing_ok=True)
     reporter = _Reporter(out, cfg.hash(), build_id(), cfg.seed)
@@ -190,6 +193,7 @@ def _run_stages(cfg: RunConfig, out: Path, command: str, data_path, last_stage="
         )
     finally:
         reporter.close()
+    marker.unlink()
     return reports, artifacts
 
 
@@ -197,7 +201,6 @@ def cmd_run(args) -> int:
     """search, pretrain, fit and run-all: the pipeline stopped after ``args.last_stage``."""
     cfg = _load_config(args)
     out = _out_dir(args)
-    marker = _run_guard(out)
     genotype, weights = getattr(args, "genotype", None), getattr(args, "weights", None)
     reports, artifacts = _run_stages(cfg, out, args.command, args.data, args.last_stage, genotype, weights)
     for rep in reports:
@@ -205,14 +208,12 @@ def cmd_run(args) -> int:
     print(f"genotype {artifacts['genotype'].hash()}")
     if "weighted_f1" in artifacts:
         print(f"weighted_f1 = {artifacts['weighted_f1']:.6f}")
-    marker.unlink()
     return 0
 
 
 def cmd_sweep_r(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    marker = _run_guard(out)
     grid = [float(x) for x in args.r_grid.split(",") if x.strip()]
     seeds = [int(x) for x in args.seeds.split(",") if x.strip()]
     if not grid or not seeds:
@@ -227,6 +228,7 @@ def cmd_sweep_r(args) -> int:
                 f"floor(0.1 * floor(n * r)) samples, and floor(n * r) = {labeled} here; "
                 f"raise r or the sample count"
             )
+    marker = _run_guard(out)
     rows = []
     for r in grid:
         for seed in seeds:
@@ -235,10 +237,8 @@ def cmd_sweep_r(args) -> int:
             )
             cell_dir = out / f"r{r:g}_seed{seed}"
             cell_dir.mkdir(parents=True, exist_ok=True)
-            cell_marker = _run_guard(cell_dir)
             _, artifacts = _run_stages(cell_cfg, cell_dir, "sweep-r", args.data)
             rows.append((r, seed, artifacts["weighted_f1"]))
-            cell_marker.unlink()
             print(f"r={r:g} seed={seed} weighted_f1={artifacts['weighted_f1']:.6f}")
     csv_path = out / "sweep.csv"
     with atomic_open(csv_path, "w", newline="") as fh:

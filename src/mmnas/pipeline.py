@@ -25,12 +25,12 @@ value: batches and ``encode_dataset`` run with numpy's overflow warnings
 off, and no stage warns (each pretraining epoch's loss is a report row).
 
 Pretraining takes the augmented view batches of all its epochs from one
-``bilevel.view_stream``: a forked worker computes them ahead of training
-when the process may use two or more CPUs, and they are computed inline
-otherwise, with identical results. A batch holds views of only the sources
-the derived encoder reads (``DerivedFusionEncoder.sources``); the other
-image layers are drawn and dropped, so the views are those of a batch of
-every source.
+``bilevel.view_stream``: when the process may use two or more CPUs, a
+forked worker and this process compute them between them, a section (an
+epoch) at a time, and they are computed inline otherwise, with identical
+results. A batch holds views of only the sources the derived encoder reads
+(``DerivedFusionEncoder.sources``); the other image layers are drawn and
+dropped, so the views are those of a batch of every source.
 
 The classifier's loss is per-label sigmoid binary cross entropy (the
 benchmark is multilabel), and it predicts a label where its logit is >= 0,

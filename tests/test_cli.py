@@ -217,6 +217,32 @@ def test_failed_run_leaves_incomplete_marker(tmp_path, tiny_config):
     assert (out / ".incomplete").exists()
 
 
+def test_a_refused_run_leaves_no_incomplete_marker(tmp_path, tiny_config, capsys):
+    # the inputs are checked before the marker is written, so a marker
+    # always means a stage was left unfinished
+    genotype = tmp_path / "genotype.json"
+    genotype.write_text("{}")
+    refused = {
+        "genotype": ["run-all", "--genotype", str(genotype)],
+        "weights": ["run-all", "--weights", str(tmp_path / "encoder.mmnw")],
+        "grid": ["sweep-r", "--r-grid", "0.1", "--seeds", "0"],  # an empty test split
+    }
+    for name, (command, *flags) in refused.items():
+        out = tmp_path / name
+        assert main([command, "--config", tiny_config, *flags, "--out-dir", str(out)]) == 1, name
+        _one_error_line(capsys)
+        assert out.is_dir() and not list(out.rglob(".incomplete")), name
+
+
+def test_a_sweep_cell_whose_stage_fails_leaves_both_markers(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_with(TINY, "pipeline", clf_lr=1e308)))  # the fit diverges
+    out = tmp_path / "s"
+    assert main(["sweep-r", "--config", str(config), "--r-grid", "0.3", "--seeds", "0", "--out-dir", str(out)]) == 1
+    assert _one_error_line(capsys)["type"] == "PipelineError"
+    assert (out / ".incomplete").exists() and (out / "r0.3_seed0" / ".incomplete").exists()
+
+
 def test_a_diverging_fit_gives_one_structured_error_with_its_position(tmp_path, tiny_config, capsys):
     bad = json.loads(open(tiny_config).read())
     bad["pipeline"]["clf_lr"] = 1e308  # the first Adam step leaves the classifier unusable
