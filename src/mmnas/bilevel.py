@@ -217,7 +217,7 @@ def _received(conn, assign, counts, section):
             ahead = (claimed, [], section(claimed))
             claimed += 1
         i, kept, batches = ahead
-        if len(kept) == counts[i] or kept and isinstance(kept[-1], Exception):
+        if len(kept) == counts[i] or (kept and isinstance(kept[-1], Exception)):
             return False
         try:
             kept.append(next(batches))
@@ -240,7 +240,7 @@ def _received(conn, assign, counts, section):
                     got += 1
                     yield msg
                 held.popleft()
-                if got < n:  # the worker stopped: this process computes every section it held
+                if got < n:  # the worker stopped: this process computes every section from here on
                     held.clear()
                     claimed = len(counts)
                     yield from itertools.islice(section(i), got, None)
@@ -249,7 +249,7 @@ def _received(conn, assign, counts, section):
             if ahead is not None and ahead[0] == i:
                 _, kept, batches = ahead
                 ahead = None
-            else:  # a section the stopped worker held
+            else:  # a section the stopped worker held or never got
                 kept, batches = [], section(i)
             for batch in kept:
                 if isinstance(batch, Exception):
@@ -302,17 +302,17 @@ def view_stream(sections, batch_size: int, ccfg: ContrastiveConfig, sources):
         for rng in rngs:
             if rng is not None and owner.setdefault(id(rng), i) != i:
                 raise ValueError(f"view_stream sections {owner[id(rng)]} and {i} share an rng")
-    counts = [len(batch_indices(len(ds), batch_size)) for ds, _, _ in sections]  # independent of the shuffle
-    if not _worker_allowed():
-        with contextlib.closing(_view_batches(sections, batch_size, ccfg, sources)) as batches:
-            yield (itertools.islice(batches, n) for n in counts)
-        return
-
-    import fcntl  # POSIX only; the worker runs only where os.sched_getaffinity exists
 
     def section(i):
         return _view_batches([sections[i]], batch_size, ccfg, sources)
 
+    if not _worker_allowed():
+        yield (section(i) for i in range(len(sections)))
+        return
+
+    import fcntl  # POSIX only; the worker runs only where os.sched_getaffinity exists
+
+    counts = [len(batch_indices(len(ds), batch_size)) for ds, _, _ in sections]  # independent of the shuffle
     ctx = multiprocessing.get_context("fork")
     conn, child_conn = ctx.Pipe(duplex=False)
     assigned, assign = ctx.Pipe(duplex=False)
